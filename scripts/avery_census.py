@@ -8,41 +8,19 @@ Enumeration is exhaustive over all labelled tournaments up to --max-n
 
 import argparse
 import sys
-from itertools import combinations, combinations_with_replacement, permutations
+from collections import Counter
 
 import numpy as np
 
 from tourlim import ScoreSequence, is_simple_avery
+from tourlim.density import _tournament_pattern_classes
 
 
-def all_masks(n):
-    return range(1 << (n * (n - 1) // 2))
-
-
-def score_multiset(n, mask, pairs):
-    scores = [0] * n
-    for p, (i, j) in enumerate(pairs):
-        if (mask >> p) & 1:
-            scores[i] += 1
-        else:
-            scores[j] += 1
+def score_multiset(pattern):
+    scores = [0] * pattern.k
+    for u, _ in pattern.edges:
+        scores[u] += 1
     return tuple(sorted(scores))
-
-
-def canonical(n, mask, pairs, index, perms):
-    best = mask
-    for perm in perms:
-        out = 0
-        for p, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            bit = (mask >> p) & 1
-            if a < b:
-                out |= bit << index[(a, b)]
-            else:
-                out |= (bit ^ 1) << index[(b, a)]
-        if out < best:
-            best = out
-    return best
 
 
 def main() -> int:
@@ -51,17 +29,11 @@ def main() -> int:
     args = ap.parse_args()
 
     for n in range(1, args.max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        index = {p: i for i, p in enumerate(pairs)}
-        perms = list(permutations(range(n)))
-        classes = {}
-        for mask in all_masks(n):
-            key = score_multiset(n, mask, pairs)
-            classes.setdefault(key, set()).add(canonical(n, mask, pairs, index, perms))
+        classes = Counter(score_multiset(p) for _, p in _tournament_pattern_classes(n))
         print(f"n = {n}: {len(classes)} realizable score multisets")
         for key in sorted(classes):
             simple = is_simple_avery(ScoreSequence(np.array(key), "integer"))
-            tag = "simple" if simple else f"{len(classes[key])} classes"
+            tag = "simple" if simple else f"{classes[key]} classes"
             print(f"   {key}: {tag}")
     return 0
 

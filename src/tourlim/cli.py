@@ -45,10 +45,13 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _decode(path: str, cls):
-    """Decode a typed object; schema problems are usage errors (exit 2)."""
+def _decode(path: str, cls, data: dict | None = None):
+    """Decode a typed object from ``path`` (or from its already loaded
+    ``data``); schema problems are usage errors (exit 2)."""
+    if data is None:
+        data = _load_json(path)
     try:
-        return cls.from_json_dict(_load_json(path))
+        return cls.from_json_dict(data)
     except ValidationError as exc:
         raise UsageError(f"invalid input in {path}: {exc}") from exc
 
@@ -259,14 +262,11 @@ def _cmd_moments(args):
     order = 8 if args.order is None else args.order
     _require_format(args, "json")
     if "cells" in data:
-        fn = ScoreFunction.from_json_dict(data)
+        fn = _decode(args.input, ScoreFunction, data)
         moments = conditions.moments_of_score_function(fn, order)
         return _json_text(moments.to_json_dict()), 0
     if "a" in data:
-        try:
-            seq = MomentSequence.from_json_dict(data)
-        except ValidationError as exc:
-            raise UsageError(f"invalid input in {args.input}: {exc}") from exc
+        seq = _decode(args.input, MomentSequence, data)
         report = conditions.check_hausdorff_moments(seq, min(order, seq.order))
         return _json_text(report.to_json_dict()), 0 if report.valid else 1
     raise UsageError(f"invalid input in {args.input}: field 'cells' or 'a' required")

@@ -134,8 +134,10 @@ def c4_polynomial(w: StepKernel, box: CyclicBox) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValidationError("degenerate strength grid for this box") from exc
     base = density_kernel(c4, w)
-    assert abs(coeffs[0] - base) <= 1e-10, "quartic must anchor at t(C4, W)"
-    assert coeffs[4] >= -1e-10, "leading coefficient must be non-negative"
+    if not abs(coeffs[0] - base) <= 1e-10:  # also rejects NaN
+        raise RuntimeError("quartic must anchor at t(C4, W)")
+    if not coeffs[4] >= -1e-10:
+        raise RuntimeError("leading coefficient must be non-negative")
     return coeffs
 
 

@@ -153,7 +153,8 @@ def sample_self_converse(
     alpha[v, ww] = a_vw
     alpha[ww, v] = 1.0 - a_vw.T
     out = GeneralizedTournament(alpha)
-    assert is_selfconverse_under(out, witness_permutation(m))
+    if not is_selfconverse_under(out, witness_permutation(m)):
+        raise RuntimeError("sampled tournament is not self-converse under the witness")
     return out
 
 

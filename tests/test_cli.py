@@ -64,6 +64,12 @@ class TestExitCodes:
         assert code == 1
         assert out["report"]["witness"]["check"] == "landau-prefix"
 
+    def test_malformed_cells_exit_2_like_check_score_fn(self, tmp_path, capsys):
+        path = write_json(tmp_path, "fn.json", {"cells": [0.5, 1.5]})
+        assert main(["check-score-fn", "--input", path]) == 2
+        assert main(["moments", "--input", path]) == 2
+        assert "cells" in capsys.readouterr().err
+
     def test_strict_requires_seed(self, half3, capsys):
         assert main(["sample", "--input", half3, "--size", "5", "--strict"]) == 2
         assert main(["sample", "--input", half3, "--size", "5", "--strict",

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,30 @@ from tourlim import (
 C3 = DigraphPattern.cycle(3)
 C4 = DigraphPattern.cycle(4)
 CYCLE3 = GeneralizedTournament(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], float))
+
+
+def tournament_classes(k):
+    """One pattern per isomorphism class of k-vertex tournaments."""
+    masks = sorted({oracles.canonical_form(k, m) for m in range(1 << (k * (k - 1) // 2))})
+    return [
+        DigraphPattern(k, frozenset(zip(*np.nonzero(oracles.mask_to_alpha(k, m)))))
+        for m in masks
+    ]
+
+
+# every 4- and 5-vertex tournament class, T4 and TT5 as labelled by
+# DigraphPattern.transitive, and patterns with absent pairs for ind
+ORACLE_PATTERNS = (
+    tournament_classes(4)
+    + tournament_classes(5)
+    + [DigraphPattern.transitive(4), DigraphPattern.transitive(5)]
+    + [C4, DigraphPattern.cycle(5), DigraphPattern.star(2, 2)]
+)
+
+
+def random_tournament(n, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1).astype(float)
+    return upper + np.triu(1.0 - upper, 1).T
 
 
 def transitive_kernel(n):
@@ -77,6 +103,61 @@ class TestDensityFinite:
             want = oracles.brute_density_finite(f, g.alpha, mode)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @given(tournaments(min_n=4, max_n=5))
+    @settings(max_examples=10, deadline=None)
+    def test_oracle_patterns_on_tournaments(self, g):
+        for f in ORACLE_PATTERNS:
+            for mode in ("hom", "inj", "ind"):
+                want = oracles.brute_density_finite(f, g.alpha, mode)
+                assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+
+    @given(generalized_tournaments(min_n=4, max_n=5))
+    @settings(max_examples=10, deadline=None)
+    def test_oracle_patterns_on_generalized_tournaments(self, g):
+        for f in ORACLE_PATTERNS:
+            for mode in ("hom", "inj", "ind"):
+                want = oracles.brute_density_finite(f, g.alpha, mode)
+                assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+
+    def test_same_pattern_at_two_sizes(self):
+        # plans and their planned costs are cached per operand shape, so
+        # neither may carry over from one size to the next
+        big = GeneralizedTournament(random_tournament(1000, 0))
+        with pytest.raises(ValidationError, match="cost guard"):
+            density_finite(C4, big, "ind")
+        for n in (5, 7, 5):
+            g = GeneralizedTournament(random_tournament(n, n))
+            for f in (C4, DigraphPattern.transitive(4)):
+                for mode in ("hom", "inj", "ind"):
+                    want = oracles.brute_density_finite(f, g.alpha, mode)
+                    assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+        for n in (30, 40):
+            a = random_tournament(n, n)
+            want = np.trace(np.linalg.matrix_power(a, 4)) / n**4
+            assert density_finite(C4, GeneralizedTournament(a), "hom") == pytest.approx(
+                want, abs=1e-12
+            )
+
+    def test_t4_inj_at_500_matches_closed_form(self):
+        n = 500
+        a = random_tournament(n, 500)
+        g = GeneralizedTournament(a)
+        start = time.perf_counter()
+        got = density_finite(DigraphPattern.transitive(4), g, "inj")
+        elapsed = time.perf_counter() - start
+        p = a @ a.T
+        q = (a * a) @ (a * a).T
+        want = np.sum(a * (p * p - q)) / (2 * n * (n - 1) * (n - 2) * (n - 3))
+        assert got == pytest.approx(want, abs=1e-9)
+        assert elapsed < 1.0
+
+    def test_flop_guard_rejects_before_contracting(self):
+        g = GeneralizedTournament(random_tournament(1000, 3))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="cost guard"):
+            density_finite(C4, g, "ind")
+        assert time.perf_counter() - start < 1.0
+
     @given(tournaments(min_n=3, max_n=6))
     @settings(max_examples=25)
     def test_ind_vanishes_for_non_tournament_pattern_in_tournament(self, g):
@@ -114,6 +195,13 @@ class TestDensityKernel:
             got = density_kernel(f, w)
             want = oracles.brute_density_kernel(f, w.blocks)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @given(step_kernels(min_n=1, max_n=4))
+    @settings(max_examples=10, deadline=None)
+    def test_oracle_patterns(self, w):
+        for f in ORACLE_PATTERNS:
+            want = oracles.brute_density_kernel(f, w.blocks)
+            assert density_kernel(f, w) == pytest.approx(want, abs=1e-12)
 
     @given(step_kernels(min_n=1, max_n=6))
     @settings(max_examples=30)

@@ -183,6 +183,19 @@ class TestC4Polynomial:
             assert abs(coeffs[0] - density_kernel(C4, w)) <= 1e-10
             checked += 1
 
+    def test_anchor_check_survives_optimize(self, monkeypatch):
+        # an explicit error, not an assert that python -O strips
+        box = find_cyclic_box(HALF3)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0.5, 0, 0, 0, 0]))
+        with pytest.raises(RuntimeError, match="anchor"):
+            c4_polynomial(HALF3, box)
+
+    def test_leading_coefficient_check_survives_optimize(self, monkeypatch):
+        box = find_cyclic_box(HALF3)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([1 / 16, 0, 0, 0, -1]))
+        with pytest.raises(RuntimeError, match="leading coefficient"):
+            c4_polynomial(HALF3, box)
+
 
 class TestCertificate:
     def test_constant_half_certificate(self):

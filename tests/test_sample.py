@@ -113,6 +113,14 @@ class TestSampleSelfConverse:
         with pytest.raises(ValidationError):
             sample_self_converse(HALF3, np.array([0, 0, 2]), SampleConfig(4, seed=0))
 
+    def test_output_check_survives_optimize(self, monkeypatch):
+        # an explicit error, not an assert that python -O strips
+        import tourlim.sample
+
+        monkeypatch.setattr(tourlim.sample, "is_selfconverse_under", lambda g, perm: False)
+        with pytest.raises(RuntimeError, match="self-converse"):
+            sample_self_converse(HALF3, np.arange(3), SampleConfig(4, seed=0))
+
     def test_v_subtournament_matches_plain_sampler(self):
         cfg = SampleConfig(30, seed=77)
         paired = sample_self_converse(HALF3, np.arange(3), cfg, rep=3)
