@@ -49,9 +49,6 @@ from .perturb import (
     perturb_family,
 )
 from .realize import (
-    FlowArc,
-    FlowNetwork,
-    build_flow_network,
     discretize_score_function,
     kernel_from_score_function,
     realize_scores,

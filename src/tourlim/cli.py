@@ -79,13 +79,6 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _require_format(args, expected: str):
-    fmt = args.format or expected
-    if fmt != expected:
-        raise UsageError(f"command '{args.command}' only supports --format {expected}")
-    return fmt
-
-
 def _seed(args) -> int:
     if args.strict and args.seed is None:
         raise UsageError("--strict requires an explicit --seed")
@@ -123,7 +116,6 @@ def _cmd_check_score_seq(args):
         report = conditions.check_eplett(seq, args.tolerance)
     else:
         report = conditions.check_landau(seq, args.tolerance)
-    _require_format(args, "json")
     return _json_text(report.to_json_dict()), 0 if report.valid else 1
 
 
@@ -133,45 +125,34 @@ def _cmd_check_score_fn(args):
         report = conditions.check_condition_I(fn, args.tolerance)
     else:
         report = conditions.check_condition_II(fn, args.tolerance)
-    _require_format(args, "json")
     return _json_text(report.to_json_dict()), 0 if report.valid else 1
 
 
 def _cmd_realize(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_scores(seq, args.tolerance)
-    _require_format(args, "json")
     return _json_text(g.to_json_dict()), 0
 
 
 def _cmd_realize_selfconverse(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_self_converse(seq, args.tolerance)
-    _require_format(args, "json")
     return _json_text(g.to_json_dict()), 0
 
 
 def _cmd_discretize(args):
     fn = _decode(args.input, ScoreFunction)
-    if args.blocks is None:
-        raise UsageError("--blocks is required for discretize")
     seq = realize.discretize_score_function(fn, args.blocks, args.tolerance)
-    _require_format(args, "json")
     return _json_text(seq.to_json_dict()), 0
 
 
 def _cmd_kernel_from_fn(args):
     fn = _decode(args.input, ScoreFunction)
-    if args.blocks is None:
-        raise UsageError("--blocks is required for kernel-from-fn")
     w = realize.kernel_from_score_function(fn, args.blocks, args.tolerance)
-    _require_format(args, "json")
     return _json_text(w.to_json_dict()), 0
 
 
 def _cmd_density(args):
-    if not args.pattern:
-        raise UsageError("--pattern is required for density")
     if len(args.pattern) > 1:
         raise UsageError("density takes exactly one --pattern")
     pattern = _parse_pattern(args.pattern[0])
@@ -182,7 +163,6 @@ def _cmd_density(args):
     else:
         value = density.density_finite(pattern, obj, args.mode)
         payload = {"pattern": args.pattern[0], "mode": args.mode, "density": value}
-    _require_format(args, "json")
     return _json_text(payload), 0
 
 
@@ -192,37 +172,26 @@ def _cmd_degree_dist(args):
         dist = degree_distribution(obj, marginal=args.marginal)
     else:
         dist = sample.empirical_degree_distribution(obj)
-    _require_format(args, "csv")
     return dist.to_csv(), 0
 
 
 def _cmd_sample(args):
     w = _decode(args.input, StepKernel)
-    if args.size is None:
-        raise UsageError("--size is required for sample")
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_tournament(w, cfg)
-    _require_format(args, "json")
     return _json_text(g.to_json_dict()), 0
 
 
 def _cmd_sample_selfconverse(args):
     w = _decode(args.input, StepKernel)
-    if args.size is None:
-        raise UsageError("--size is required for sample-selfconverse")
     sigma = _parse_sigma(args.sigma, w.n)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_self_converse(w, sigma, cfg)
-    _require_format(args, "json")
     return _json_text(g.to_json_dict()), 0
 
 
 def _cmd_converge(args):
     w = _decode(args.input, StepKernel)
-    if not args.pattern:
-        raise UsageError("at least one --pattern is required for converge")
-    if not args.sizes:
-        raise UsageError("--sizes is required for converge")
     patterns = {spec: _parse_pattern(spec) for spec in args.pattern}
     try:
         sizes = [int(x) for x in args.sizes.split(",")]
@@ -234,14 +203,12 @@ def _cmd_converge(args):
         raise UsageError("--reps must be positive")
     cfg = sample.SampleConfig(max(sizes), _seed(args), args.reps)
     report = sample.convergence_report(w, patterns, sizes, cfg)
-    _require_format(args, "csv")
     return report.to_csv(), 0
 
 
 def _cmd_perturb(args):
     w = _decode(args.input, StepKernel)
     cert = perturb.nonuniqueness_certificate(w, refine_rounds=args.refine_rounds)
-    _require_format(args, "json")
     if cert is None:
         return _json_text({"result": "transitive-like"}), 0
     payload = cert.to_json_dict()
@@ -251,23 +218,19 @@ def _cmd_perturb(args):
 
 def _cmd_fingerprint(args):
     w = _decode(args.input, StepKernel)
-    order = 3 if args.order is None else args.order
-    fp = density.fingerprint(w, order)
-    _require_format(args, "json")
+    fp = density.fingerprint(w, args.order)
     return _json_text(fp.to_json_dict()), 0
 
 
 def _cmd_moments(args):
     data = _load_json(args.input)
-    order = 8 if args.order is None else args.order
-    _require_format(args, "json")
     if "cells" in data:
         fn = _decode(args.input, ScoreFunction, data)
-        moments = conditions.moments_of_score_function(fn, order)
+        moments = conditions.moments_of_score_function(fn, args.order)
         return _json_text(moments.to_json_dict()), 0
     if "a" in data:
         seq = _decode(args.input, MomentSequence, data)
-        report = conditions.check_hausdorff_moments(seq, min(order, seq.order))
+        report = conditions.check_hausdorff_moments(seq, min(args.order, seq.order))
         return _json_text(report.to_json_dict()), 0 if report.valid else 1
     raise UsageError(f"invalid input in {args.input}: field 'cells' or 'a' required")
 
@@ -291,16 +254,15 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="input JSON file")
-    common.add_argument("--output", help="output file (default: stdout)")
-    common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--blocks", type=int)
-    common.add_argument("--order", type=int)
-    common.add_argument("--strict", action="store_true",
-                        help="require explicit --seed for randomized commands")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--input", required=True, help="input JSON file")
+    io.add_argument("--output", help="output file (default: stdout)")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=1e-9)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    seeded.add_argument("--strict", action="store_true",
+                        help="require an explicit --seed")
 
     parser = argparse.ArgumentParser(
         prog="tourlim",
@@ -308,34 +270,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check-score-seq", parents=[common]).add_argument(
+    sub.add_parser("check-score-seq", parents=[io, tolerance]).add_argument(
         "--eplett", action="store_true", help="also require the self-converse pairing"
     )
-    p = sub.add_parser("check-score-fn", parents=[common])
+    p = sub.add_parser("check-score-fn", parents=[io, tolerance])
     p.add_argument("--condition", choices=["I", "II"], default="I")
-    sub.add_parser("realize", parents=[common])
-    sub.add_parser("realize-selfconverse", parents=[common])
-    sub.add_parser("discretize", parents=[common])
-    sub.add_parser("kernel-from-fn", parents=[common])
-    p = sub.add_parser("density", parents=[common])
-    p.add_argument("--pattern", action="append")
+    sub.add_parser("realize", parents=[io, tolerance])
+    sub.add_parser("realize-selfconverse", parents=[io, tolerance])
+    for name in ("discretize", "kernel-from-fn"):
+        sub.add_parser(name, parents=[io, tolerance]).add_argument(
+            "--blocks", type=int, required=True
+        )
+    p = sub.add_parser("density", parents=[io])
+    p.add_argument("--pattern", action="append", required=True)
     p.add_argument("--mode", choices=["hom", "inj", "ind"], default="hom")
-    p = sub.add_parser("degree-dist", parents=[common])
+    p = sub.add_parser("degree-dist", parents=[io])
     p.add_argument("--marginal", choices=["out", "in"], default="out")
-    p = sub.add_parser("sample", parents=[common])
-    p.add_argument("--size", type=int)
-    p = sub.add_parser("sample-selfconverse", parents=[common])
-    p.add_argument("--size", type=int)
+    p = sub.add_parser("sample", parents=[io, seeded])
+    p.add_argument("--size", type=int, required=True)
+    p = sub.add_parser("sample-selfconverse", parents=[io, seeded])
+    p.add_argument("--size", type=int, required=True)
     p.add_argument("--sigma", default="identity",
                    help="'identity', 'reverse', or a 1-based permutation like 3,2,1")
-    p = sub.add_parser("converge", parents=[common])
-    p.add_argument("--pattern", action="append")
-    p.add_argument("--sizes", help="comma-separated sample sizes")
+    p = sub.add_parser("converge", parents=[io, seeded])
+    p.add_argument("--pattern", action="append", required=True)
+    p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=20)
-    p = sub.add_parser("perturb", parents=[common])
+    p = sub.add_parser("perturb", parents=[io])
     p.add_argument("--refine-rounds", type=int, default=0)
-    sub.add_parser("fingerprint", parents=[common])
-    sub.add_parser("moments", parents=[common])
+    sub.add_parser("fingerprint", parents=[io]).add_argument("--order", type=int, default=3)
+    sub.add_parser("moments", parents=[io]).add_argument("--order", type=int, default=8)
     return parser
 
 

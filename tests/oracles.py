@@ -1,13 +1,20 @@
 """Brute-force reference implementations that expected test values are
-computed against.  Everything here enumerates: maps, tournaments,
-relabelings, quantile grids.  Deliberately independent of the library's
-own algorithms."""
+computed against.  Most of them enumerate: maps, tournaments, relabelings,
+quantile grids; the realizer is checked against a max-flow construction and
+the self-converse average against its pair-by-pair loop.  Deliberately
+independent of the library's own algorithms."""
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import numpy as np
+
+from tourlim import ScoreSequence, ValidationError
 
 
 def pair_list(n):
@@ -135,3 +142,227 @@ def riemann_w1(mu, nu, steps: int = 200_000) -> float:
     """Quantile-grid approximation of the Wasserstein-1 distance."""
     ts = (np.arange(steps) + 0.5) / steps
     return float(np.mean(np.abs(quantiles(mu, ts) - quantiles(nu, ts))))
+
+
+def symmetrize_by_orbits(a: np.ndarray) -> np.ndarray:
+    """The self-converse average of a score-sorted alpha, one pair orbit
+    {(i, j), (rho(j), rho(i))} at a time, rho(i) = n-1-i."""
+    n = a.shape[0]
+    rho = lambda i: n - 1 - i
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = rho(j), rho(i)
+            if (p, q) < (i, j):
+                continue  # orbit already handled from its partner pair
+            v = (a[i, j] + 1.0 - a[rho(i), rho(j)]) / 2.0
+            out[i, j], out[j, i] = v, 1.0 - v
+            out[p, q], out[q, p] = v, 1.0 - v
+    return out
+
+
+# ---------------------------------------------------------------------------
+# max-flow realization, the reference for the peel in tourlim.realize
+
+_SCALE_LIMIT = 1 << 20  # largest common denominator used for exact scaling
+
+
+@dataclass(frozen=True)
+class FlowArc:
+    src: int
+    dst: int
+    capacity: float
+
+    def __post_init__(self):
+        if self.capacity < 0:
+            raise ValidationError("flow arc capacities must be non-negative")
+
+
+@dataclass(frozen=True)
+class FlowNetwork:
+    """The realization network of a score sequence.
+
+    Node ids: 0 is the source, 1..P are the pair nodes for the unordered
+    pairs in lexicographic order, P+1..P+n the vertex nodes, P+n+1 the sink.
+    """
+
+    n: int
+    labels: tuple
+    arcs: tuple
+    source: int
+    sink: int
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.labels)
+
+
+def build_flow_network(s: ScoreSequence) -> FlowNetwork:
+    n = s.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = ["source"]
+    labels += [("pair", i, j) for (i, j) in pairs]
+    labels += [("vertex", i) for i in range(n)]
+    labels += ["sink"]
+    source, sink = 0, len(labels) - 1
+    vertex_node = lambda i: 1 + len(pairs) + i
+    arcs = []
+    for p, (i, j) in enumerate(pairs):
+        arcs.append(FlowArc(source, 1 + p, 1))
+        arcs.append(FlowArc(1 + p, vertex_node(i), 1))
+        arcs.append(FlowArc(1 + p, vertex_node(j), 1))
+    for i, d in enumerate(s.values):
+        arcs.append(FlowArc(vertex_node(i), sink, float(d)))
+    return FlowNetwork(n, tuple(labels), tuple(arcs), source, sink)
+
+
+class _Dinic:
+    """Blocking-flow max flow; exact on integers, eps-thresholded on floats."""
+
+    def __init__(self, num_nodes: int, eps=0):
+        self.eps = eps
+        self.head = [[] for _ in range(num_nodes)]
+        self.to: list[int] = []
+        self.cap: list = []
+
+    def add_edge(self, u: int, v: int, c) -> int:
+        eid = len(self.to)
+        self.to.append(v)
+        self.cap.append(c)
+        self.to.append(u)
+        self.cap.append(0 * c)  # keeps int capacities int
+        self.head[u].append(eid)
+        self.head[v].append(eid + 1)
+        return eid
+
+    def flow_on(self, eid: int):
+        return self.cap[eid ^ 1]
+
+    def _levels(self, s: int, t: int):
+        level = [-1] * len(self.head)
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if level[v] < 0 and self.cap[eid] > self.eps:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _augment(self, s: int, t: int, level, iters):
+        # iterative DFS for one augmenting path in the level graph
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(self.cap[e] for e in path)
+                for e in path:
+                    self.cap[e] -= bottleneck
+                    self.cap[e ^ 1] += bottleneck
+                return bottleneck
+            moved = False
+            while iters[u] < len(self.head[u]):
+                eid = self.head[u][iters[u]]
+                v = self.to[eid]
+                if self.cap[eid] > self.eps and level[v] == level[u] + 1:
+                    path.append(eid)
+                    u = v
+                    moved = True
+                    break
+                iters[u] += 1
+            if not moved:
+                if u == s:
+                    return None
+                level[u] = -1
+                u = self.to[path.pop() ^ 1]
+
+    def max_flow(self, s: int, t: int):
+        total = 0
+        while True:
+            level = self._levels(s, t)
+            if level is None:
+                return total
+            iters = [0] * len(self.head)
+            while True:
+                pushed = self._augment(s, t, level, iters)
+                if pushed is None:
+                    break
+                total += pushed
+
+
+def _dyadic_denominator(values) -> int | None:
+    """Common denominator of float values when small enough for exact flow."""
+    den = 1
+    for v in values:
+        den = math.lcm(den, Fraction(float(v)).denominator)
+        if den > _SCALE_LIMIT:
+            return None
+    return den
+
+
+def _exact_landau(scaled: list[int], den: int) -> bool:
+    d = sorted(scaled)
+    prefix = 0
+    n = len(d)
+    for k in range(1, n):
+        prefix += d[k - 1]
+        if prefix < den * (k * (k - 1) // 2):
+            return False
+    return prefix + d[-1] == den * (n * (n - 1) // 2)
+
+
+def _arithmetic_mode(s: ScoreSequence):
+    """(unit, eps): exact integer flow grid when available, else floats."""
+    if s.kind == "integer":
+        return 1, 0
+    den = _dyadic_denominator(s.values)
+    if den is not None:
+        scaled = [int(Fraction(float(v)) * den) for v in s.values]
+        if _exact_landau(scaled, den):
+            return den, 0
+    return 1.0, 1e-12
+
+
+def flow_realize(s, tol: float = 1e-9):
+    """Realize s by max flow on the pair/vertex network: one unit of flow per
+    unordered vertex pair, routed to one of its endpoints and drained
+    through per-vertex arcs of capacity s_i.  Returns alpha, or None when
+    the maximum flow falls short of n(n-1)/2 (s is not realizable).
+
+    Integer scores run on exact integers, real scores on a common dyadic
+    grid when one exists and is exactly Landau-valid, else in floating
+    point with a residual threshold of 1e-12.
+    """
+    n = s.n
+    if n == 1:
+        return np.zeros((1, 1))
+    unit, eps = _arithmetic_mode(s)
+    exact = eps == 0
+
+    net = build_flow_network(s)
+    solver = _Dinic(net.num_nodes, eps=eps)
+    win_arc = {}
+    for arc in net.arcs:
+        cap = int(Fraction(arc.capacity) * unit) if exact else float(arc.capacity)
+        eid = solver.add_edge(arc.src, arc.dst, cap)
+        src, dst = net.labels[arc.src], net.labels[arc.dst]
+        if isinstance(src, tuple) and src[0] == "pair" and dst == ("vertex", src[1]):
+            win_arc[(src[1], src[2])] = eid
+
+    value = solver.max_flow(net.source, net.sink)
+    expected = (n * (n - 1) // 2) * unit
+    if exact:
+        feasible = value == expected
+    else:
+        feasible = abs(value - expected) <= 100 * tol * max(1.0, float(expected))
+    if not feasible:
+        return None
+
+    alpha = np.zeros((n, n))
+    for (i, j), eid in win_arc.items():
+        a = min(1.0, max(0.0, float(solver.flow_on(eid) / unit)))
+        alpha[i, j] = a
+        alpha[j, i] = 1.0 - a
+    return alpha

@@ -54,6 +54,16 @@ class TestExitCodes:
     def test_unknown_flag_exits_2(self, half3):
         assert main(["perturb", "--input", half3, "--bogus"]) == 2
 
+    def test_option_of_another_subcommand_exits_2(self, tmp_path, half3):
+        seq = write_json(tmp_path, "seq.json", {"values": [1, 1, 1], "kind": "integer"})
+        fn = write_json(tmp_path, "fn.json", {"cells": [0.5]})
+        assert main(["realize", "--input", seq, "--blocks", "3"]) == 2
+        assert main(["realize", "--input", seq, "--format", "json"]) == 2
+        assert main(["density", "--input", half3, "--pattern", "C3", "--seed", "1"]) == 2
+        assert main(["perturb", "--input", half3, "--tolerance", "1e-9"]) == 2
+        assert main(["degree-dist", "--input", half3, "--order", "3"]) == 2
+        assert main(["discretize", "--input", fn]) == 2  # --blocks is required
+
     def test_unknown_command_exits_2(self, half3):
         assert main(["frobnicate", "--input", half3]) == 2
 

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,6 @@ from tourlim import (
     ScoreFunction,
     ScoreSequence,
     ValidationError,
-    build_flow_network,
     check_eplett,
     check_landau,
     discretize_score_function,
@@ -22,6 +24,7 @@ from tourlim import (
     step_kernel_from_tournament,
     symmetrize_self_converse,
 )
+from tourlim.realize import _peel
 
 
 def iseq(*vals):
@@ -30,6 +33,19 @@ def iseq(*vals):
 
 def identity_cells(m):
     return ScoreFunction((2 * np.arange(m) + 1) / (2 * m))
+
+
+def random_generalized(rng, n, values=None):
+    """A generalised tournament with upper entries drawn from ``values``
+    (uniform on [0, 1] when None)."""
+    upper = rng.random((n, n)) if values is None else rng.choice(values, (n, n))
+    alpha = np.triu(upper, 1)
+    alpha[np.tril_indices(n, -1)] = 1.0 - alpha.T[np.tril_indices(n, -1)]
+    return alpha
+
+
+def exact_row_sums(alpha):
+    return np.array([math.fsum(row) for row in alpha])
 
 
 def eplett_valid_multisets(n):
@@ -42,7 +58,7 @@ def eplett_valid_multisets(n):
 
 class TestFlowNetwork:
     def test_structure(self):
-        net = build_flow_network(iseq(0, 1, 2))
+        net = oracles.build_flow_network(iseq(0, 1, 2))
         pair_nodes = [i for i, lab in enumerate(net.labels)
                       if isinstance(lab, tuple) and lab[0] == "pair"]
         assert len(pair_nodes) == 3
@@ -54,7 +70,7 @@ class TestFlowNetwork:
         assert sorted(a.capacity for a in sink_arcs) == [0, 1, 2]
 
     def test_arc_capacities_non_negative(self):
-        net = build_flow_network(iseq(1, 1, 1))
+        net = oracles.build_flow_network(iseq(1, 1, 1))
         assert all(a.capacity >= 0 for a in net.arcs)
 
 
@@ -102,15 +118,59 @@ class TestRealizeScores:
         assert np.max(np.abs(got - np.asarray(s.values))) < 1e-9
 
     def test_flow_feasibility_iff_landau_exhaustive(self):
-        for n in range(1, 7):
+        # the peel, run without the Landau gate, reproduces exactly the
+        # inputs that pass check_landau and that the flow oracle realizes,
+        # whatever order the scores come in
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
             for tup in oracles.candidate_multisets(n):
-                s = ScoreSequence(np.array(tup), "integer")
-                valid = check_landau(s).valid
-                if valid:
-                    realize_scores(s)  # must not raise
-                else:
-                    with pytest.raises(ValidationError):
-                        realize_scores(s)
+                for d in (np.array(tup), np.array(tup[::-1]), rng.permutation(tup)):
+                    s = ScoreSequence(d, "integer")
+                    valid = check_landau(s).valid
+                    assert (oracles.flow_realize(s) is not None) == valid, tup
+                    alpha = _peel(d.astype(float), True)
+                    assert np.array_equal(alpha.sum(axis=1), d) == valid, tup
+                    if valid:
+                        g = realize_scores(s)
+                        assert g.is_tournament
+                        assert scores_of_tournament(g).values.tolist() == d.tolist()
+                    else:
+                        with pytest.raises(ValidationError):
+                            realize_scores(s)
+
+    def test_real_inputs_against_flow_oracle(self):
+        rng = np.random.default_rng(80)
+        for n in (2, 3, 5, 13, 40, 80):
+            for values in (None, [0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 1.0]):
+                d = exact_row_sums(random_generalized(rng, n, values))[rng.permutation(n)]
+                s = ScoreSequence(d, "real")
+                assert oracles.flow_realize(s) is not None
+                alpha = realize_scores(s).alpha
+                assert np.max(np.abs(exact_row_sums(alpha) - d)) <= 1e-9
+
+    @pytest.mark.parametrize("values", [[0.5, 1.0, 1.5 + 5e-10], [0.0, 1.0 - 4e-10, 2.0]])
+    def test_inputs_valid_only_within_tolerance(self, values):
+        s = ScoreSequence(values, "real")
+        assert check_landau(s).valid
+        alpha = realize_scores(s).alpha
+        assert alpha.min() >= 0.0 and alpha.max() <= 1.0
+        assert np.max(np.abs(exact_row_sums(alpha) - values)) <= 1e-9
+
+    def test_scale_n2000(self):
+        rng = np.random.default_rng(2000)
+        n = 2000
+        ints = exact_row_sums(random_generalized(rng, n, [0.0, 1.0])).astype(np.int64)
+        reals = exact_row_sums(random_generalized(rng, n))
+        start = time.monotonic()
+        g = realize_scores(ScoreSequence(ints, "integer"))
+        assert g.is_tournament
+        assert np.array_equal(g.alpha.sum(axis=1), ints)
+        # the peel itself: check_landau's running prefix sums drift by a few
+        # 1e-9 at this size and reject about half of such inputs, a defect
+        # of the gate and not of the realizer
+        alpha = GeneralizedTournament(_peel(reals, False)).alpha
+        assert np.max(np.abs(exact_row_sums(alpha) - reals)) <= 1e-9
+        assert time.monotonic() - start < 5.0
 
     def test_dyadic_real_scores_realized_exactly(self):
         s = ScoreSequence([0.5, 1.0, 1.5], "real")
@@ -253,6 +313,25 @@ class TestSelfConverse:
                 relabelled = g.alpha[np.ix_(rho, rho)]
                 off = ~np.eye(n, dtype=bool)
                 assert np.array_equal((g.alpha + relabelled)[off], np.ones((n, n))[off])
+
+    def test_symmetrize_matches_orbit_loop_n151(self):
+        n = 151
+        rng = np.random.default_rng(151)
+        a = random_generalized(rng, n)
+        # self-converse under rho, so the scores satisfy the Eplett pairing
+        b = np.triu((a + 1.0 - a[::-1, ::-1]) / 2.0, 1)
+        b[np.tril_indices(n, -1)] = 1.0 - b.T[np.tril_indices(n, -1)]
+        perm = rng.permutation(n)
+        regular = realize_scores(ScoreSequence(np.full(n, n // 2), "integer"))
+        for g in (GeneralizedTournament(b[np.ix_(perm, perm)]), regular):
+            out = symmetrize_self_converse(g).alpha
+            i, j = np.triu_indices(n, 1)
+            assert np.array_equal(out[j, i], 1.0 - out[i, j])
+            assert np.array_equal(out[::-1, ::-1].T, out)  # out[rho j, rho i] == out[i, j]
+            scores = np.asarray(scores_of_tournament(g).values, dtype=float)
+            order = np.argsort(scores, kind="stable")
+            ref = oracles.symmetrize_by_orbits(g.alpha[np.ix_(order, order)])
+            assert np.array_equal(out, ref)
 
     def test_converse_is_rho_relabelling(self):
         from tourlim import converse
