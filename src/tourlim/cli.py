@@ -69,7 +69,48 @@ def _decode_kernel_or_tournament(path: str):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
+    except that ``payload``, or a value in its str-keyed dicts, may be a
+    2-D float64 array where that call would take its ``tolist()``."""
+    return _encode(payload, "") + "\n"
+
+
+def _encode(x, indent: str) -> str:
+    """``x`` as json writes it with indent 2, nested at ``indent``.
+
+    Dicts with str keys recurse, so arrays may sit in their values.  A
+    float64 matrix goes through ``_matrix_text``, because json's indented
+    encoder is pure Python and calls ``floatstr`` once per entry.  Anything
+    else is json's own text with ``indent`` put after every newline, which
+    is safe because json escapes newlines inside strings.
+    """
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{inner}{json.dumps(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+        return _matrix_text(x, indent) if x.size else _encode(x.tolist(), indent)
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _matrix_text(a: np.ndarray, indent: str) -> str:
+    """A non-empty float64 matrix as json writes its ``tolist()``.
+
+    Each distinct bit pattern is written once with json's own float text
+    (so -0.0, NaN and Infinity come out as json writes them); the cells
+    index that table and each row is one join.
+    """
+    keys, inv = np.unique(a.view(np.uint64), return_inverse=True)
+    words = np.array([json.dumps(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    row_in, cell_in = indent + "  ", indent + "    "
+    sep = ",\n" + cell_in
+    rows = [
+        f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
+        for row in words[inv.reshape(a.shape)].tolist()
+    ]
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
 def _emit(text: str, output: str | None):
@@ -131,13 +172,13 @@ def _cmd_check_score_fn(args):
 def _cmd_realize(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_scores(seq, args.tolerance)
-    return _json_text(g.to_json_dict()), 0
+    return _json_text({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_realize_selfconverse(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_self_converse(seq, args.tolerance)
-    return _json_text(g.to_json_dict()), 0
+    return _json_text({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_discretize(args):
@@ -149,7 +190,7 @@ def _cmd_discretize(args):
 def _cmd_kernel_from_fn(args):
     fn = _decode(args.input, ScoreFunction)
     w = realize.kernel_from_score_function(fn, args.blocks, args.tolerance)
-    return _json_text(w.to_json_dict()), 0
+    return _json_text({"n": w.n, "blocks": w.blocks}), 0
 
 
 def _cmd_density(args):
@@ -179,7 +220,7 @@ def _cmd_sample(args):
     w = _decode(args.input, StepKernel)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_tournament(w, cfg)
-    return _json_text(g.to_json_dict()), 0
+    return _json_text({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_sample_selfconverse(args):
@@ -187,7 +228,7 @@ def _cmd_sample_selfconverse(args):
     sigma = _parse_sigma(args.sigma, w.n)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_self_converse(w, sigma, cfg)
-    return _json_text(g.to_json_dict()), 0
+    return _json_text({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_converge(args):

@@ -97,7 +97,7 @@ class ScoreSequence:
         return len(self.values)
 
     def to_json_dict(self) -> dict:
-        return {"values": [v.item() for v in self.values], "kind": self.kind}
+        return {"values": self.values.tolist(), "kind": self.kind}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScoreSequence":
@@ -121,7 +121,7 @@ class ScoreFunction:
         return len(self.cells)
 
     def to_json_dict(self) -> dict:
-        return {"cells": [float(c) for c in self.cells]}
+        return {"cells": self.cells.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScoreFunction":
@@ -165,7 +165,7 @@ class GeneralizedTournament:
         return bool(np.all((a == 0.0) | (a == 1.0)))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "alpha": [[float(x) for x in row] for row in self.alpha]}
+        return {"n": self.n, "alpha": self.alpha.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneralizedTournament":
@@ -204,7 +204,7 @@ class StepKernel:
         return self.blocks.shape[0]
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "blocks": [[float(x) for x in row] for row in self.blocks]}
+        return {"n": self.n, "blocks": self.blocks.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StepKernel":
@@ -376,7 +376,7 @@ class MomentSequence:
         return len(self.a) - 1
 
     def to_json_dict(self) -> dict:
-        return {"a": [float(x) for x in self.a]}
+        return {"a": self.a.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MomentSequence":

@@ -4,7 +4,8 @@ empirical degree data and convergence diagnostics.
 Randomness contract: PCG64 streams derived from (seed, stream key) via
 SeedSequence spawn keys, one independent stream per repetition, so identical
 configuration yields bit-identical samples and repetitions may run in any
-order.
+order.  A sampler refuses, before drawing anything, a size whose n x n
+float64 matrix would exceed 2 GiB (n > 16384).
 """
 
 from __future__ import annotations
@@ -50,6 +51,20 @@ def _rng(seed: int, key) -> np.random.Generator:
     )
 
 
+_MAX_MATRIX_BYTES = 2**31
+"""Largest n x n float64 matrix a sampler may produce: 2 GiB, n = 16384."""
+
+
+def _check_matrix_size(n: int) -> None:
+    """Reject a sample whose n x n float64 matrix would exceed
+    ``_MAX_MATRIX_BYTES``, before anything is drawn or allocated."""
+    if 8 * n * n > _MAX_MATRIX_BYTES:
+        raise ValidationError(
+            f"a sample on {n} vertices needs an {n}x{n} float64 matrix "
+            f"({8 * n * n} bytes), more than the {_MAX_MATRIX_BYTES}-byte limit"
+        )
+
+
 def _cells_of(x: np.ndarray, blocks: int) -> np.ndarray:
     return np.minimum((x * blocks).astype(int), blocks - 1)
 
@@ -73,18 +88,13 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     towards j with probability W(X_i, X_j); for a step kernel only the cell
     of X matters.
     """
+    _check_matrix_size(cfg.n)
     rng = _rng(cfg.seed, rep)
-    n = w.n
-    x = rng.random(cfg.n)
-    cells = _cells_of(x, n)
-    probs = w.blocks[np.ix_(cells, cells)]
+    cells = _cells_of(rng.random(cfg.n), w.n)
     u = rng.random((cfg.n, cfg.n))
-    alpha = np.zeros((cfg.n, cfg.n))
-    iu = np.triu_indices(cfg.n, 1)
-    wins = (u[iu] < probs[iu]).astype(float)
-    alpha[iu] = wins
-    alpha[(iu[1], iu[0])] = 1.0 - wins
-    return GeneralizedTournament(alpha)
+    wins = np.triu(u < w.blocks[cells[:, None], cells[None, :]], 1)
+    wins |= np.tril(~wins.T, -1)
+    return GeneralizedTournament(wins.astype(float))
 
 
 def witness_permutation(n: int) -> np.ndarray:
@@ -111,6 +121,7 @@ def sample_self_converse(
     so that swapping v_i <-> w_i reverses the whole edge set exactly.
     The diagonal pair (v_i, w_i) is its own mirror and is simply drawn.
     """
+    _check_matrix_size(2 * cfg.n)
     n = w.n
     sigma = np.asarray(sigma, dtype=int)
     if sigma.shape != (n,) or sorted(sigma.tolist()) != list(range(n)):
@@ -205,6 +216,7 @@ def convergence_report(
     The per-size Wasserstein-1 samples are reported both as summary rows
     (pattern name "degree_w1", exact 0) and raw in ``w1_samples``.
     """
+    _check_matrix_size(max(sizes, default=0))
     target = degree_distribution(w)
     exact = {name: density_kernel(f, w) for name, f in patterns.items()}
     rows = []

@@ -1,7 +1,8 @@
 """Brute-force reference implementations that expected test values are
 computed against.  Most of them enumerate: maps, tournaments, relabelings,
-quantile grids; the realizer is checked against a max-flow construction and
-the self-converse average against its pair-by-pair loop.  Deliberately
+quantile grids; the realizer is checked against a max-flow construction,
+the self-converse average against its pair-by-pair loop and the sampler
+against its pair-by-pair scatter.  Deliberately
 independent of the library's own algorithms."""
 
 from __future__ import annotations
@@ -159,6 +160,24 @@ def symmetrize_by_orbits(a: np.ndarray) -> np.ndarray:
             out[i, j], out[j, i] = v, 1.0 - v
             out[p, q], out[q, p] = v, 1.0 - v
     return out
+
+
+def sample_by_pair_scatter(w, cfg, rep=0) -> np.ndarray:
+    """alpha of ``sample_tournament(w, cfg, rep)`` as the sampler first
+    built it: the same draws, scattered pair by pair over the upper
+    triangle and mirrored."""
+    from tourlim.sample import _cells_of, _rng
+
+    rng = _rng(cfg.seed, rep)
+    cells = _cells_of(rng.random(cfg.n), w.n)
+    probs = w.blocks[np.ix_(cells, cells)]
+    u = rng.random((cfg.n, cfg.n))
+    alpha = np.zeros((cfg.n, cfg.n))
+    iu = np.triu_indices(cfg.n, 1)
+    wins = (u[iu] < probs[iu]).astype(float)
+    alpha[iu] = wins
+    alpha[(iu[1], iu[0])] = 1.0 - wins
+    return alpha
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,25 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tourlim import GeneralizedTournament, StepKernel, step_kernel_from_tournament
-from tourlim.cli import main
+from tourlim import (
+    GeneralizedTournament,
+    ScoreFunction,
+    ScoreSequence,
+    StepKernel,
+    perturb,
+    random_step_kernel,
+    realize,
+    sample,
+    step_kernel_from_tournament,
+)
+from tourlim.cli import _json_text, main
 
 
 def write_json(tmp_path, name, payload):
@@ -202,3 +217,124 @@ class TestCommands:
         text = capsys.readouterr().out
         g = GeneralizedTournament.from_json_dict(json.loads(text))
         assert json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n" == text
+
+
+def json_reference(payload) -> str:
+    """What the CLI promises to write: json's own text for the payload
+    with every array replaced by its ``tolist()``."""
+
+    def as_lists(x):
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        if isinstance(x, dict):
+            return {k: as_lists(v) for k, v in x.items()}
+        return x
+
+    return json.dumps(as_lists(payload), indent=2, sort_keys=True) + "\n"
+
+
+special_floats = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1e300])
+strings = st.text(max_size=6) | st.sampled_from(["", "\n", "a\nb", "é\u2028ü", '"\\'])
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | special_floats
+    | strings
+)
+plain = st.recursive(
+    scalars,
+    lambda c: st.lists(c, max_size=4)
+    | st.dictionaries(strings, c, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), c, max_size=3),
+    max_leaves=12,
+)
+float_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    elements=st.floats() | special_floats,
+)
+payloads = st.recursive(
+    plain | float_matrices,
+    lambda c: st.dictionaries(strings, c, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    @example({"alpha": np.array([[-0.0, math.nan], [math.inf, -math.inf]]), "n": 2})
+    @example({"blocks": np.array([[0.5]]), "big": 2**70, "s": "é\n", "e": [], "d": {}})
+    @example(np.array([[1.0, 0.0, 1.0], [0.0, -0.0, 1e-300]]))
+    def test_matches_json_dumps(self, payload):
+        assert _json_text(payload) == json_reference(payload)
+
+
+class TestMatrixOutputsMatchSchema:
+    """The matrix subcommands hand arrays to the encoder; their bytes must
+    stay those of ``to_json_dict`` for the object the library returns."""
+
+    @staticmethod
+    def run(args, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(args + ["--output", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("values,kind", [([3, 1, 4, 3, 5, 2, 3], "integer"),
+                                             ([0.25, 1.5, 1.25, 3.0], "real")])
+    def test_realize_and_selfconverse(self, tmp_path, values, kind):
+        seq = ScoreSequence(np.array(values), kind)
+        path = write_json(tmp_path, "seq.json", seq.to_json_dict())
+        g = realize.realize_scores(seq, 1e-9)
+        assert self.run(["realize", "--input", path], tmp_path) == json_reference(
+            g.to_json_dict()
+        )
+        pair = ScoreSequence(np.array([1, 1, 2, 2]), "integer")
+        path = write_json(tmp_path, "pair.json", pair.to_json_dict())
+        g = realize.realize_self_converse(pair, 1e-9)
+        assert self.run(["realize-selfconverse", "--input", path], tmp_path) == (
+            json_reference(g.to_json_dict())
+        )
+
+    def test_kernel_from_fn(self, tmp_path):
+        fn = ScoreFunction(np.array([0.2, 0.45, 0.5, 0.85]))
+        path = write_json(tmp_path, "fn.json", fn.to_json_dict())
+        w = realize.kernel_from_score_function(fn, 8, 1e-9)
+        assert self.run(["kernel-from-fn", "--input", path, "--blocks", "8"],
+                        tmp_path) == json_reference(w.to_json_dict())
+
+    def test_sample_and_selfconverse(self, tmp_path, half3):
+        w = random_step_kernel(5, seed=3)
+        path = write_json(tmp_path, "w.json", w.to_json_dict())
+        g = sample.sample_tournament(w, sample.SampleConfig(40, 9, 1))
+        assert self.run(["sample", "--input", path, "--size", "40", "--seed", "9"],
+                        tmp_path) == json_reference(g.to_json_dict())
+        g = sample.sample_self_converse(
+            StepKernel(np.full((3, 3), 0.5)), np.arange(3)[::-1], sample.SampleConfig(17, 4, 1)
+        )
+        assert self.run(["sample-selfconverse", "--input", half3, "--size", "17",
+                         "--seed", "4", "--sigma", "reverse"], tmp_path) == (
+            json_reference(g.to_json_dict())
+        )
+
+    def test_perturb_certificate(self, tmp_path):
+        w = random_step_kernel(6, seed=1)
+        path = write_json(tmp_path, "w.json", w.to_json_dict())
+        cert = perturb.nonuniqueness_certificate(w)
+        assert cert is not None
+        payload = cert.to_json_dict()
+        payload["result"] = "certificate"
+        assert self.run(["perturb", "--input", path], tmp_path) == json_reference(payload)
+
+
+def test_sample_900_is_fast(tmp_path):
+    """Writing a 900-vertex sample must not walk its 810,000 entries
+    through json's pure-Python indented encoder (about 1 s)."""
+    path = write_json(tmp_path, "w.json", random_step_kernel(5, seed=0).to_json_dict())
+    args = ["sample", "--input", path, "--size", "900", "--seed", "1",
+            "--output", str(tmp_path / "out.json")]
+    start = time.perf_counter()
+    assert main(args) == 0
+    assert time.perf_counter() - start < 0.5

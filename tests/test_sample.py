@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tourlim import (
     DigraphPattern,
     GeneralizedTournament,
@@ -77,6 +78,58 @@ class TestSampleTournament:
                 scores = sorted(scores_of_tournament(g).values.tolist())
                 assert scores == [0, 1, 2, 3, 4]
         assert found > 0
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 125, 500])
+    def test_bits_match_pair_scatter_oracle(self, n):
+        kernels = [HALF3, transitive_kernel(4), random_step_kernel(7, seed=n)]
+        reps = [0, 5, (0, 2), (1, 0)]
+        for seed, w, rep in zip([0, 1, 19, 2024], kernels + [HALF1], reps):
+            cfg = SampleConfig(n, seed=seed)
+            alpha = sample_tournament(w, cfg, rep=rep).alpha
+            assert np.array_equal(alpha, oracles.sample_by_pair_scatter(w, cfg, rep))
+            assert not np.any(np.signbit(alpha))
+
+
+class TestSampleMemoryGuard:
+    """Sizes whose n x n float64 matrix would exceed 2 GiB are refused
+    before any draw; n = 10**6 would need 8 TB."""
+
+    def test_sample_tournament(self):
+        with pytest.raises(ValidationError, match="bytes"):
+            sample_tournament(HALF3, SampleConfig(10**6))
+
+    def test_sample_self_converse_counts_both_sides(self, monkeypatch):
+        import tourlim.sample
+
+        with pytest.raises(ValidationError, match="bytes"):
+            sample_self_converse(HALF3, np.arange(3), SampleConfig(10**6))
+        # with a 100 x 100 limit, 50 pairs fit and 51 pairs (102 vertices) do not
+        monkeypatch.setattr(tourlim.sample, "_MAX_MATRIX_BYTES", 8 * 100 * 100)
+        assert sample_self_converse(HALF3, np.arange(3), SampleConfig(50)).n == 100
+        with pytest.raises(ValidationError, match="bytes"):
+            sample_self_converse(HALF3, np.arange(3), SampleConfig(51))
+
+    def test_convergence_report_checks_largest_size_first(self, monkeypatch):
+        import tourlim.sample
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a sample before the size check")
+
+        monkeypatch.setattr(tourlim.sample, "sample_tournament", no_draw)
+        monkeypatch.setattr(tourlim.sample, "density_kernel", no_draw)
+        with pytest.raises(ValidationError, match="bytes"):
+            convergence_report(
+                HALF3, {"C3": DigraphPattern.cycle(3)}, [10, 10**6], SampleConfig(1)
+            )
+
+    def test_limit_is_2_gib(self):
+        from tourlim.sample import _MAX_MATRIX_BYTES, _check_matrix_size
+
+        assert _MAX_MATRIX_BYTES == 2**31
+        _check_matrix_size(16384)
+        with pytest.raises(ValidationError):
+            _check_matrix_size(16385)
 
 
 class TestSampleSelfConverse:
