@@ -8,6 +8,7 @@ commands are seeded; with --strict the seed must be given explicitly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -294,7 +295,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls."""
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--input", required=True, help="input JSON file")
     io.add_argument("--output", help="output file (default: stdout)")

@@ -19,7 +19,6 @@ from .core import (
     ScoreFunction,
     ScoreSequence,
     ValidationError,
-    increasing_rearrangement,
 )
 
 DEFAULT_TOL = 1e-9
@@ -42,48 +41,73 @@ class ValidityReport:
         return {"valid": self.valid, "witness": self.witness}
 
 
+def _exact(values, tol: float) -> tuple:
+    """``values`` and ``tol`` as Python ints over one power of two:
+    x = X / 2**e for each of them, with e >= 1 so that 1/2 is an int too."""
+    if not math.isfinite(tol):
+        raise ValidationError("tolerance must be finite")
+    mant, exp = np.frexp(np.append(np.asarray(values, dtype=float), tol))
+    mant = (mant * 2.0**53).astype(np.int64)  # exact: 53 significant bits
+    exp = np.where(mant != 0, exp - 53, 0)
+    e = max(1, -int(exp.min()))
+    ints = np.left_shift(mant.astype(object), (exp + e).astype(object))
+    return ints[:-1], ints[-1], e
+
+
+def _first(bad: np.ndarray) -> int:
+    """1-based index of the first True entry, or 0."""
+    return int(np.argmax(bad)) + 1 if bad.any() else 0
+
+
+def _prefix_test(x: np.ndarray, t: int, e: int) -> tuple:
+    """Landau's test on sorted ints ``x`` over 2**e, within ``t``.
+
+    Returns the exact prefix sums P_k, the bounds B_k = k(k-1)/2 in the
+    same units and the first failing k: P_k < B_k - t for k < n, or
+    |P_n - B_n| > t for k = n; 0 when none fails.
+    """
+    k = np.arange(1, len(x) + 1)
+    prefix = np.cumsum(x)
+    bound = np.left_shift((k * (k - 1)).astype(object), e - 1)
+    bad = prefix < bound - t
+    bad[-1] = abs(prefix[-1] - bound[-1]) > t
+    return prefix, bound, _first(bad)
+
+
+def _pairing(x, total: int, t: int, e: int, check: str, required: float) -> ValidityReport:
+    """Whether x_i + x_{n+1-i} = total within t for every i (ints over
+    2**e); the witness names ``check`` and the first failing 1-based i."""
+    i = _first(np.abs(x + x[::-1] - total) > t)
+    if not i:
+        return ValidityReport(True)
+    return ValidityReport(False, {
+        "check": check, "i": i, "sum": (x[i - 1] + x[-i]) / 2**e, "required": required,
+    })
+
+
+def _sorted_scores(s: ScoreSequence, tol: float) -> tuple:
+    """``_exact`` of the sorted scores; integer data is checked with tol 0."""
+    return _exact(np.sort(s.values), 0.0 if s.kind == "integer" else tol)
+
+
 def check_landau(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Realizability of a score sequence by a (generalised) tournament.
 
-    Sorts non-decreasingly and checks the prefix sums against k(k-1)/2,
-    with equality at the full prefix.  Checking prefixes of the sorted
-    sequence suffices because any k-subset sum dominates the smallest-k sum.
+    Sorts non-decreasingly and checks the exact prefix sums against
+    k(k-1)/2, with equality at the full prefix.  Checking prefixes of the
+    sorted sequence suffices because any k-subset sum dominates the
+    smallest-k sum.  Witness numbers are ints for integer data and the
+    correctly rounded floats of the exact values for real data.
     """
-    n = s.n
-    if s.kind == "integer":
-        d = sorted(int(v) for v in s.values)
-        prefix = 0
-        for k in range(1, n):
-            prefix += d[k - 1]
-            bound = k * (k - 1) // 2
-            if prefix < bound:
-                return ValidityReport(False, {
-                    "check": "landau-prefix", "k": k,
-                    "sum": prefix, "bound": bound,
-                })
-        total = prefix + d[-1]
-        if total != n * (n - 1) // 2:
-            return ValidityReport(False, {
-                "check": "landau-total",
-                "sum": total, "bound": n * (n - 1) // 2,
-            })
+    x, t, e = _sorted_scores(s, tol)
+    prefix, bound, k = _prefix_test(x, t, e)
+    if not k:
         return ValidityReport(True)
-
-    d = np.sort(np.asarray(s.values, dtype=float))
-    prefix = np.cumsum(d)
-    for k in range(1, n):
-        bound = k * (k - 1) / 2
-        if prefix[k - 1] < bound - tol:
-            return ValidityReport(False, {
-                "check": "landau-prefix", "k": k,
-                "sum": float(prefix[k - 1]), "bound": bound,
-            })
-    total, bound = float(prefix[-1]), n * (n - 1) / 2
-    if abs(total - bound) > tol:
-        return ValidityReport(False, {
-            "check": "landau-total", "sum": total, "bound": bound,
-        })
-    return ValidityReport(True)
+    num = (lambda v: v >> e) if s.kind == "integer" else (lambda v: v / 2**e)
+    witness = {"check": "landau-prefix", "k": k} if k < s.n else {"check": "landau-total"}
+    return ValidityReport(False, {
+        **witness, "sum": num(prefix[k - 1]), "bound": num(bound[k - 1]),
+    })
 
 
 def check_eplett(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -92,18 +116,8 @@ def check_eplett(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
     landau = check_landau(s, tol)
     if not landau.valid:
         return landau
-    n = s.n
-    d = np.sort(np.asarray(s.values, dtype=float))
-    exact = s.kind == "integer"
-    for i in range(n):
-        pair = float(d[i] + d[n - 1 - i])
-        bad = (pair != n - 1) if exact else (abs(pair - (n - 1)) > tol)
-        if bad:
-            return ValidityReport(False, {
-                "check": "eplett-pair", "i": i + 1,
-                "sum": pair, "required": float(n - 1),
-            })
-    return ValidityReport(True)
+    x, t, e = _sorted_scores(s, tol)
+    return _pairing(x, (s.n - 1) << e, t, e, "eplett-pair", float(s.n - 1))
 
 
 def check_condition_I(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -113,23 +127,21 @@ def check_condition_I(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityRep
     integral of the increasing rearrangement, so it is enough to check, for
     every grid point r = k/m, that this prefix integral is at least r^2/2,
     with equality at r = 1.  Between grid points the integral is linear in
-    r while the bound is convex, so grid points suffice.
+    r while the bound is convex, so grid points suffice.  Scaled by m^2
+    this is Landau's test on the sorted values m c_i - 1/2, within m^2 tol.
     """
-    cells = increasing_rearrangement(f).cells
-    m = len(cells)
-    prefix = np.cumsum(cells) / m
-    for k in range(1, m):
-        r = k / m
-        if prefix[k - 1] < r * r / 2 - tol:
-            return ValidityReport(False, {
-                "check": "prefix-integral", "k": k, "r": r,
-                "integral": float(prefix[k - 1]), "bound": r * r / 2,
-            })
-    if abs(prefix[-1] - 0.5) > tol:
-        return ValidityReport(False, {
-            "check": "total-mass", "integral": float(prefix[-1]), "required": 0.5,
-        })
-    return ValidityReport(True)
+    m = f.m
+    c, t, e = _exact(np.sort(f.cells), tol)
+    prefix, _, k = _prefix_test(m * c - (1 << (e - 1)), m * m * t, e)
+    if not k:
+        return ValidityReport(True)
+    r = k / m
+    witness = (
+        {"check": "prefix-integral", "k": k, "r": r, "bound": r * r / 2}
+        if k < m else {"check": "total-mass", "required": 0.5}
+    )
+    integral = (prefix[k - 1] + (k << (e - 1))) / (m * m << e)
+    return ValidityReport(False, {**witness, "integral": integral})
 
 
 def check_condition_II(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -137,16 +149,8 @@ def check_condition_II(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityRe
 
     For odd m this tests the middle cell against 1/2.
     """
-    c = f.cells
-    m = len(c)
-    for i in range(m):
-        pair = float(c[i] + c[m - 1 - i])
-        if abs(pair - 1.0) > tol:
-            return ValidityReport(False, {
-                "check": "point-symmetry", "i": i + 1,
-                "sum": pair, "required": 1.0,
-            })
-    return ValidityReport(True)
+    c, t, e = _exact(f.cells, tol)
+    return _pairing(c, 1 << e, t, e, "point-symmetry", 1.0)
 
 
 def irreducible_decomposition(s: ScoreSequence) -> list[ScoreSequence]:
@@ -161,17 +165,10 @@ def irreducible_decomposition(s: ScoreSequence) -> list[ScoreSequence]:
     rep = check_landau(s)
     if not rep.valid:
         raise ValidationError("score sequence fails the Landau check", rep)
-    d = sorted(int(v) for v in s.values)
-    blocks: list[ScoreSequence] = []
-    start = 0
-    prefix = 0
-    for k in range(1, s.n + 1):
-        prefix += d[k - 1]
-        if prefix == k * (k - 1) // 2:
-            block = [x - start for x in d[start:k]]
-            blocks.append(ScoreSequence(np.asarray(block), "integer"))
-            start = k
-    return blocks
+    prefix, bound, _ = _prefix_test(*_sorted_scores(s, 0.0))
+    ends = np.flatnonzero(prefix == bound) + 1
+    d = np.sort(s.values)
+    return [ScoreSequence(d[a:b] - a, "integer") for a, b in zip([0, *ends], ends)]
 
 
 def is_simple_avery(s: ScoreSequence) -> bool:

@@ -61,10 +61,9 @@ from .core import (
 )
 
 MAX_PATTERN_VERTICES = 8
-MAX_KERNEL_ASSIGNMENTS = 10**8
-# planned FLOPs of one density_finite call (numpy's einsum_path estimate);
-# the largest calls in the tests and the benchmark, C4 and T4 inj at
-# n = 500, plan 5e8
+# planned FLOPs of one density_finite, density_kernel or fingerprint call
+# (numpy's einsum_path estimate); the largest calls in the tests and the
+# benchmark, C4 and T4 inj at n = 500, plan 5e8
 MAX_FINITE_FLOPS = 10**11
 _LETTERS = "abcdefgh"
 # intermediates of a contraction stay within max(n^2, _MIN_BUDGET) elements
@@ -153,13 +152,18 @@ def _contract(factors, k: int, n: int) -> float:
     return float(np.einsum(subscripts, *ops, optimize=path)) * float(n) ** free
 
 
-def _planned_flops(terms, n: int) -> float:
-    total = 0.0
+def _check_cost(terms, n: int) -> None:
+    """Reject, before any contraction, terms whose planned FLOPs on n x n
+    operands exceed MAX_FINITE_FLOPS."""
+    flops = 0.0
     for _, k, factors in terms:
         if factors:
             subscripts, _ = _subscripts(tuple((u, v) for u, v, _ in factors), k)
-            total += _plan(subscripts, ((n, n),) * len(factors))[1]
-    return total
+            flops += _plan(subscripts, ((n, n),) * len(factors))[1]
+    if flops > MAX_FINITE_FLOPS:
+        raise ValidationError(
+            f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
+        )
 
 
 def _evaluate(terms, mats: dict, n: int) -> float:
@@ -328,11 +332,7 @@ def density_finite(
     if mode != "hom" and f.k > n:
         return 0.0
     terms = _terms(f, mode, 1)
-    flops = _planned_flops(terms, n)
-    if flops > MAX_FINITE_FLOPS:
-        raise ValidationError(
-            f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
-        )
+    _check_cost(terms, n)
     mats = {_EDGE: g.alpha}
     if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
         mats[_BLANK] = (1.0 - g.alpha) * (1.0 - g.alpha.T)
@@ -341,13 +341,15 @@ def density_finite(
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:
-    """t(F, W) for a step kernel: the normalised block-assignment sum."""
+    """t(F, W) for a step kernel: the normalised block-assignment sum.
+    Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
+    rejected before any of it runs."""
     n = w.n
     if f.k > MAX_PATTERN_VERTICES:
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
-    if float(n) ** f.k > MAX_KERNEL_ASSIGNMENTS:
-        raise ValidationError("kernel assignment sum too large (cost guard)")
-    return _evaluate(_terms(f, "hom", 0), {_EDGE: w.blocks}, n) / float(n) ** f.k
+    terms = _terms(f, "hom", 0)
+    _check_cost(terms, n)
+    return _evaluate(terms, {_EDGE: w.blocks}, n) / float(n) ** f.k
 
 
 def star_density(w: StepKernel, m: int, n: int) -> float:
@@ -408,13 +410,11 @@ def _tournament_pattern_classes(k: int):
 
 
 def fingerprint(w: StepKernel, K: int) -> DensityFingerprint:
-    """Densities of every tournament pattern on 1..K vertices (K <= 5)."""
+    """Densities of every tournament pattern on 1..K vertices (K <= 5).
+    The planned FLOPs of all classes together are checked against
+    MAX_FINITE_FLOPS before any class is contracted."""
     if not 1 <= K <= 5:
         raise ValidationError("fingerprint order K must be in 1..5")
-    if float(w.n) ** K > MAX_KERNEL_ASSIGNMENTS:
-        raise ValidationError("fingerprint too large (cost guard)")
-    entries = {}
-    for k in range(1, K + 1):
-        for descriptor, pattern in _tournament_pattern_classes(k):
-            entries[descriptor] = density_kernel(pattern, w)
-    return DensityFingerprint(K, entries)
+    classes = [c for k in range(1, K + 1) for c in _tournament_pattern_classes(k)]
+    _check_cost([t for _, f in classes for t in _terms(f, "hom", 0)], w.n)
+    return DensityFingerprint(K, {d: density_kernel(f, w) for d, f in classes})

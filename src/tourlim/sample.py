@@ -72,13 +72,8 @@ def _cells_of(x: np.ndarray, blocks: int) -> np.ndarray:
 def random_step_kernel(n: int, seed: int = 0, rep=0) -> StepKernel:
     """A random kernel with i.i.d. uniform values above the diagonal and
     exact complements below it."""
-    rng = _rng(seed, rep)
-    u = rng.random((n, n))
-    m = np.full((n, n), 0.5)
-    iu = np.triu_indices(n, 1)
-    m[iu] = u[iu]
-    m[(iu[1], iu[0])] = 1.0 - u[iu]
-    return StepKernel(m)
+    u = np.triu(_rng(seed, rep).random((n, n)), 1)
+    return StepKernel(u + np.tril(1.0 - u.T, -1) + np.eye(n) / 2)
 
 
 def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTournament:
@@ -136,33 +131,16 @@ def sample_self_converse(
 
     rng = _rng(cfg.seed, rep)
     m = cfg.n
-    x = rng.random(m)
-    cells = _cells_of(x, n)
-    sig_cells = sigma[cells]
-
+    cells = _cells_of(rng.random(m), n)
     u_vv = rng.random((m, m))
     u_vw = rng.random((m, m))
-
-    vv = np.zeros((m, m), dtype=bool)  # vv[i, j]: edge v_i -> v_j present
-    iu = np.triu_indices(m, 1)
-    vv[iu] = u_vv[iu] < w.blocks[cells[iu[0]], cells[iu[1]]]
-
-    vw = np.zeros((m, m), dtype=bool)  # vw[i, j]: edge v_i -> w_j present
-    il = np.tril_indices(m, 0)  # pairs i <= j as (j, i) indices
-    j_idx, i_idx = il
-    vw[i_idx, j_idx] = u_vw[i_idx, j_idx] < w.blocks[cells[i_idx], sig_cells[j_idx]]
-    vw[j_idx, i_idx] = vw[i_idx, j_idx]  # forced mirrors (no-op on the diagonal)
-
-    alpha = np.zeros((2 * m, 2 * m))
-    v, ww = slice(0, m), slice(m, 2 * m)
-    a_vv = np.zeros((m, m))
-    a_vv[iu] = vv[iu].astype(float)
-    a_vv[(iu[1], iu[0])] = 1.0 - a_vv[iu]
-    alpha[v, v] = a_vv
-    alpha[ww, ww] = a_vv.T  # w_i -> w_j iff v_j -> v_i
-    a_vw = vw.astype(float)
-    alpha[v, ww] = a_vw
-    alpha[ww, v] = 1.0 - a_vw.T
+    # vv[i, j]: v_i -> v_j; vw[i, j]: v_i -> w_j, drawn for i <= j and mirrored
+    vv = np.triu(u_vv < w.blocks[cells[:, None], cells[None, :]], 1)
+    vv |= np.tril(~vv.T, -1)
+    vw = np.triu(u_vw < w.blocks[cells[:, None], sigma[cells][None, :]])
+    vw |= vw.T
+    # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j
+    alpha = np.block([[vv, vw], [~vw, vv.T]]).astype(float)
     out = GeneralizedTournament(alpha)
     if not is_selfconverse_under(out, witness_permutation(m)):
         raise RuntimeError("sampled tournament is not self-converse under the witness")

@@ -1,9 +1,10 @@
 """Brute-force reference implementations that expected test values are
 computed against.  Most of them enumerate: maps, tournaments, relabelings,
-quantile grids; the realizer is checked against a max-flow construction,
-the self-converse average against its pair-by-pair loop and the sampler
-against its pair-by-pair scatter.  Deliberately
-independent of the library's own algorithms."""
+quantile grids; the score conditions are evaluated in exact rationals, the
+realizer is checked against a max-flow construction, the self-converse
+average against its pair-by-pair loop and the samplers against their
+pair-by-pair scatters.  Deliberately independent of the library's own
+algorithms."""
 
 from __future__ import annotations
 
@@ -11,11 +12,42 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 import numpy as np
 
 from tourlim import ScoreSequence, ValidationError
+
+
+# ---------------------------------------------------------------------------
+# score conditions on the exact rational values of the given doubles
+
+
+def exact_landau(values, kind: str, tol: float, eplett: bool = False) -> bool:
+    """Landau's condition, and with ``eplett`` the pairing
+    d_i + d_{n+1-i} = n - 1, within ``tol`` (0 for integer kind)."""
+    t = Fraction(0) if kind == "integer" else Fraction(tol)
+    d = sorted(Fraction(float(v)) for v in values)
+    n = len(d)
+    sums = list(accumulate(d))
+    ok = all(sums[k - 1] >= Fraction(k * (k - 1), 2) - t for k in range(1, n))
+    ok = ok and abs(sums[-1] - Fraction(n * (n - 1), 2)) <= t
+    if ok and eplett:
+        ok = all(abs(d[i] + d[n - 1 - i] - (n - 1)) <= t for i in range(n))
+    return ok
+
+
+def exact_condition(cells, which: str, tol: float) -> bool:
+    """Condition I (prefix integrals of the sorted cells at r = k/m at
+    least r^2/2, total 1/2) or II (c_i + c_{m+1-i} = 1), within ``tol``."""
+    c = [Fraction(float(x)) for x in cells]
+    m = len(c)
+    t = Fraction(tol)
+    if which == "II":
+        return all(abs(c[i] + c[m - 1 - i] - 1) <= t for i in range(m))
+    integrals = [s / m for s in accumulate(sorted(c))]
+    ok = all(integrals[k - 1] >= Fraction(k * k, 2 * m * m) - t for k in range(1, m))
+    return ok and abs(integrals[-1] - Fraction(1, 2)) <= t
 
 
 def pair_list(n):
@@ -178,6 +210,58 @@ def sample_by_pair_scatter(w, cfg, rep=0) -> np.ndarray:
     alpha[iu] = wins
     alpha[(iu[1], iu[0])] = 1.0 - wins
     return alpha
+
+
+def self_converse_by_pair_scatter(w, sigma, cfg, rep=0) -> np.ndarray:
+    """alpha of ``sample_self_converse(w, sigma, cfg, rep)`` as the sampler
+    first built it: the same draws, scattered pair by pair."""
+    from tourlim.sample import _cells_of, _rng
+
+    n = w.n
+    sigma = np.asarray(sigma, dtype=int)
+    rng = _rng(cfg.seed, rep)
+    m = cfg.n
+    x = rng.random(m)
+    cells = _cells_of(x, n)
+    sig_cells = sigma[cells]
+
+    u_vv = rng.random((m, m))
+    u_vw = rng.random((m, m))
+
+    vv = np.zeros((m, m), dtype=bool)  # vv[i, j]: edge v_i -> v_j present
+    iu = np.triu_indices(m, 1)
+    vv[iu] = u_vv[iu] < w.blocks[cells[iu[0]], cells[iu[1]]]
+
+    vw = np.zeros((m, m), dtype=bool)  # vw[i, j]: edge v_i -> w_j present
+    il = np.tril_indices(m, 0)  # pairs i <= j as (j, i) indices
+    j_idx, i_idx = il
+    vw[i_idx, j_idx] = u_vw[i_idx, j_idx] < w.blocks[cells[i_idx], sig_cells[j_idx]]
+    vw[j_idx, i_idx] = vw[i_idx, j_idx]  # forced mirrors (no-op on the diagonal)
+
+    alpha = np.zeros((2 * m, 2 * m))
+    v, ww = slice(0, m), slice(m, 2 * m)
+    a_vv = np.zeros((m, m))
+    a_vv[iu] = vv[iu].astype(float)
+    a_vv[(iu[1], iu[0])] = 1.0 - a_vv[iu]
+    alpha[v, v] = a_vv
+    alpha[ww, ww] = a_vv.T  # w_i -> w_j iff v_j -> v_i
+    a_vw = vw.astype(float)
+    alpha[v, ww] = a_vw
+    alpha[ww, v] = 1.0 - a_vw.T
+    return alpha
+
+
+def random_kernel_by_pair_scatter(n: int, seed: int = 0, rep=0) -> np.ndarray:
+    """blocks of ``random_step_kernel(n, seed, rep)`` as first built: the
+    same draws, scattered over the upper triangle and mirrored."""
+    from tourlim.sample import _rng
+
+    u = _rng(seed, rep).random((n, n))
+    m = np.full((n, n), 0.5)
+    iu = np.triu_indices(n, 1)
+    m[iu] = u[iu]
+    m[(iu[1], iu[0])] = 1.0 - u[iu]
+    return m
 
 
 # ---------------------------------------------------------------------------

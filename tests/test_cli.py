@@ -101,6 +101,23 @@ class TestExitCodes:
                      "--seed", "3"]) == 0
         capsys.readouterr()
 
+    def test_reused_parser_matches_fresh_parser(self, half3, capsys):
+        # the parser is built once per process; no call may leave state
+        # (such as an appended --pattern) behind for the next
+        from tourlim import cli
+
+        calls = [
+            ["density", "--input", half3, "--pattern", "C3"],
+            ["density", "--input", half3],
+            ["density", "--input", half3, "--pattern", "C4", "--pattern", "T4"],
+            ["density", "--input", half3, "--pattern", "C4"],
+        ]
+        reused = [(main(argv), capsys.readouterr()) for argv in calls]
+        assert [code for code, _ in reused] == [0, 2, 2, 0]
+        for argv, want in zip(calls, reused):
+            cli._build_parser.cache_clear()
+            assert (main(argv), capsys.readouterr()) == want
+
 
 class TestCommands:
     def test_realize_round_trip(self, tmp_path, capsys):

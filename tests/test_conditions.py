@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import generalized_tournaments, score_functions, tournaments
+from strategies import generalized_tournaments, score_functions, step_kernels, tournaments
 from tourlim import (
     MomentSequence,
     ScoreFunction,
@@ -20,6 +21,7 @@ from tourlim import (
     irreducible_decomposition,
     is_simple_avery,
     moments_of_score_function,
+    score_function_of_kernel,
     scores_of_tournament,
 )
 
@@ -231,6 +233,116 @@ class TestAvery:
             for multiset, forms in classes.items():
                 s = ScoreSequence(np.array(multiset), "integer")
                 assert is_simple_avery(s) == (len(forms) == 1), (n, multiset)
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 1e-6])
+
+
+def nudged(draw, values, tol):
+    """``values`` with each entry moved by at most 2 tol."""
+    steps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(values), max_size=len(values)))
+    return np.asarray(values, dtype=float) + tol * np.asarray(steps)
+
+
+@st.composite
+def near_landau(draw):
+    """(values, kind, tol, eplett) near the Landau and Eplett bounds: scores
+    of a (generalised) tournament, possibly averaged with their converse,
+    each moved by up to 2 tol; integer scores get one unit moved instead."""
+    kind = draw(st.sampled_from(["integer", "real"]))
+    eplett = draw(st.booleans())
+    g = draw(tournaments(max_n=8) if kind == "integer" else generalized_tournaments(max_n=8))
+    d = np.sort(scores_of_tournament(g).values)
+    n = len(d)
+    if kind == "integer":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i] += 1
+        d[j] = max(d[j] - draw(st.integers(0, 1)), 0)
+        return d, kind, 0.0, eplett
+    tol = draw(TOLS)
+    if draw(st.booleans()):
+        d = (d + (n - 1) - d[::-1]) / 2
+    return np.maximum(nudged(draw, d, tol), 0.0), kind, tol, eplett
+
+
+@st.composite
+def near_conditions(draw):
+    """(cells, which, tol) near the bounds of condition I (score functions
+    of kernels) or II (point-symmetric cells), moved by up to 2 tol."""
+    which = draw(st.sampled_from(["I", "II"]))
+    tol = draw(TOLS)
+    if which == "I":
+        cells = score_function_of_kernel(draw(step_kernels())).cells
+    else:
+        half = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+        middle = [0.5] if draw(st.booleans()) else []
+        cells = np.concatenate([half, middle, 1.0 - half[::-1]])
+    return np.clip(nudged(draw, cells, tol), 0.0, 1.0), which, tol
+
+
+class TestExactOracle:
+    """Verdicts equal those on the exact rational values of the doubles."""
+
+    @given(near_landau())
+    @settings(max_examples=300, deadline=None)
+    def test_landau_and_eplett(self, case):
+        values, kind, tol, eplett = case
+        check = check_eplett if eplett else check_landau
+        got = check(ScoreSequence(values, kind), tol).valid
+        assert got == oracles.exact_landau(values, kind, tol, eplett)
+
+    @given(near_conditions())
+    @settings(max_examples=300, deadline=None)
+    def test_conditions_I_and_II(self, case):
+        cells, which, tol = case
+        check = check_condition_I if which == "I" else check_condition_II
+        got = check(ScoreFunction(cells), tol).valid
+        assert got == oracles.exact_condition(cells, which, tol)
+
+
+def chunked_row_sums(rng, n):
+    """Row sums of a uniform generalised tournament, drawn in row chunks so
+    that no n x n matrix is held; non-dyadic and Landau-valid within 1e-9."""
+    scores = np.zeros(n)
+    cols = np.arange(n)[None, :]
+    for start in range(0, n, 256):
+        stop = min(n, start + 256)
+        upper = cols > np.arange(start, stop)[:, None]
+        u = np.where(upper, rng.random((stop - start, n)), 0.0)
+        scores[start:stop] += u.sum(axis=1)
+        scores += np.where(upper, 1.0 - u, 0.0).sum(axis=0)
+    return scores
+
+
+class TestExactAtScale:
+    """A running float sum drifts by a few 1e-9 at these sizes; the checks
+    compare exact sums, so valid real input is accepted at every size."""
+
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_landau_accepts_non_dyadic_row_sums(self, n):
+        values = chunked_row_sums(np.random.default_rng(0), n)
+        assert oracles.exact_landau(values, "real", 1e-9)
+        assert check_landau(ScoreSequence(values, "real")).valid
+
+    def test_eplett_accepts_non_dyadic_self_converse_scores(self):
+        n = 2000
+        d = np.sort(chunked_row_sums(np.random.default_rng(2), n))
+        values = (d + (n - 1) - d[::-1]) / 2
+        assert oracles.exact_landau(values, "real", 1e-9, eplett=True)
+        assert check_eplett(ScoreSequence(values, "real")).valid
+
+    def test_subnormal_next_to_large_scores(self):
+        # the transitive scores with 0 replaced by the smallest double
+        # exceed the total by exactly 5e-324
+        values = np.arange(3000, dtype=float)
+        values[0] = 5e-324
+        s = ScoreSequence(values, "real")
+        start = time.perf_counter()
+        rep = check_landau(s, 0.0)
+        assert not rep.valid and rep.witness["check"] == "landau-total"
+        assert check_landau(s, 5e-324).valid
+        assert check_eplett(s).valid
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHausdorffMoments:

@@ -17,6 +17,7 @@ from tourlim import (
     density_finite,
     density_kernel,
     fingerprint,
+    random_step_kernel,
     star_density,
     step_kernel_from_tournament,
 )
@@ -203,6 +204,14 @@ class TestDensityKernel:
             want = oracles.brute_density_kernel(f, w.blocks)
             assert density_kernel(f, w) == pytest.approx(want, abs=1e-12)
 
+    def test_refinement_beyond_assignment_count(self):
+        # densities are invariant under refine; 120**4 assignments exceed
+        # 1e8, but the call plans only about 4 * 120**3 FLOPs
+        w = random_step_kernel(20, seed=6)
+        assert density_kernel(C4, w.refine(6)) == pytest.approx(
+            density_kernel(C4, w), abs=1e-12
+        )
+
     @given(step_kernels(min_n=1, max_n=6))
     @settings(max_examples=30)
     def test_trace_shortcut_agrees_with_generic_sum(self, w):
@@ -227,12 +236,25 @@ class TestDensityKernel:
                 density_kernel(f.converse(), w), abs=1e-12
             )
 
-    def test_cost_guards(self):
+    def test_cost_guards(self, monkeypatch):
+        # planned FLOPs, checked before any contraction, not n^k assignments
+        import tourlim.density
+
         with pytest.raises(ValidationError):
             density_kernel(DigraphPattern.transitive(9), StepKernel([[0.5]]))
-        big = StepKernel(np.full((40, 40), 0.5))
-        with pytest.raises(ValidationError):
-            density_kernel(DigraphPattern.transitive(6), big)
+
+        def no_contraction(*args):
+            raise AssertionError("contracted before the cost check")
+
+        monkeypatch.setattr(tourlim.density, "_evaluate", no_contraction)
+        w = random_step_kernel(100, seed=2)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="cost guard"):
+            density_kernel(DigraphPattern.transitive(8), w)
+        # the five-vertex classes alone plan about 1e12 FLOPs at 100 blocks
+        with pytest.raises(ValidationError, match="cost guard"):
+            fingerprint(w, 5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStarDensity:

@@ -165,10 +165,7 @@ class TestRealizeScores:
         g = realize_scores(ScoreSequence(ints, "integer"))
         assert g.is_tournament
         assert np.array_equal(g.alpha.sum(axis=1), ints)
-        # the peel itself: check_landau's running prefix sums drift by a few
-        # 1e-9 at this size and reject about half of such inputs, a defect
-        # of the gate and not of the realizer
-        alpha = GeneralizedTournament(_peel(reals, False)).alpha
+        alpha = realize_scores(ScoreSequence(reals, "real")).alpha
         assert np.max(np.abs(exact_row_sums(alpha) - reals)) <= 1e-9
         assert time.monotonic() - start < 5.0
 

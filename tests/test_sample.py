@@ -91,6 +91,13 @@ class TestSampleTournament:
             assert not np.any(np.signbit(alpha))
 
 
+def test_random_step_kernel_bits_match_pair_scatter_oracle():
+    for n, seed, rep in ((1, 0, 0), (2, 3, 1), (7, 5, (1, 2)), (40, 9, 0)):
+        blocks = random_step_kernel(n, seed=seed, rep=rep).blocks
+        assert np.array_equal(blocks, oracles.random_kernel_by_pair_scatter(n, seed, rep))
+        assert not np.any(np.signbit(blocks))
+
+
 class TestSampleMemoryGuard:
     """Sizes whose n x n float64 matrix would exceed 2 GiB are refused
     before any draw; n = 10**6 would need 8 TB."""
@@ -173,6 +180,24 @@ class TestSampleSelfConverse:
         monkeypatch.setattr(tourlim.sample, "is_selfconverse_under", lambda g, perm: False)
         with pytest.raises(RuntimeError, match="self-converse"):
             sample_self_converse(HALF3, np.arange(3), SampleConfig(4, seed=0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 400])
+    def test_bits_match_pair_scatter_oracle(self, m):
+        # kernels on 1, 2, 3 and 8 blocks, averaged with their sigma-converse
+        # so that W(x, y) = W(sigma(y), sigma(x)) holds exactly
+        cases = [(HALF1, np.zeros(1, dtype=int))]
+        for blocks in (2, 3, 8):
+            base = random_step_kernel(blocks, seed=m, rep=blocks).blocks
+            sigma = np.arange(blocks)[::-1]
+            pulled = base[np.ix_(sigma, sigma)].T
+            cases.append((StepKernel((base + pulled) / 2), sigma))
+        for w, sigma in cases:
+            for seed, rep in ((0, 0), (31, (2, 1))):
+                cfg = SampleConfig(m, seed=seed)
+                alpha = sample_self_converse(w, sigma, cfg, rep=rep).alpha
+                want = oracles.self_converse_by_pair_scatter(w, sigma, cfg, rep)
+                assert np.array_equal(alpha, want)
+                assert not np.any(np.signbit(alpha))
 
     def test_v_subtournament_matches_plain_sampler(self):
         cfg = SampleConfig(30, seed=77)
