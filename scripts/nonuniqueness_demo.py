@@ -27,6 +27,7 @@ from tourlim import (
 
 def demo_kernels(seed: int):
     yield "constant-1/2 on 3 blocks", StepKernel(np.full((3, 3), 0.5))
+    yield "3-cycle blow-up, 3 blocks", StepKernel([[0.5, 1, 0], [0, 0.5, 1], [1, 0, 0.5]])
     yield "transitive step kernel, 6 blocks", step_kernel_from_tournament(
         GeneralizedTournament(np.triu(np.ones((6, 6)), 1))
     )

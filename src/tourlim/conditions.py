@@ -145,11 +145,11 @@ def check_condition_I(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityRep
 
 
 def check_condition_II(f: ScoreFunction, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Point symmetry of a score function: f(x) + f(1-x) = 1 cell-wise.
-
-    For odd m this tests the middle cell against 1/2.
+    """Point symmetry f(x) + f(1-x) = 1 of the increasing rearrangement,
+    cell-wise (for odd m, the middle cell against 1/2).  Score functions are
+    defined up to rearrangement, and the sorted pairing is the best one.
     """
-    c, t, e = _exact(f.cells, tol)
+    c, t, e = _exact(np.sort(f.cells), tol)
     return _pairing(c, 1 << e, t, e, "point-symmetry", 1.0)
 
 

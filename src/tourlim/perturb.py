@@ -1,11 +1,11 @@
 """Score-preserving cyclic perturbations and non-uniqueness certificates.
 
 Reversing 3-cycle mass inside a box of three blocks leaves every row sum of
-a step kernel unchanged but moves the 4-cycle density along a quartic in
-the perturbation strength, so any kernel with an interior cyclic box admits
-a second, non-equivalent kernel with the same degree distribution.  Kernels
-without such a box (0/1 off-diagonal entries everywhere, the transitive
-family in particular) are reported as "transitive-like".
+a step kernel unchanged but moves the 4-cycle density along a closed-form
+quartic in the perturbation strength, so any kernel with a cyclic box
+admits a second, non-equivalent kernel with the same degree distribution.
+Kernels without one (every ordered block triple has a cyclic entry 1, the
+transitive family in particular) are reported as "transitive-like".
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StepKernel, ValidationError, score_function_of_kernel
-from .density import DigraphPattern, density_kernel
+from .density import DigraphPattern, _check_cost, _terms, density_kernel
 
-S_GRID_POINTS = 17
 C4_DIFF_THRESHOLD = 1e-9
+_CIRCULATION = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
 @dataclass(frozen=True)
 class CyclicBox:
     """An ordered triple of distinct blocks whose cyclic entries M(i,j),
-    M(j,k), M(k,i) all sit at distance at least delta from {0, 1}."""
+    M(j,k), M(k,i) all have room at least delta below 1, which is also the
+    room their transposes have above 0."""
 
     blocks: tuple
     delta: float
@@ -33,8 +34,8 @@ class CyclicBox:
         i, j, k = self.blocks
         if len({i, j, k}) != 3:
             raise ValidationError("cyclic box blocks must be distinct")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValidationError("cyclic box margin must lie in (0, 1/2]")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValidationError("cyclic box room must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,33 +65,30 @@ class NonUniquenessCertificate:
 
 
 def s_max_for(w: StepKernel, box: CyclicBox) -> float:
-    """Largest admissible strength: s/n may not exceed the box margin."""
+    """Largest admissible strength: s/n may not exceed the box room."""
     return min(1.0, w.n * box.delta)
 
 
 def find_cyclic_box(w: StepKernel) -> CyclicBox | None:
-    """The ordered block triple maximising the interior margin.
+    """The ordered block triple with the most room 1 - M on cyclic entries.
 
-    Returns None when every triple has margin 0, i.e. each cyclic entry
-    set touches {0, 1}; ties go to the lexicographically smallest triple
-    (argmax in C order).
+    Returns None when every triple has room 0, i.e. some cyclic entry is 1;
+    ties go to the lexicographically smallest triple.  The triples are
+    scanned one first block at a time, in O(n^2) memory.
     """
     n = w.n
     if n < 3:
         raise ValidationError("a cyclic box needs at least 3 blocks")
-    m = w.blocks
-    g = np.minimum(m, 1.0 - m)  # distance to {0, 1}
-    margins = np.minimum(np.minimum(g[:, :, None], g[None, :, :]), g.T[:, None, :])
-    idx = np.arange(n)
-    margins[idx, idx, :] = -1.0
-    margins[idx, :, idx] = -1.0
-    margins[:, idx, idx] = -1.0
-    flat = int(np.argmax(margins))
-    i, j, k = np.unravel_index(flat, margins.shape)
-    best = float(margins[i, j, k])
-    if best <= 0.0:
-        return None
-    return CyclicBox((int(i), int(j), int(k)), best)
+    room = 1.0 - w.blocks
+    np.fill_diagonal(room, -1.0)  # rules out triples with a repeated block
+    best, blocks = 0.0, None
+    for i in range(n):
+        # room of the triple (i, j, k) at [j, k]
+        r = np.minimum(np.minimum(room, room[i][:, None]), room[:, i])
+        j, k = divmod(int(np.argmax(r)), n)
+        if r[j, k] > best:
+            best, blocks = float(r[j, k]), (i, j, k)
+    return None if blocks is None else CyclicBox(blocks, best)
 
 
 def perturb_family(w: StepKernel, box: CyclicBox, s: float) -> StepKernel:
@@ -101,16 +99,14 @@ def perturb_family(w: StepKernel, box: CyclicBox, s: float) -> StepKernel:
     the score function is unchanged.
     """
     i, j, k = box.blocks
-    n = w.n
     m = w.blocks
     for a, b in ((i, j), (j, k), (k, i)):
-        entry = m[a, b]
-        if min(entry, 1.0 - entry) + 1e-12 < box.delta:
-            raise ValidationError("box margin does not match this kernel")
+        if 1.0 - m[a, b] + 1e-12 < box.delta:
+            raise ValidationError("box room does not match this kernel")
     smax = s_max_for(w, box)
     if not 0.0 <= s <= smax + 1e-12:
         raise ValidationError(f"strength s must lie in [0, {smax}]")
-    shift = s / n
+    shift = s / w.n
     out = m.copy()
     for a, b in ((i, j), (j, k), (k, i)):
         out[a, b] = m[a, b] + shift
@@ -119,21 +115,27 @@ def perturb_family(w: StepKernel, box: CyclicBox, s: float) -> StepKernel:
 
 
 def c4_polynomial(w: StepKernel, box: CyclicBox) -> np.ndarray:
-    """Coefficients (a_0..a_4) of the quartic s -> t(C4, W_s), fitted
-    exactly from 5 evaluations via a Vandermonde solve.
-
-    Boxes whose margin is so small that the strength powers underflow give
-    a degenerate grid and are rejected.
+    """Coefficients (a_0..a_4) of s -> t(C4, W_s) = tr((M + sP)^4) / n^4,
+    where the box circulation P is +1/n on the cyclic entries and -1/n on
+    their transposes.  Over n^4: a_0 = tr(M^4), a_1 = 4 tr(M^3 P), a_2 =
+    4 tr(M^2 P^2) + 2 tr((MP)^2), a_3 = 4 tr(M P^3), a_4 = tr(P^4).  P is
+    zero off the box rows and columns B, so tr(X P^r) = tr(X[B,B] P[B,B]^r).
     """
-    smax = s_max_for(w, box)
-    s_pts = np.linspace(0.0, smax, 5)
-    c4 = DigraphPattern.cycle(4)
-    vals = [density_kernel(c4, perturb_family(w, box, float(s))) for s in s_pts]
-    try:
-        coeffs = np.linalg.solve(np.vander(s_pts, 5, increasing=True), np.asarray(vals))
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("degenerate strength grid for this box") from exc
-    base = density_kernel(c4, w)
+    n = w.n
+    m = w.blocks
+    b = list(box.blocks)
+    p = _CIRCULATION / n
+    p2 = p @ p
+    m2 = m @ m
+    mb = m[np.ix_(b, b)]
+    coeffs = np.array([
+        np.sum(m2 * m2.T),
+        4 * np.trace(m2[b] @ m[:, b] @ p),
+        4 * np.trace(m2[np.ix_(b, b)] @ p2) + 2 * np.trace(mb @ p @ mb @ p),
+        4 * np.trace(mb @ p2 @ p),
+        np.trace(p2 @ p2),
+    ]) / float(n) ** 4
+    base = density_kernel(DigraphPattern.cycle(4), w)
     if not abs(coeffs[0] - base) <= 1e-10:  # also rejects NaN
         raise RuntimeError("quartic must anchor at t(C4, W)")
     if not coeffs[4] >= -1e-10:
@@ -146,39 +148,36 @@ def nonuniqueness_certificate(
 ) -> NonUniquenessCertificate | None:
     """Search for a score-preserving perturbation that moves t(C4).
 
-    Scans 17 strengths in (0, s_max]; returns None ("transitive-like") when
-    no cyclic box exists or no strength moves the C4 density beyond 1e-9.
-    Optional grid refinement (factor 2 per round) can expose cyclic mass
-    hiding inside diagonal blocks; it is off by default, so 0/1 transitive
-    kernels report transitive-like at their native resolution.
+    Perturbs the box with the most room at the strength in (0, s_max] that
+    maximises |q(s) - q(0)| for the quartic q of c4_polynomial: s_max or a
+    root of q'.  Returns None ("transitive-like") when no cyclic box exists
+    or t(C4) moves by at most 1e-9.  Optional grid refinement (factor 2 per
+    round, off by default) can expose cyclic mass inside diagonal blocks.
+    density_kernel's planned-FLOP guard bounds each round, and refinement
+    to a kernel that would fail it is refused before it is built.
     """
     if refine_rounds < 0:
         raise ValidationError("refine_rounds must be non-negative")
     c4 = DigraphPattern.cycle(4)
     current = w
     for round_idx in range(refine_rounds + 1):
-        if current.n >= 3:
-            box = find_cyclic_box(current)
-            if box is not None:
-                smax = s_max_for(current, box)
-                base = density_kernel(c4, current)
-                best_s, best_diff, best_kernel = None, 0.0, None
-                for step in range(1, S_GRID_POINTS + 1):
-                    s = smax * step / S_GRID_POINTS
-                    cand = perturb_family(current, box, s)
-                    diff = abs(density_kernel(c4, cand) - base)
-                    if diff > best_diff:
-                        best_s, best_diff, best_kernel = s, diff, cand
-                if best_diff > C4_DIFF_THRESHOLD:
-                    f0 = score_function_of_kernel(current).cells
-                    f1 = score_function_of_kernel(best_kernel).cells
-                    return NonUniquenessCertificate(
-                        s0=float(best_s),
-                        kernel_s0=best_kernel,
-                        c4_base=base,
-                        c4_perturbed=density_kernel(c4, best_kernel),
-                        score_max_diff=float(np.max(np.abs(f1 - f0))),
-                    )
+        base = density_kernel(c4, current)
+        box = find_cyclic_box(current) if current.n >= 3 else None
+        if box is not None:
+            q = c4_polynomial(current, box)
+            smax = s_max_for(current, box)
+            # real parts of all roots of q': a spurious candidate is harmless
+            roots = np.roots((q[1:] * np.arange(1, 5))[::-1]).real
+            cands = np.append(smax, roots[(roots > 0.0) & (roots < smax)])
+            s0 = float(cands[np.argmax(np.abs(np.polyval(q[::-1], cands) - q[0]))])
+            kernel = perturb_family(current, box, s0)
+            c4_perturbed = density_kernel(c4, kernel)
+            if abs(c4_perturbed - base) > C4_DIFF_THRESHOLD:
+                f0 = score_function_of_kernel(current).cells
+                f1 = score_function_of_kernel(kernel).cells
+                moved = float(np.max(np.abs(f1 - f0)))
+                return NonUniquenessCertificate(s0, kernel, base, c4_perturbed, moved)
         if round_idx < refine_rounds:
+            _check_cost(_terms(c4, "hom", 0), 2 * current.n)
             current = current.refine(2)
     return None

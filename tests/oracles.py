@@ -39,13 +39,14 @@ def exact_landau(values, kind: str, tol: float, eplett: bool = False) -> bool:
 
 def exact_condition(cells, which: str, tol: float) -> bool:
     """Condition I (prefix integrals of the sorted cells at r = k/m at
-    least r^2/2, total 1/2) or II (c_i + c_{m+1-i} = 1), within ``tol``."""
-    c = [Fraction(float(x)) for x in cells]
+    least r^2/2, total 1/2) or II (c_i + c_{m+1-i} = 1 on the sorted
+    cells), within ``tol``."""
+    c = sorted(Fraction(float(x)) for x in cells)
     m = len(c)
     t = Fraction(tol)
     if which == "II":
         return all(abs(c[i] + c[m - 1 - i] - 1) <= t for i in range(m))
-    integrals = [s / m for s in accumulate(sorted(c))]
+    integrals = [s / m for s in accumulate(c)]
     ok = all(integrals[k - 1] >= Fraction(k * k, 2 * m * m) - t for k in range(1, m))
     return ok and abs(integrals[-1] - Fraction(1, 2)) <= t
 

@@ -13,6 +13,7 @@ from tourlim import (
     ScoreFunction,
     ScoreSequence,
     StepKernel,
+    density,
     perturb,
     random_step_kernel,
     realize,
@@ -182,6 +183,13 @@ class TestCommands:
     def test_perturb_transitive_like(self, transitive9, capsys):
         assert main(["perturb", "--input", transitive9]) == 0
         assert json.loads(capsys.readouterr().out) == {"result": "transitive-like"}
+
+    def test_perturb_refinement_past_cost_guard_exits_1(self, tmp_path, monkeypatch, capsys):
+        w = step_kernel_from_tournament(GeneralizedTournament(np.triu(np.ones((8, 8)), 1)))
+        path = write_json(tmp_path, "t8.json", w.to_json_dict())
+        monkeypatch.setattr(density, "MAX_FINITE_FLOPS", 10**6)
+        assert main(["perturb", "--input", path, "--refine-rounds", "40"]) == 1
+        assert "cost guard" in json.loads(capsys.readouterr().out)["error"]
 
     def test_degree_dist_csv(self, transitive9, capsys):
         assert main(["degree-dist", "--input", transitive9]) == 0

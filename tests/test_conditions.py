@@ -11,7 +11,9 @@ from strategies import generalized_tournaments, score_functions, step_kernels, t
 from tourlim import (
     MomentSequence,
     ScoreFunction,
+    SampleConfig,
     ScoreSequence,
+    StepKernel,
     ValidationError,
     check_condition_I,
     check_condition_II,
@@ -21,6 +23,7 @@ from tourlim import (
     irreducible_decomposition,
     is_simple_avery,
     moments_of_score_function,
+    sample_self_converse,
     score_function_of_kernel,
     scores_of_tournament,
 )
@@ -182,6 +185,14 @@ class TestConditionII:
         assert check_condition_II(ScoreFunction([0.2, 0.5, 0.8])).valid
         assert not check_condition_II(ScoreFunction([0.2, 0.6, 0.8])).valid
 
+    def test_relabelled_self_converse_kernel(self):
+        # the 3-block transitive kernel relabelled; self-converse under
+        # sigma = (0)(1 2), and its score function [1/2, 5/6, 1/6] is point
+        # symmetric once rearranged
+        w = StepKernel([[0.5, 0.0, 1.0], [1.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+        sample_self_converse(w, np.array([0, 2, 1]), SampleConfig(6))
+        assert check_condition_II(score_function_of_kernel(w)).valid
+
 
 class TestDecomposition:
     def test_transitive_fully_decomposes(self):
@@ -268,7 +279,8 @@ def near_landau(draw):
 @st.composite
 def near_conditions(draw):
     """(cells, which, tol) near the bounds of condition I (score functions
-    of kernels) or II (point-symmetric cells), moved by up to 2 tol."""
+    of kernels) or II (point-symmetric cells in any order), moved by up to
+    2 tol."""
     which = draw(st.sampled_from(["I", "II"]))
     tol = draw(TOLS)
     if which == "I":
@@ -277,6 +289,7 @@ def near_conditions(draw):
         half = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
         middle = [0.5] if draw(st.booleans()) else []
         cells = np.concatenate([half, middle, 1.0 - half[::-1]])
+        cells = np.asarray(draw(st.permutations(list(cells))))  # II is up to rearrangement
     return np.clip(nudged(draw, cells, tol), 0.0, 1.0), which, tol
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from strategies import step_kernels
 from tourlim import (
     CyclicBox,
@@ -11,17 +14,21 @@ from tourlim import (
     ValidationError,
     c3_from_degree,
     c4_polynomial,
+    density,
     density_kernel,
     find_cyclic_box,
     fingerprint,
     nonuniqueness_certificate,
+    perturb,
     perturb_family,
     score_function_of_kernel,
     step_kernel_from_tournament,
 )
-from tourlim.perturb import s_max_for
+from tourlim.perturb import C4_DIFF_THRESHOLD, s_max_for
 
 HALF3 = StepKernel(np.full((3, 3), 0.5))
+# the 3-cycle blow-up: same degree distribution (a point mass at 1/2) as HALF3
+BLOWUP3 = StepKernel([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [1.0, 0.0, 0.5]])
 C4 = DigraphPattern.cycle(4)
 
 
@@ -57,12 +64,12 @@ class TestFindCyclicBox:
         i, j, k = box.blocks
         w = interior_kernel(6, seed=5)
         for a, b in ((i, j), (j, k), (k, i)):
-            assert min(w.blocks[a, b], 1 - w.blocks[a, b]) >= box.delta
+            assert 1 - w.blocks[a, b] >= box.delta
 
     def test_margin_is_maximal_scan(self):
         w = interior_kernel(5, seed=9)
         box = find_cyclic_box(w)
-        g = np.minimum(w.blocks, 1 - w.blocks)
+        g = 1 - w.blocks
         best = 0.0
         for i in range(5):
             for j in range(5):
@@ -70,6 +77,28 @@ class TestFindCyclicBox:
                     if len({i, j, k}) == 3:
                         best = max(best, min(g[i, j], g[j, k], g[k, i]))
         assert box.delta == pytest.approx(best, abs=1e-15)
+
+    @given(step_kernels(min_n=3, max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_first_best_triple_of_brute_scan(self, w):
+        g = 1 - w.blocks
+        best, blocks = 0.0, None
+        for i in range(w.n):
+            for j in range(w.n):
+                for k in range(w.n):
+                    room = min(g[i, j], g[j, k], g[k, i])
+                    if len({i, j, k}) == 3 and room > best:
+                        best, blocks = room, (i, j, k)
+        box = find_cyclic_box(w)
+        if blocks is None:
+            assert box is None
+        else:
+            assert (box.blocks, box.delta) == (blocks, best)
+
+    def test_two_sided_room_reverses_a_01_triangle(self):
+        box = find_cyclic_box(BLOWUP3)
+        assert box.blocks == (0, 2, 1)
+        assert box.delta == 1.0
 
     def test_small_kernel_errors(self):
         with pytest.raises(ValidationError):
@@ -81,7 +110,7 @@ class TestFindCyclicBox:
         with pytest.raises(ValidationError):
             CyclicBox((0, 1, 2), 0.0)
         with pytest.raises(ValidationError):
-            CyclicBox((0, 1, 2), 0.7)
+            CyclicBox((0, 1, 2), 1.5)
 
 
 class TestPerturbFamily:
@@ -145,19 +174,34 @@ class TestC4Polynomial:
     @settings(max_examples=40, deadline=None)
     def test_constant_term_matches_base_density(self, w):
         box = find_cyclic_box(w)
-        if box is None or box.delta < 1e-3:  # vanishing margins are degenerate
+        if box is None:
             return
         coeffs = c4_polynomial(w, box)
         assert coeffs[0] == pytest.approx(density_kernel(C4, w), abs=1e-10)
         assert coeffs[4] >= -1e-10
 
-    def test_degenerate_grid_rejected(self):
+    @staticmethod
+    def assert_matches_brute_oracle(w, box):
+        coeffs = c4_polynomial(w, box)
+        for s in np.linspace(0.0, s_max_for(w, box), 5):
+            got = np.polynomial.polynomial.polyval(s, coeffs)
+            want = oracles.brute_density_kernel(C4, perturb_family(w, box, s).blocks)
+            assert abs(got - want) <= 1e-14
+
+    @given(step_kernels(min_n=3, max_n=5))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_brute_oracle(self, w):
+        box = find_cyclic_box(w)
+        if box is not None:
+            self.assert_matches_brute_oracle(w, box)
+
+    def test_tiny_entry_matches_brute_oracle(self):
+        # a 1e-160 entry made the old five-point Vandermonde fit singular
         m = np.full((3, 3), 0.5)
         m[1, 2], m[2, 1] = 1e-160, 1.0 - 1e-160
         w = StepKernel(m)
-        box = find_cyclic_box(w)
-        with pytest.raises(ValidationError):
-            c4_polynomial(w, box)
+        self.assert_matches_brute_oracle(w, find_cyclic_box(w))
+        self.assert_matches_brute_oracle(w, CyclicBox((0, 1, 2), 0.5))
 
     def test_predicts_grid_differences_for_half(self):
         box = find_cyclic_box(HALF3)
@@ -177,7 +221,7 @@ class TestC4Polynomial:
             w = random_step_kernel(3 + (rep % 6), seed=314, rep=rep)
             rep += 1
             box = find_cyclic_box(w)
-            if box is None or box.delta < 1e-3:
+            if box is None:
                 continue
             coeffs = c4_polynomial(w, box)
             assert abs(coeffs[0] - density_kernel(C4, w)) <= 1e-10
@@ -186,13 +230,14 @@ class TestC4Polynomial:
     def test_anchor_check_survives_optimize(self, monkeypatch):
         # an explicit error, not an assert that python -O strips
         box = find_cyclic_box(HALF3)
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0.5, 0, 0, 0, 0]))
+        monkeypatch.setattr(perturb, "density_kernel", lambda f, w: 0.5)
         with pytest.raises(RuntimeError, match="anchor"):
             c4_polynomial(HALF3, box)
 
     def test_leading_coefficient_check_survives_optimize(self, monkeypatch):
         box = find_cyclic_box(HALF3)
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([1 / 16, 0, 0, 0, -1]))
+        # every trace of a product with P, a_4 = tr(P^4) / n^4 included, reads -1
+        monkeypatch.setattr(np, "trace", lambda a: -1.0)
         with pytest.raises(RuntimeError, match="leading coefficient"):
             c4_polynomial(HALF3, box)
 
@@ -208,6 +253,67 @@ class TestCertificate:
     def test_transitive_is_transitive_like(self):
         for n in (3, 6):
             assert nonuniqueness_certificate(transitive_kernel(n)) is None
+
+    def test_cyclic_blowup_certifies(self):
+        # its 0/1 cyclic triangle has room only on the side of 1 - M
+        cert = nonuniqueness_certificate(BLOWUP3)
+        assert cert is not None
+        assert cert.score_max_diff == 0.0
+        assert abs(cert.c4_perturbed - cert.c4_base) > 0.01
+
+    @given(step_kernels(min_n=3, max_n=6))
+    @settings(max_examples=30, deadline=None)
+    def test_strength_beats_a_fine_scan(self, w):
+        cert = nonuniqueness_certificate(w)
+        box = find_cyclic_box(w)
+        if box is None:
+            assert cert is None
+            return
+        base = density_kernel(C4, w)
+        scan = max(
+            abs(density_kernel(C4, perturb_family(w, box, s)) - base)
+            for s in np.linspace(0.0, s_max_for(w, box), 1001)
+        )
+        if cert is None:
+            assert scan <= C4_DIFF_THRESHOLD + 1e-15
+        else:
+            assert abs(cert.c4_perturbed - cert.c4_base) >= scan - 1e-15
+
+    def test_round_calls_density_kernel_at_most_three_times(self, monkeypatch):
+        calls = []
+
+        def counted(f, w):
+            calls.append(w.n)
+            return density_kernel(f, w)
+
+        monkeypatch.setattr(perturb, "density_kernel", counted)
+        assert nonuniqueness_certificate(interior_kernel(20, seed=1)) is not None
+        assert len(calls) <= 3
+
+    def test_memory_is_quadratic_in_blocks(self):
+        w = interior_kernel(300, seed=3)
+        tracemalloc.start()
+        try:
+            nonuniqueness_certificate(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # one 300 x 300 float matrix is 0.7 MiB
+
+    def test_refinement_refused_past_the_cost_guard(self, monkeypatch):
+        sizes = []
+        refine = StepKernel.refine
+
+        def recorded(self, factor=2):
+            sizes.append(self.n * factor)
+            return refine(self, factor)
+
+        monkeypatch.setattr(StepKernel, "refine", recorded)
+        # C4 plans about 1.7e4 FLOPs at 8 and 16 blocks and 1.3e5 at 32
+        monkeypatch.setattr(density, "MAX_FINITE_FLOPS", 20000)
+        with pytest.raises(ValidationError, match="cost guard"):
+            nonuniqueness_certificate(transitive_kernel(8), refine_rounds=40)
+        assert sizes == [16]
 
     def test_refinement_exposes_diagonal_cyclic_mass(self):
         # the 0/1 transitive step kernel is transitive-like at native
