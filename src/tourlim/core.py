@@ -54,10 +54,27 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def _clip_unit(a: np.ndarray, name: str) -> np.ndarray:
+    """Clip the caller's own finite array to [0, 1] in place."""
     # tolerate rounding-level excursions, reject anything larger
-    if np.any(a < -TOL) or np.any(a > 1 + TOL):
+    if a.min() < -TOL or a.max() > 1 + TOL:
         raise ValidationError(f"field '{name}' has entries outside [0, 1]")
-    return np.clip(a, 0.0, 1.0)
+    return np.clip(a, 0.0, 1.0, out=a)
+
+
+_SKEW_ROWS = 128
+
+
+def _is_skew(a: np.ndarray, c: float) -> bool:
+    """Whether a(i, j) + a(j, i) = 1 - c [i = j] within TOL, checked
+    _SKEW_ROWS rows at a time so that no n x n temporary is made."""
+    for start in range(0, a.shape[0], _SKEW_ROWS):
+        block = a[start:start + _SKEW_ROWS] + a[:, start:start + _SKEW_ROWS].T
+        rows = np.arange(block.shape[0])
+        block[rows, rows + start] += c
+        block -= 1.0
+        if np.abs(block, out=block).max() > TOL:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +163,7 @@ class GeneralizedTournament:
             raise ValidationError("field 'alpha' must have a zero diagonal")
         a = _clip_unit(a, "alpha")
         np.fill_diagonal(a, 0.0)
-        skew = a + a.T
-        np.fill_diagonal(skew, 1.0)
-        if np.any(np.abs(skew - 1.0) > TOL):
+        if not _is_skew(a, 1.0):
             raise ValidationError(
                 "field 'alpha' violates alpha(i,j) + alpha(j,i) = 1"
             )
@@ -160,9 +175,8 @@ class GeneralizedTournament:
 
     @property
     def is_tournament(self) -> bool:
-        off = ~np.eye(self.n, dtype=bool)
-        a = self.alpha[off]
-        return bool(np.all((a == 0.0) | (a == 1.0)))
+        # the diagonal is exactly 0.0 after construction
+        return bool(((self.alpha == 0.0) | (self.alpha == 1.0)).all())
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "alpha": self.alpha.tolist()}
@@ -193,7 +207,7 @@ class StepKernel:
             raise ValidationError("field 'blocks' must have 1/2 on the diagonal")
         m = _clip_unit(m, "blocks")
         np.fill_diagonal(m, 0.5)
-        if np.any(np.abs(m + m.T - 1.0) > TOL):
+        if not _is_skew(m, 0.0):
             raise ValidationError(
                 "field 'blocks' violates M(i,j) + M(j,i) = 1"
             )

@@ -14,29 +14,44 @@ evaluate these sums along one path of three steps.
    exactly 0 and is dropped; a merged blank pair lands on the diagonal of
    the blank factor, which is one.
 
-2. Skew symmetrization.  Kernels satisfy M + M^T = J and finite inputs
+2. Skew identity.  Kernels satisfy M + M^T = J and finite inputs
    A + A^T = J - I, i.e. A(x, y) + A(y, x) = 1 - c [x = y] with c = 0 for
    kernels and c = 1 for finite inputs.  Let the pair {u, v} of F carry
-   exactly one factor, the edge u -> v, let R be the rest of F, and let a
-   relabelling sigma swap u and v and map R onto itself (blank factors as
-   unordered pairs).  Then
+   exactly one factor, the edge u -> v, and let R be the rest of F.  Summing
+   the pointwise identity against the product over R gives
 
-       hom(F) = hom(sigma F) = hom(R + v->u), since hom is relabelling
-                invariant and sigma F = R + v->u;
-       hom(R + u->v) + hom(R + v->u) = hom(R) - c hom(R / {u = v}),
-                by summing the pointwise identity against the product over R,
+       hom(R + u->v) + hom(R + v->u) = hom(R) - c hom(R / {u = v}).
 
-   so 2 hom(F) = hom(R) - c hom(R / {u = v}).  The rule is applied
+   Swap rule: if a relabelling sigma swaps u and v and maps R onto itself
+   (blank factors as unordered pairs), then sigma F = R + v->u has the same
+   hom as F, so 2 hom(F) = hom(R) - c hom(R / {u = v}).  The rule is applied
    recursively and memoised per pattern (it does not depend on n).  It only
    deletes edges and merges vertices, so no term costs more than F; T4 goes
    from n^4 to n^3 (on kernels t(T4) = sum M o (M M^T)^2 / (2 n^4)).
 
-3. Contraction.  Each remaining term is one einsum.  Its plan comes from
-   ``np.einsum_path(..., optimize=("greedy", budget))`` with every
-   intermediate held to max(n^2, 2^18) elements, and is cached per
-   subscripts and operand shapes.  A term whose plain sum takes at most
-   2^15 multiply-adds (n^k times its factor count) is contracted directly,
-   without a plan: below that, running a plan costs more than it saves.
+   Cycle rewrite: a term whose edges the swap rule cannot remove, e.g. a
+   directed cycle, may instead replace one lone edge u -> v by
+   hom(R) - c hom(R / {u = v}) - hom(R + v->u), each reduced by the swap
+   rule.  It takes the edge whose rewrite has the lowest planned count
+   (step 3), and only when that count is strictly lower than its own; an
+   edge whose reversed term R + v->u the swap rule leaves as it is costs
+   at least what F costs and is not tried.  C3 becomes the path minus the
+   transitive triangle, i.e. stars: n^2 instead of n^3.
+
+3. Contraction.  Each term is contracted by bucket elimination along a
+   vertex order that is searched once per term over all orders (dynamic
+   programming over the set of eliminated vertices) and cached independent
+   of n.  Eliminating a vertex contracts the operands that carry it in one
+   BLAS product or one einsum of at most three operands, so a term costs
+   about n^(w + 1) for the widest neighbourhood w along its order, and
+   separate components never meet.  Step results with at most one index
+   (a leaf summed out into a vector, say) are named by what they compute
+   and shared by the terms of one call, or of one fingerprint.  A term
+   runs as its plain sum in one einsum, n^k times its factor count
+   multiply-adds, when that is at most 2^13 (below that, running the steps
+   costs more than it saves) or when its plan would hold an intermediate of
+   more than max(n^2, 2^24) elements.  The cost guard reads the exact count
+   of multiplications and additions of what runs, each shared step once.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -44,11 +59,11 @@ Values agree with the plain assignment sum to rounding (1e-12 or better).
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,20 +76,17 @@ from .core import (
 )
 
 MAX_PATTERN_VERTICES = 8
-# planned FLOPs of one density_finite, density_kernel or fingerprint call
-# (numpy's einsum_path estimate); the largest calls in the tests and the
-# benchmark, C4 and T4 inj at n = 500, plan 5e8
+# multiplications and additions of one density_finite, density_kernel or
+# fingerprint call, as counted by the contraction plans
 MAX_FINITE_FLOPS = 10**11
+# plain sums up to this many multiply-adds run as one einsum, without steps
+_DIRECT_FLOPS = 2**13
+# so do terms whose plan would hold more than max(n^2, _MAX_ELEMENTS) values
+_MAX_ELEMENTS = 2**24
 _LETTERS = "abcdefgh"
-# intermediates of a contraction stay within max(n^2, _MIN_BUDGET) elements
-_MIN_BUDGET = 2**18
-# plain sums up to this many multiply-adds skip planning: a planned einsum
-# has a fixed cost of about 40 us, which a plain C4 sum reaches near n = 8
-_DIRECT_FLOPS = 2**15
 _MODES = ("hom", "inj", "ind")
 # factor kinds: a pattern edge (alpha or M) and a blank pair (induced mode)
 _EDGE, _BLANK = "e", "b"
-_FLOPS = re.compile(r"Optimized FLOP count:\s*(\S+)")
 
 
 @dataclass(frozen=True)
@@ -108,73 +120,260 @@ class DensityFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# contraction
+# contraction: an elimination-order planner
+
+
+class _Plan(NamedTuple):
+    """How one term is contracted: fixed per term, independent of n.
+
+    Operand ids count the term's factors first, each an n x n operand over
+    its two vertices, then one id per ``_Step``.  A step consumes its
+    operands, so the steps form a tree under each of the 0-d ``scalars``,
+    whose product, times n for each of the ``free`` vertices that no factor
+    touches, is the sum.  ``width`` is the most indices an intermediate
+    carries.
+    """
+
+    steps: tuple
+    scalars: tuple
+    free: int
+    width: int
+
+
+class _Step(NamedTuple):
+    """One contraction step.  op "dot" is one BLAS product over the operand
+    axes ``spec``; op "einsum" runs the subscripts ``spec`` on at most three
+    operands.  ``key`` names the computation up to vertex names: results
+    with at most ``rank`` 1 are shared by key across the terms of a call.
+    The step makes ``count`` multiplications and additions per each of
+    n^``power`` index values."""
+
+    op: str
+    ids: tuple
+    spec: object
+    key: tuple
+    power: int
+    count: int
+    rank: int
+
+
+def _indices(vertices) -> str:
+    return "".join(_LETTERS[x] for x in vertices)
 
 
 @lru_cache(maxsize=1024)
-def _subscripts(pairs: tuple, k: int) -> tuple:
-    """einsum subscripts for factors on ``pairs`` (vertices relettered in
-    order) and the number of the k vertices that no factor touches."""
-    touched = sorted({x for pair in pairs for x in pair})
-    letter = {x: _LETTERS[i] for i, x in enumerate(touched)}
-    subscripts = ",".join(letter[u] + letter[v] for u, v in pairs) + "->"
-    return subscripts, k - len(touched)
+def _order(vertices: tuple, pairs: frozenset) -> tuple:
+    """An elimination order that minimises the sum of n^(|N(x)| + 1) over its
+    steps, compared coefficient by coefficient from the highest power down.
 
-
-@lru_cache(maxsize=1024)
-def _plan(subscripts: str, shapes: tuple) -> tuple:
-    """Contraction path and planned FLOPs for n x n operands.
-
-    Intermediates stay within max(n^2, 2^18) elements.  Small sums are
-    contracted directly (path False) at n^k |E| FLOPs.
+    N(x) is the neighbourhood of x when it is eliminated: the remaining
+    vertices that x reaches through eliminated ones.  Dynamic programming
+    over the eliminated set covers every order in 2^k k steps; a sum of
+    powers is held as the integer sum of 2^(16 power), which compares like
+    the coefficient tuple while every coefficient stays below 2^16.  Ties
+    go to the order that takes vertices of fewer neighbours first, so that
+    leaves are summed out into vectors that other terms share.
     """
-    n = shapes[0][0]
-    width = len(set(subscripts) - set(",->"))
-    if n**width * len(shapes) <= _DIRECT_FLOPS:
-        return False, n**width * len(shapes)
-    budget = max(n * n, _MIN_BUDGET)
-    dummies = [np.broadcast_to(0.0, s) for s in shapes]
-    path, report = np.einsum_path(subscripts, *dummies, optimize=("greedy", budget))
-    return tuple(path), float(_FLOPS.search(report).group(1))
+    k = len(vertices)
+    at = {x: i for i, x in enumerate(vertices)}
+    adj = [0] * k
+    for a, b in pairs:
+        adj[at[a]] |= 1 << at[b]
+        adj[at[b]] |= 1 << at[a]
+    around = [0] * (1 << k)  # the vertices adjacent to some vertex of a set
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        around[mask] = around[mask ^ low] | adj[low.bit_length() - 1]
+
+    def step(done: int, i: int) -> int:
+        reach = 1 << i
+        while (grown := reach | (around[reach] & done)) != reach:
+            reach = grown
+        return 1 << 16 * (bin(around[reach] & ~done & ~(1 << i)).count("1") + 1)
+
+    degree = [bin(a).count("1") for a in adj]
+    best = [(0, (), ())] * (1 << k)
+    for done in range(1, 1 << k):
+        best[done] = min(
+            (
+                best[rest][0] + step(rest, i),
+                best[rest][1] + (degree[i],),
+                best[rest][2] + (vertices[i],),
+            )
+            for i in range(k)
+            if done >> i & 1
+            for rest in (done & ~(1 << i),)
+        )
+    return best[-1][2]
 
 
-def _contract(factors, k: int, n: int) -> float:
-    """Sum over all of [n]^k of the product of per-edge matrix entries.
+def _renamed(spec: str) -> str:
+    """einsum subscripts with letters renamed in order of appearance."""
+    names: dict = {}
+    return "".join(
+        names.setdefault(ch, _LETTERS[len(names)]) if ch.isalpha() else ch for ch in spec
+    )
 
-    ``factors`` is a list of (u, v, matrix); u == v picks the diagonal.
-    Vertices not touched by any factor contribute a free factor n each.
+
+@lru_cache(maxsize=4096)
+def _plan(k: int, factors: tuple) -> _Plan:
+    """Bucket elimination of one term along the order of ``_order``.
+
+    Eliminating x contracts the operands that carry x.  While more than two
+    remain, the two with the fewest indices between them are multiplied
+    elementwise, except that three operands stay for one einsum when no
+    such product leaves two that share only x.  Two operands that share
+    only x become one BLAS product; anything else is one einsum.
     """
+    live = {i: (u, v) for i, (u, v, _) in enumerate(factors)}
+    keys = {i: kind for i, (_, _, kind) in enumerate(factors)}
+    steps = []
+    width = 0
+
+    def emit(op, ids, spec, out, count):
+        nonlocal width
+        new = len(factors) + len(steps)
+        keys[new] = (op, _renamed(spec) if op == "einsum" else spec, *(keys[i] for i in ids))
+        power = len(set().union(*(live[i] for i in ids)))
+        steps.append(_Step(op, ids, spec, keys[new], power, count, len(out)))
+        for i in ids:
+            del live[i]
+        live[new] = out
+        width = max(width, len(out))
+        return new
+
+    def einsum(ids, out):
+        union = set().union(*(live[i] for i in ids))
+        spec = ",".join(_indices(live[i]) for i in ids) + "->" + _indices(out)
+        return emit("einsum", ids, spec, out, len(ids) - 1 + (len(union) > len(out)))
+
+    touched = sorted({x for u, v, _ in factors for x in (u, v)})
+    for x in _order(tuple(touched), frozenset((min(u, v), max(u, v)) for u, v, _ in factors)):
+        bucket = [i for i in live if x in live[i]]
+        while len(bucket) > 2:
+            i, j = min(combinations(bucket, 2), key=lambda p: len({*live[p[0]], *live[p[1]]}))
+            union = {*live[i], *live[j]}
+            if len(bucket) == 3 and union & {*live[({*bucket} - {i, j}).pop()]} != {x}:
+                break
+            bucket = [b for b in bucket if b not in (i, j)] + [einsum((i, j), tuple(sorted(union)))]
+        if len(bucket) == 2 and {*live[bucket[0]]} & {*live[bucket[1]]} == {x}:
+            i, j = bucket
+            out = tuple(y for y in live[i] + live[j] if y != x)
+            emit("dot", (i, j), (live[i].index(x), live[j].index(x)), out, 2)
+        else:
+            einsum(tuple(bucket), tuple(sorted(set().union(*(live[i] for i in bucket)) - {x})))
+    return _Plan(
+        steps=tuple(steps),
+        scalars=tuple(live),
+        free=k - len(touched),
+        width=width,
+    )
+
+
+@lru_cache(maxsize=4096)
+def _direct(factors: tuple) -> tuple:
+    """The subscripts of the plain sum of ``factors`` as one einsum, and the
+    number of vertices they touch."""
+    touched = {x for u, v, _ in factors for x in (u, v)}
+    return ",".join(_indices(f[:2]) for f in factors) + "->", len(touched)
+
+
+def _tiny(factors: tuple, n: int) -> bool:
+    return n ** _direct(factors)[1] * len(factors) <= _DIRECT_FLOPS
+
+
+def _is_direct(k: int, factors: tuple, n: int) -> bool:
+    """Whether the term runs as its plain sum: when that is tiny, or when
+    its plan would hold an intermediate larger than max(n^2, _MAX_ELEMENTS)."""
+    return _tiny(factors, n) or n ** _plan(k, factors).width > max(n * n, _MAX_ELEMENTS)
+
+
+def _value(plan: _Plan, i: int, leaves: list, shared: dict, run):
+    """Operand i of ``plan``: a factor from ``leaves``, else ``run(step,
+    operands)`` for the step that makes it, or the result of a step of the
+    same key in ``shared``, which keeps every result with at most one index.
+    """
+    if i < len(leaves):
+        return leaves[i]
+    step = plan.steps[i - len(leaves)]
+    if step.key not in shared:
+        out = run(step, [_value(plan, j, leaves, shared, run) for j in step.ids])
+        if step.rank > 1:
+            return out
+        shared[step.key] = out
+    return shared[step.key]
+
+
+def _run(step: _Step, ops: list) -> np.ndarray:
+    if step.op == "dot":
+        return _dot(ops[0], step.spec[0], ops[1], step.spec[1])
+    return np.einsum(step.spec, *ops)
+
+
+def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
+    """Sum over axis i of a against axis j of b (BLAS); the result carries
+    a's other axes, then b's."""
+    if a.ndim <= 2 and b.ndim <= 2:
+        return (a.T if i == 0 and a.ndim == 2 else a) @ (b.T if j == 1 else b)
+    return np.tensordot(a, b, axes=(i, j))
+
+
+def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
+    """Sum over all of [n]^k of the product of the term's factors, each
+    (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
+    the other terms of the call through ``shared``."""
     if not factors:
         return float(n) ** k
-    subscripts, free = _subscripts(tuple((u, v) for u, v, _ in factors), k)
-    ops = [m for _, _, m in factors]
-    path, _ = _plan(subscripts, tuple(m.shape for m in ops))
-    return float(np.einsum(subscripts, *ops, optimize=path)) * float(n) ** free
+    leaves = [mats[kind] for _, _, kind in factors]
+    if _is_direct(k, factors, n):
+        spec, touched = _direct(factors)
+        return float(np.einsum(spec, *leaves)) * float(n) ** (k - touched)
+    plan = _plan(k, factors)
+    value = float(n) ** plan.free
+    for i in plan.scalars:
+        value *= float(_value(plan, i, leaves, shared, _run))
+    return value
+
+
+def _work(terms, n: int | None = None) -> list:
+    """(power, count) for each step that ``_evaluate`` runs on ``terms``:
+    count multiplications and additions per each of n^power index values.
+    At a given n, a term small enough for the plain sum lists that sum
+    instead; without n, every term lists its plan."""
+    work: list = []
+    shared: dict = {}
+    for _, k, factors in terms:
+        if not factors:
+            continue
+        if n is not None and _is_direct(k, factors, n):
+            work.append((_direct(factors)[1], len(factors)))
+            continue
+        plan = _plan(k, factors)
+        for i in plan.scalars:
+            _value(plan, i, [None] * len(factors), shared,
+                   lambda step, ops: work.append((step.power, step.count)))
+    return work
 
 
 def _check_cost(terms, n: int) -> None:
-    """Reject, before any contraction, terms whose planned FLOPs on n x n
-    operands exceed MAX_FINITE_FLOPS."""
-    flops = 0.0
-    for _, k, factors in terms:
-        if factors:
-            subscripts, _ = _subscripts(tuple((u, v) for u, v, _ in factors), k)
-            flops += _plan(subscripts, ((n, n),) * len(factors))[1]
+    """Reject, before any contraction, terms whose planned multiplications
+    and additions on n x n operands exceed MAX_FINITE_FLOPS."""
+    flops = sum(count * float(n) ** power for power, count in _work(terms, n))
     if flops > MAX_FINITE_FLOPS:
         raise ValidationError(
             f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
         )
 
 
-def _evaluate(terms, mats: dict, n: int) -> float:
-    return sum(
-        coef * _contract([(u, v, mats[kind]) for u, v, kind in factors], k, n)
-        for coef, k, factors in terms
-    )
+def _evaluate(terms, mats: dict, n: int, shared: dict | None = None) -> float:
+    """The sum of ``terms``; ``shared`` carries keyed step results between
+    calls on the same matrices."""
+    shared = {} if shared is None else shared
+    return sum(coef * _hom(k, factors, mats, n, shared) for coef, k, factors in terms)
 
 
 # ---------------------------------------------------------------------------
-# term expansion: Moebius pruning and skew symmetrization
+# term expansion: Moebius pruning, swap rule and cycle rewrite
 
 
 def _relabel(factors, label) -> tuple | None:
@@ -191,21 +390,24 @@ def _relabel(factors, label) -> tuple | None:
     return tuple(sorted(out))
 
 
-def _swappable(k: int, rest: tuple, u: int, v: int) -> bool:
-    """Whether some relabelling swaps u and v and maps ``rest`` onto itself.
-
-    A relabelling maps the factor multiset onto itself exactly when it keeps
-    the factors on every ordered pair (``profile``); it is built vertex by
-    vertex, each new image checked against the vertices already placed.
-    """
+def _profile(factors: tuple) -> dict:
+    """The sorted factor tags on every ordered pair: a relabelling maps the
+    factor multiset onto itself exactly when it keeps every pair's tags."""
     profile: dict = {}
-    for a, b, kind in rest:
+    for a, b, kind in factors:
         forward, backward = ("out", "in") if kind == _EDGE else ("blank", "blank")
         profile.setdefault((a, b), []).append(forward)
         profile.setdefault((b, a), []).append(backward)
-    profile = {pair: sorted(tags) for pair, tags in profile.items()}
-    if profile.get((u, v)) != profile.get((v, u)):
-        return False
+    return {pair: sorted(tags) for pair, tags in profile.items()}
+
+
+def _swappable(k: int, profile: dict, u: int, v: int) -> bool:
+    """Whether some relabelling swaps u and v and maps the rest R onto
+    itself, R being the factors of ``profile`` off the pair {u, v}.
+
+    The relabelling is built vertex by vertex, each new image checked
+    against the vertices already placed; no check reads the pair {u, v}.
+    """
     sigma = {u: v, v: u}
     others = [w for w in range(k) if w not in sigma]
 
@@ -227,27 +429,81 @@ def _swappable(k: int, rest: tuple, u: int, v: int) -> bool:
     return extend(0)
 
 
+def _lone_edges(factors: tuple):
+    """(index, u, v) of each edge that carries the only factor on its pair."""
+    load = Counter((min(u, v), max(u, v)) for u, v, _ in factors)
+    for i, (u, v, kind) in enumerate(factors):
+        if kind == _EDGE and load[(min(u, v), max(u, v))] == 1:
+            yield i, u, v
+
+
+def _both_ways(k: int, rest: tuple, u: int, v: int, c: int) -> Counter:
+    """hom(R + u->v) + hom(R + v->u) = hom(R) - c hom(R / {u = v}) as
+    symmetrized terms {(k, factors): coefficient}."""
+    out = Counter()
+    for coef, kk, ff in _symmetrize(k, rest, c):
+        out[(kk, ff)] += coef
+    if c:
+        label = [w - (w > v) for w in range(k)]
+        label[v] = label[u]
+        for coef, kk, ff in _symmetrize(k - 1, _relabel(rest, label), c):
+            out[(kk, ff)] -= coef
+    return out
+
+
+def _as_terms(combination: Counter) -> tuple:
+    return tuple((coef, kk, ff) for (kk, ff), coef in combination.items() if coef)
+
+
 @lru_cache(maxsize=1024)
 def _symmetrize(k: int, factors: tuple, c: int) -> tuple:
     """hom(F) as a combination of (coefficient, k, factors) terms with every
-    symmetric edge removed (see the module docstring)."""
-    load = Counter((min(u, v), max(u, v)) for u, v, _ in factors)
-    for i, (u, v, kind) in enumerate(factors):
-        if kind != _EDGE or load[(min(u, v), max(u, v))] != 1:
+    symmetric edge removed by the swap rule (see the module docstring)."""
+    profile = _profile(factors)
+    # a swap of u and v maps the tags around u in R onto those around v
+    around = [sorted(tuple(profile.get((w, y), ())) for y in range(k)) for w in range(k)]
+
+    def in_rest(w: int, tag: tuple) -> list:
+        tags = list(around[w])
+        tags[tags.index(tag)] = ()
+        return sorted(tags)
+
+    for i, u, v in _lone_edges(factors):
+        if in_rest(u, ("out",)) != in_rest(v, ("in",)):
             continue
-        rest = factors[:i] + factors[i + 1:]
-        if not _swappable(k, rest, u, v):
-            continue
-        out = Counter()
-        for coef, kk, ff in _symmetrize(k, rest, c):
-            out[(kk, ff)] += coef / 2
-        if c:
-            label = [w - (w > v) for w in range(k)]
-            label[v] = label[u]
-            for coef, kk, ff in _symmetrize(k - 1, _relabel(rest, label), c):
-                out[(kk, ff)] -= coef / 2
-        return tuple((coef, kk, ff) for (kk, ff), coef in out.items() if coef)
+        if _swappable(k, profile, u, v):
+            both = _both_ways(k, factors[:i] + factors[i + 1:], u, v, c)
+            return _as_terms(Counter({key: coef / 2 for key, coef in both.items()}))
     return ((1.0, k, factors),)
+
+
+def _planned(terms) -> tuple:
+    """The planned count of ``terms`` as coefficients of n^8, n^7, ..., n^0,
+    so that tuples compare by growth in n."""
+    total = [0] * (MAX_PATTERN_VERTICES + 1)
+    for power, count in _work(terms):
+        total[MAX_PATTERN_VERTICES - power] += count
+    return tuple(total)
+
+
+@lru_cache(maxsize=1024)
+def _rewrite(k: int, factors: tuple, c: int) -> tuple:
+    """hom(F) through the cycle rewrite of its cheapest lone edge, or F
+    itself when no rewrite plans strictly fewer operations."""
+    best, best_cost = ((1.0, k, factors),), _planned(((1.0, k, factors),))
+    for i, u, v in _lone_edges(factors):
+        rest = factors[:i] + factors[i + 1:]
+        flipped = tuple(sorted(rest + ((v, u, _EDGE),)))
+        reverse = _symmetrize(k, flipped, c)
+        if reverse == ((1.0, k, flipped),):
+            continue  # F with u -> v reversed costs what F costs
+        combination = _both_ways(k, rest, u, v, c)
+        for coef, kk, ff in reverse:
+            combination[(kk, ff)] -= coef
+        terms = _as_terms(combination)
+        if (cost := _planned(terms)) < best_cost:
+            best, best_cost = terms, cost
+    return best
 
 
 def _set_partitions(k: int):
@@ -277,9 +533,10 @@ def _mobius(partition) -> int:
 
 
 @lru_cache(maxsize=256)
-def _terms(f: DigraphPattern, mode: str, c: int) -> tuple:
+def _expansion(f: DigraphPattern, mode: str, c: int) -> tuple:
     """The assignment sum of ``f`` in ``mode`` as (coefficient, k, factors)
-    terms, each factor (u, v, kind); c is 1 for finite inputs, 0 for kernels."""
+    terms after Moebius pruning and the swap rule, each factor (u, v, kind);
+    c is 1 for finite inputs, 0 for kernels."""
     factors = [(u, v, _EDGE) for u, v in f.edges]
     if mode == "ind":
         factors += [
@@ -304,7 +561,21 @@ def _terms(f: DigraphPattern, mode: str, c: int) -> tuple:
     for mu, k, projected in quotients:
         for coef, kk, ff in _symmetrize(k, projected, c):
             out[(kk, ff)] += mu * coef
-    return tuple((coef, kk, ff) for (kk, ff), coef in out.items() if coef)
+    return _as_terms(out)
+
+
+@lru_cache(maxsize=1024)
+def _terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
+    """The terms that are contracted for ``f`` at n: the expansion, with
+    every term too large for the plain sum taking its cycle rewrite."""
+    out = Counter()
+    for coef, k, factors in _expansion(f, mode, c):
+        if factors and not _tiny(factors, n):
+            for sub, kk, ff in _rewrite(k, factors, c):
+                out[(kk, ff)] += coef * sub
+        else:
+            out[(k, factors)] += coef
+    return _as_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +602,7 @@ def density_finite(
     n = g.n
     if mode != "hom" and f.k > n:
         return 0.0
-    terms = _terms(f, mode, 1)
+    terms = _terms(f, mode, 1, n)
     _check_cost(terms, n)
     mats = {_EDGE: g.alpha}
     if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
@@ -347,7 +618,7 @@ def density_kernel(f: DigraphPattern, w: StepKernel) -> float:
     n = w.n
     if f.k > MAX_PATTERN_VERTICES:
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
-    terms = _terms(f, "hom", 0)
+    terms = _terms(f, "hom", 0, n)
     _check_cost(terms, n)
     return _evaluate(terms, {_EDGE: w.blocks}, n) / float(n) ** f.k
 
@@ -412,9 +683,14 @@ def _tournament_pattern_classes(k: int):
 def fingerprint(w: StepKernel, K: int) -> DensityFingerprint:
     """Densities of every tournament pattern on 1..K vertices (K <= 5).
     The planned FLOPs of all classes together are checked against
-    MAX_FINITE_FLOPS before any class is contracted."""
+    MAX_FINITE_FLOPS before any class is contracted, and the classes share
+    their keyed step results."""
     if not 1 <= K <= 5:
         raise ValidationError("fingerprint order K must be in 1..5")
     classes = [c for k in range(1, K + 1) for c in _tournament_pattern_classes(k)]
-    _check_cost([t for _, f in classes for t in _terms(f, "hom", 0)], w.n)
-    return DensityFingerprint(K, {d: density_kernel(f, w) for d, f in classes})
+    _check_cost([t for _, f in classes for t in _terms(f, "hom", 0, w.n)], w.n)
+    shared: dict = {}
+    return DensityFingerprint(K, {
+        d: _evaluate(_terms(f, "hom", 0, w.n), {_EDGE: w.blocks}, w.n, shared) / float(w.n) ** f.k
+        for d, f in classes
+    })

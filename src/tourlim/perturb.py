@@ -178,6 +178,6 @@ def nonuniqueness_certificate(
                 moved = float(np.max(np.abs(f1 - f0)))
                 return NonUniquenessCertificate(s0, kernel, base, c4_perturbed, moved)
         if round_idx < refine_rounds:
-            _check_cost(_terms(c4, "hom", 0), 2 * current.n)
+            _check_cost(_terms(c4, "hom", 0, 2 * current.n), 2 * current.n)
             current = current.refine(2)
     return None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import cell_pairs, generalized_tournaments, score_functions, step_kernels
 from tourlim import (
+    TOL,
     DegreeDistribution,
     GeneralizedTournament,
     ScoreFunction,
@@ -59,6 +61,38 @@ class TestTypes:
     def test_kernel_entries_must_be_unit_range(self):
         with pytest.raises(ValidationError):
             StepKernel(np.array([[0.5, 1.5], [-0.5, 0.5]]))
+
+    def test_skew_violation_in_last_row_block_is_rejected(self):
+        # 300 rows are checked in blocks of 128; the pair (298, 299) lies
+        # in the last block alone and misses the skew identity by 2 TOL
+        n = 300
+        upper = np.triu(np.random.default_rng(4).random((n, n)), 1)
+        a = upper + np.tril(1.0 - upper.T, -1)
+        a[298, 299], a[299, 298] = 0.5 + 2 * TOL, 0.5
+        with pytest.raises(ValidationError, match="violates"):
+            GeneralizedTournament(a)
+        m = a.copy()
+        np.fill_diagonal(m, 0.5)
+        with pytest.raises(ValidationError, match="violates"):
+            StepKernel(m)
+        a[298, 299] = m[298, 299] = 0.5 + TOL / 2
+        assert GeneralizedTournament(a).n == StepKernel(m).n == n
+
+    def test_constructor_memory_is_below_twice_the_matrix(self):
+        n = 900
+        upper = np.triu(np.random.default_rng(5).random((n, n)), 1)
+        a = upper + np.tril(1.0 - upper.T, -1)
+        tracemalloc.start()
+        try:
+            GeneralizedTournament(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * a.nbytes
+
+    def test_is_tournament(self):
+        assert T3.is_tournament and CYCLE3.is_tournament
+        assert not HALF2.is_tournament
 
     def test_pattern_rejects_two_cycle_and_loops(self):
         from tourlim import DigraphPattern

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -218,10 +219,11 @@ class TestDensityKernel:
         for f in (C3, C4):
             direct = oracles.brute_density_kernel(f, w.blocks) if w.n**f.k <= 10**4 else None
             by_trace = density_kernel(f, w)
-            factors = [(u, v, w.blocks) for u, v in sorted(f.edges)]
-            from tourlim.density import _contract
+            # the plain term, without the swap rule or the cycle rewrite
+            term = (1.0, f.k, tuple((u, v, "e") for u, v in sorted(f.edges)))
+            from tourlim.density import _evaluate
 
-            generic = _contract(factors, f.k, w.n) / float(w.n) ** f.k
+            generic = _evaluate([term], {"e": w.blocks}, w.n) / float(w.n) ** f.k
             assert abs(by_trace - generic) < 1e-12
             if direct is not None:
                 assert abs(by_trace - direct) < 1e-12
@@ -251,10 +253,111 @@ class TestDensityKernel:
         start = time.perf_counter()
         with pytest.raises(ValidationError, match="cost guard"):
             density_kernel(DigraphPattern.transitive(8), w)
-        # the five-vertex classes alone plan about 1e12 FLOPs at 100 blocks
+        # the five-vertex classes plan about 6e9 FLOPs at 100 blocks, which
+        # the guard admits, and about 5e11 at 300 blocks
         with pytest.raises(ValidationError, match="cost guard"):
-            fingerprint(w, 5)
+            fingerprint(random_step_kernel(300, seed=2), 5)
         assert time.perf_counter() - start < 1.0
+
+
+ANTI_C4 = DigraphPattern(4, frozenset({(0, 1), (2, 1), (2, 3), (0, 3)}))
+CYCLE_PATTERNS = (C3, C4, DigraphPattern.cycle(5), ANTI_C4)
+
+
+def falling(x, k):
+    return math.prod(x - i for i in range(k))
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("path", ["as sized", "planned", "plain unless n^2 wide"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_cycles_match_bruteforce(self, monkeypatch, path, n):
+        # with the tiny-sum shortcut off, every term runs its planned steps,
+        # or its plain sum when its plan holds more than n^2 values
+        import tourlim.density
+
+        if path != "as sized":
+            monkeypatch.setattr(tourlim.density, "_DIRECT_FLOPS", 0)
+        if path == "plain unless n^2 wide":
+            monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 0)
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)), 1)
+        zero_one = np.triu(upper < 0.5, 1).astype(float)
+        hosts = [zero_one + np.tril(1.0 - zero_one.T, -1), upper + np.tril(1.0 - upper.T, -1)]
+        blocks = hosts[1].copy()
+        np.fill_diagonal(blocks, 0.5)
+        for f in CYCLE_PATTERNS:
+            for alpha in hosts:
+                g = GeneralizedTournament(alpha)
+                for mode in ("hom", "inj", "ind"):
+                    want = oracles.brute_density_finite(f, alpha, mode)
+                    assert abs(density_finite(f, g, mode) - want) <= 1e-12
+            want = oracles.brute_density_kernel(f, blocks)
+            assert abs(density_kernel(f, StepKernel(blocks)) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 300])
+    def test_kernel_c3_is_the_degree_identity(self, n):
+        w = random_step_kernel(n, seed=n)
+        assert abs(density_kernel(C3, w) - c3_from_degree(w)) <= 1e-12
+
+    def test_c3_plans_quadratic_work(self):
+        from tourlim.density import _terms, _work
+
+        for c in (0, 1):
+            assert max(power for power, _ in _work(_terms(C3, "hom", c, 1000))) == 2
+
+    def test_disconnected_term_contracts_its_components_apart(self):
+        from tourlim.density import _plan, _work
+
+        paths = ((0, 1, "e"), (1, 2, "e"), (3, 4, "e"), (5, 4, "e"))
+        assert len(_plan(6, paths).scalars) == 2
+        assert max(power for power, _ in _work([(1.0, 6, paths)])) == 2
+        # two equal components share their steps
+        two_edges = (1.0, 4, ((0, 1, "e"), (2, 3, "e")))
+        assert sorted(_work([two_edges])) == [(1, 1), (2, 1)]
+
+    def test_guard_reads_the_planned_count(self, monkeypatch):
+        import tourlim.density
+        from tourlim.density import _terms, _work
+
+        g = GeneralizedTournament(random_tournament(200, 1))
+        count = sum(c * 200.0**p for p, c in _work(_terms(C4, "inj", 1, 200), 200))
+        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
+        density_finite(C4, g, "inj")
+        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
+        with pytest.raises(ValidationError, match="cost guard"):
+            density_finite(C4, g, "inj")
+
+    def test_t5_inj_at_100(self):
+        # four terms of treewidth 3, 2, 2, 2: about 4e8 FLOPs, one n^3
+        # intermediate; checked against numpy's own planner term by term
+        from tourlim.density import _terms
+
+        n = 100
+        a = random_tournament(n, 5)
+        start = time.perf_counter()
+        got = density_finite(DigraphPattern.transitive(5), GeneralizedTournament(a), "inj")
+        assert time.perf_counter() - start < 1.0
+        want = 0.0
+        for coef, k, factors in _terms(DigraphPattern.transitive(5), "inj", 1, n):
+            spec = ",".join("abcdefgh"[u] + "abcdefgh"[v] for u, v, _ in factors) + "->"
+            touched = len({x for u, v, _ in factors for x in (u, v)})
+            ops = [a] * len(factors)
+            want += coef * np.einsum(spec, *ops, optimize=("greedy", n**3)) * n ** (k - touched)
+        assert got == pytest.approx(want / falling(n, 5), abs=1e-12)
+
+    def test_s33_inj_at_2000_matches_closed_form(self):
+        # plans are made once per pattern, independent of n
+        density_finite(DigraphPattern.star(3, 3), GeneralizedTournament(random_tournament(9, 6)), "inj")
+        n = 2000
+        a = random_tournament(n, 6)
+        g = GeneralizedTournament(a)
+        start = time.perf_counter()
+        got = density_finite(DigraphPattern.star(3, 3), g, "inj")
+        assert time.perf_counter() - start < 1.0
+        s = a.sum(axis=1)
+        want = sum(falling(x, 3) * falling(n - 1 - x, 3) for x in s) / falling(n, 7)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestStarDensity:
