@@ -40,8 +40,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _float_array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a checked float array; ``x`` itself when it already is one,
+    so callers make their own copy before writing."""
     try:
-        a = np.array(x, dtype=float)
+        a = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"field '{name}' must be numeric") from exc
     if a.ndim != ndim:
@@ -54,11 +56,11 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def _clip_unit(a: np.ndarray, name: str) -> np.ndarray:
-    """Clip the caller's own finite array to [0, 1] in place."""
+    """A new array: the finite ``a`` clipped to [0, 1]."""
     # tolerate rounding-level excursions, reject anything larger
     if a.min() < -TOL or a.max() > 1 + TOL:
         raise ValidationError(f"field '{name}' has entries outside [0, 1]")
-    return np.clip(a, 0.0, 1.0, out=a)
+    return np.clip(a, 0.0, 1.0)
 
 
 _SKEW_ROWS = 128

@@ -90,6 +90,17 @@ class TestTypes:
             tracemalloc.stop()
         assert peak < 2 * a.nbytes
 
+    def test_constructors_keep_their_own_copy(self):
+        a = np.array([[0.0, 1.0 + TOL / 2], [-TOL / 2, 0.0]])
+        g = GeneralizedTournament(a)
+        m = np.array([[0.5, 1.0 + TOL / 2], [-TOL / 2, 0.5]])
+        w = StepKernel(m)
+        assert a[0, 1] == m[0, 1] == 1.0 + TOL / 2 and a[1, 0] == m[1, 0] == -TOL / 2
+        assert g.alpha.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert w.blocks.tolist() == [[0.5, 1.0], [0.0, 0.5]]
+        a[0, 1] = 0.5
+        assert g.alpha[0, 1] == 1.0
+
     def test_is_tournament(self):
         assert T3.is_tournament and CYCLE3.is_tournament
         assert not HALF2.is_tournament
