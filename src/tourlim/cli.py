@@ -69,56 +69,129 @@ def _decode_kernel_or_tournament(path: str):
     raise UsageError(f"invalid input in {path}: field 'blocks' or 'alpha' required")
 
 
+_CHUNK_BYTES = 1 << 20
+"""About how many bytes of matrix text ``_matrix_chunks`` builds at a time."""
+
+
 def _json_text(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
     except that ``payload``, or a value in its str-keyed dicts, may be a
     2-D float64 array where that call would take its ``tolist()``."""
-    return _encode(payload, "") + "\n"
+    return "".join(_json_chunks(payload))
 
 
-def _encode(x, indent: str) -> str:
-    """``x`` as json writes it with indent 2, nested at ``indent``.
+def _json_chunks(payload):
+    """The text of ``_json_text(payload)`` as a stream of str chunks; a
+    matrix comes in blocks of whole rows of about ``_CHUNK_BYTES`` each."""
+    yield from _encode(payload, "")
+    yield "\n"
+
+
+def _encode(x, indent: str):
+    """``x`` as json writes it with indent 2, nested at ``indent``, in chunks.
 
     Dicts with str keys recurse, so arrays may sit in their values.  A
-    float64 matrix goes through ``_matrix_text``, because json's indented
+    float64 matrix goes through ``_matrix_chunks``, because json's indented
     encoder is pure Python and calls ``floatstr`` once per entry.  Anything
     else is json's own text with ``indent`` put after every newline, which
     is safe because json escapes newlines inside strings.
     """
     if isinstance(x, dict) and all(isinstance(k, str) for k in x):
         if not x:
-            return "{}"
-        inner = indent + "  "
-        items = [f"{inner}{json.dumps(k)}: {_encode(x[k], inner)}" for k in sorted(x)]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
-        return _matrix_text(x, indent) if x.size else _encode(x.tolist(), indent)
-    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+            yield "{}"
+            return
+        inner, opener = indent + "  ", "{\n"
+        for k in sorted(x):
+            yield f"{opener}{inner}{json.dumps(k)}: "
+            yield from _encode(x[k], inner)
+            opener = ",\n"
+        yield "\n" + indent + "}"
+    elif isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+        yield from _matrix_chunks(x, indent) if x.size else _encode(x.tolist(), indent)
+    else:
+        yield json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _matrix_text(a: np.ndarray, indent: str) -> str:
-    """A non-empty float64 matrix as json writes its ``tolist()``.
+def _bit_table(a: np.ndarray) -> tuple:
+    """The distinct uint64 bit patterns of ``a`` and, per cell, the index
+    of its pattern.  Two patterns (every 0/1 matrix) need no sort."""
+    bits = a.view(np.uint64)
+    lo, hi = bits.min(), bits.max()
+    inv = bits == hi
+    if lo == hi or np.count_nonzero(inv) + np.count_nonzero(bits == lo) == bits.size:
+        return np.array([lo, hi]), inv.view(np.uint8)
+    keys, inv = np.unique(bits, return_inverse=True)
+    return keys, inv.reshape(a.shape)
+
+
+def _matrix_chunks(a: np.ndarray, indent: str):
+    """A non-empty float64 matrix as json writes its ``tolist()``, in
+    blocks of whole rows.
 
     Each distinct bit pattern is written once with json's own float text
-    (so -0.0, NaN and Infinity come out as json writes them); the cells
-    index that table and each row is one join.
+    (so -0.0, NaN and Infinity come out as json writes them), and the
+    cells index that table.  When all the texts have one length, as for
+    every 0/1 matrix, the rows are built as bytes; otherwise each row is
+    one join of its words.  Either way a block holds about
+    ``_CHUNK_BYTES`` and ends with the ",\n" before the next row.
     """
-    keys, inv = np.unique(a.view(np.uint64), return_inverse=True)
-    words = np.array([json.dumps(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    row_in, cell_in = indent + "  ", indent + "    "
+    keys, inv = _bit_table(a)
+    # json's text of a list of floats is their texts joined by ", "
+    words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
+    yield "[\n"
+    yield from rows(words, inv, indent + "  ", indent + "    ")
+    yield "\n" + indent + "]"
+
+
+def _fixed_width_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
+    """Rows of words of one length, built as bytes from a template row.
+
+    The template holds the brackets, the separators and the first word in
+    every cell; each byte position at which the words differ is filled for
+    a block of rows by one ``np.take`` from that position's column of the
+    word table.
+    """
+    table = np.frombuffer("".join(words).encode(), np.uint8).reshape(len(words), -1)
+    varying = np.flatnonzero((table != table[0]).any(axis=0))
+    columns = table[:, varying].T.copy()
+    # every word is followed by a separator, the last one of a row by the
+    # row's end and ",\n", which has the same length
+    head, sep, end = f"{row_in}[\n{cell_in}", ",\n" + cell_in, f"\n{row_in}],\n"
+    m = inv.shape[1]
+    row = np.frombuffer((head + (words[0] + sep) * (m - 1) + words[0] + end).encode(), np.uint8)
+    step = max(1, _CHUNK_BYTES // len(row))
+    for i in range(0, len(inv), step):
+        idx = inv[i:i + step].astype(np.intp)
+        block = row[None].repeat(len(idx), axis=0)
+        cells = block[:, len(head):].reshape(len(idx), m, -1)
+        for b, column in zip(varying, columns):
+            cells[:, :, b] = np.take(column, idx)
+        text = block.reshape(-1)
+        # no ",\n" after the matrix's last row
+        yield (text if i + step < len(inv) else text[:-2]).tobytes().decode("ascii")
+
+
+def _joined_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
+    """Rows of words of mixed lengths, each row one ``sep.join``."""
     sep = ",\n" + cell_in
-    rows = [
-        f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
-        for row in words[inv.reshape(a.shape)].tolist()
-    ]
-    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    step = max(1, _CHUNK_BYTES // (inv.shape[1] * (max(map(len, words)) + len(sep))))
+    words = np.array(words, dtype=object)
+    for i in range(0, len(inv), step):
+        text = ",\n".join(
+            f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
+            for row in words[inv[i:i + step]].tolist()
+        )
+        yield text + ",\n" if i + step < len(inv) else text
 
 
-def _emit(text: str, output: str | None):
+def _emit(chunks, output: str | None):
+    """Write ``chunks`` as they come, to the file ``output`` or to stdout."""
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _seed(args) -> int:
@@ -149,7 +222,8 @@ def _parse_pattern(spec: str) -> DigraphPattern:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (output text, exit code)
+# command handlers: each returns (output chunks, exit code); every computation
+# and validation is done before they return, only the formatting is left
 
 
 def _cmd_check_score_seq(args):
@@ -158,7 +232,7 @@ def _cmd_check_score_seq(args):
         report = conditions.check_eplett(seq, args.tolerance)
     else:
         report = conditions.check_landau(seq, args.tolerance)
-    return _json_text(report.to_json_dict()), 0 if report.valid else 1
+    return _json_chunks(report.to_json_dict()), 0 if report.valid else 1
 
 
 def _cmd_check_score_fn(args):
@@ -167,31 +241,31 @@ def _cmd_check_score_fn(args):
         report = conditions.check_condition_I(fn, args.tolerance)
     else:
         report = conditions.check_condition_II(fn, args.tolerance)
-    return _json_text(report.to_json_dict()), 0 if report.valid else 1
+    return _json_chunks(report.to_json_dict()), 0 if report.valid else 1
 
 
 def _cmd_realize(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_scores(seq, args.tolerance)
-    return _json_text({"n": g.n, "alpha": g.alpha}), 0
+    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_realize_selfconverse(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_self_converse(seq, args.tolerance)
-    return _json_text({"n": g.n, "alpha": g.alpha}), 0
+    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_discretize(args):
     fn = _decode(args.input, ScoreFunction)
     seq = realize.discretize_score_function(fn, args.blocks, args.tolerance)
-    return _json_text(seq.to_json_dict()), 0
+    return _json_chunks(seq.to_json_dict()), 0
 
 
 def _cmd_kernel_from_fn(args):
     fn = _decode(args.input, ScoreFunction)
     w = realize.kernel_from_score_function(fn, args.blocks, args.tolerance)
-    return _json_text({"n": w.n, "blocks": w.blocks}), 0
+    return _json_chunks({"n": w.n, "blocks": w.blocks}), 0
 
 
 def _cmd_density(args):
@@ -205,7 +279,7 @@ def _cmd_density(args):
     else:
         value = density.density_finite(pattern, obj, args.mode)
         payload = {"pattern": args.pattern[0], "mode": args.mode, "density": value}
-    return _json_text(payload), 0
+    return _json_chunks(payload), 0
 
 
 def _cmd_degree_dist(args):
@@ -214,14 +288,14 @@ def _cmd_degree_dist(args):
         dist = degree_distribution(obj, marginal=args.marginal)
     else:
         dist = sample.empirical_degree_distribution(obj)
-    return dist.to_csv(), 0
+    return [dist.to_csv()], 0
 
 
 def _cmd_sample(args):
     w = _decode(args.input, StepKernel)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_tournament(w, cfg)
-    return _json_text({"n": g.n, "alpha": g.alpha}), 0
+    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_sample_selfconverse(args):
@@ -229,7 +303,7 @@ def _cmd_sample_selfconverse(args):
     sigma = _parse_sigma(args.sigma, w.n)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_self_converse(w, sigma, cfg)
-    return _json_text({"n": g.n, "alpha": g.alpha}), 0
+    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
 
 
 def _cmd_converge(args):
@@ -245,23 +319,23 @@ def _cmd_converge(args):
         raise UsageError("--reps must be positive")
     cfg = sample.SampleConfig(max(sizes), _seed(args), args.reps)
     report = sample.convergence_report(w, patterns, sizes, cfg)
-    return report.to_csv(), 0
+    return [report.to_csv()], 0
 
 
 def _cmd_perturb(args):
     w = _decode(args.input, StepKernel)
     cert = perturb.nonuniqueness_certificate(w, refine_rounds=args.refine_rounds)
     if cert is None:
-        return _json_text({"result": "transitive-like"}), 0
+        return _json_chunks({"result": "transitive-like"}), 0
     payload = cert.to_json_dict()
     payload["result"] = "certificate"
-    return _json_text(payload), 0
+    return _json_chunks(payload), 0
 
 
 def _cmd_fingerprint(args):
     w = _decode(args.input, StepKernel)
     fp = density.fingerprint(w, args.order)
-    return _json_text(fp.to_json_dict()), 0
+    return _json_chunks(fp.to_json_dict()), 0
 
 
 def _cmd_moments(args):
@@ -269,11 +343,11 @@ def _cmd_moments(args):
     if "cells" in data:
         fn = _decode(args.input, ScoreFunction, data)
         moments = conditions.moments_of_score_function(fn, args.order)
-        return _json_text(moments.to_json_dict()), 0
+        return _json_chunks(moments.to_json_dict()), 0
     if "a" in data:
         seq = _decode(args.input, MomentSequence, data)
         report = conditions.check_hausdorff_moments(seq, min(args.order, seq.order))
-        return _json_text(report.to_json_dict()), 0 if report.valid else 1
+        return _json_chunks(report.to_json_dict()), 0 if report.valid else 1
     raise UsageError(f"invalid input in {args.input}: field 'cells' or 'a' required")
 
 
@@ -354,7 +428,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, code = _HANDLERS[args.command](args)
+        chunks, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -362,9 +436,9 @@ def main(argv=None) -> int:
         payload = {"error": str(exc)}
         if exc.report is not None:
             payload["report"] = exc.report.to_json_dict()
-        _emit(_json_text(payload), args.output)
+        _emit(_json_chunks(payload), args.output)
         return 1
-    _emit(text, args.output)
+    _emit(chunks, args.output)
     return code
 
 

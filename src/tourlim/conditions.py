@@ -99,7 +99,11 @@ def check_landau(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
     smallest-k sum.  Witness numbers are ints for integer data and the
     correctly rounded floats of the exact values for real data.
     """
-    x, t, e = _sorted_scores(s, tol)
+    return _landau(s, *_sorted_scores(s, tol))
+
+
+def _landau(s: ScoreSequence, x, t: int, e: int) -> ValidityReport:
+    """``check_landau`` on the ``_sorted_scores`` ``x, t, e`` of ``s``."""
     prefix, bound, k = _prefix_test(x, t, e)
     if not k:
         return ValidityReport(True)
@@ -113,10 +117,10 @@ def check_landau(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
 def check_eplett(s: ScoreSequence, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Realizability by a self-converse (generalised) tournament: Landau
     plus the pairing d_i + d_{n+1-i} = n - 1 in sorted order."""
-    landau = check_landau(s, tol)
+    x, t, e = _sorted_scores(s, tol)
+    landau = _landau(s, x, t, e)
     if not landau.valid:
         return landau
-    x, t, e = _sorted_scores(s, tol)
     return _pairing(x, (s.n - 1) << e, t, e, "eplett-pair", float(s.n - 1))
 
 

@@ -87,7 +87,7 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     rng = _rng(cfg.seed, rep)
     cells = _cells_of(rng.random(cfg.n), w.n)
     u = rng.random((cfg.n, cfg.n))
-    wins = np.triu(u < w.blocks[cells[:, None], cells[None, :]], 1)
+    wins = np.triu(u < w.blocks[cells][:, cells], 1)
     wins |= np.tril(~wins.T, -1)
     return GeneralizedTournament(wins.astype(float))
 
@@ -135,9 +135,9 @@ def sample_self_converse(
     u_vv = rng.random((m, m))
     u_vw = rng.random((m, m))
     # vv[i, j]: v_i -> v_j; vw[i, j]: v_i -> w_j, drawn for i <= j and mirrored
-    vv = np.triu(u_vv < w.blocks[cells[:, None], cells[None, :]], 1)
+    vv = np.triu(u_vv < w.blocks[cells][:, cells], 1)
     vv |= np.tril(~vv.T, -1)
-    vw = np.triu(u_vw < w.blocks[cells[:, None], sigma[cells][None, :]])
+    vw = np.triu(u_vw < w.blocks[cells][:, sigma[cells]])
     vw |= vw.T
     # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j
     alpha = np.block([[vv, vw], [~vw, vv.T]]).astype(float)

@@ -20,6 +20,7 @@ from tourlim import (
     sample,
     step_kernel_from_tournament,
 )
+from tourlim import cli
 from tourlim.cli import _json_text, main
 
 
@@ -275,10 +276,15 @@ plain = st.recursive(
     | st.dictionaries(st.integers(-3, 3), c, max_size=3),
     max_leaves=12,
 )
-float_matrices = arrays(
-    np.float64,
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    elements=st.floats() | special_floats,
+matrix_shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+# at most two bit patterns, which the encoder tells apart without a sort
+few_patterns = st.lists(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1.0]),
+    min_size=1, max_size=2,
+).flatmap(lambda pair: arrays(np.float64, matrix_shapes, elements=st.sampled_from(pair)))
+float_matrices = (
+    arrays(np.float64, matrix_shapes, elements=st.floats() | special_floats)
+    | few_patterns
 )
 payloads = st.recursive(
     plain | float_matrices,
@@ -293,8 +299,37 @@ class TestJsonText:
     @example({"alpha": np.array([[-0.0, math.nan], [math.inf, -math.inf]]), "n": 2})
     @example({"blocks": np.array([[0.5]]), "big": 2**70, "s": "é\n", "e": [], "d": {}})
     @example(np.array([[1.0, 0.0, 1.0], [0.0, -0.0, 1e-300]]))
+    @example({"alpha": np.array([[0.0, -0.0], [-0.0, 0.0]])})
+    @example({"alpha": np.full((2, 3), math.nan)})
+    @example({"alpha": np.array([[math.inf, -math.inf, math.inf]])})
+    @example({"alpha": np.full((3, 1), 0.5)})
     def test_matches_json_dumps(self, payload):
         assert _json_text(payload) == json_reference(payload)
+
+    @pytest.mark.parametrize("a", [
+        [[0.1, 0.2], [0.3, 0.4]],  # three or more words, all of one width
+        [[0.25, 1.75], [6.25, 0.75]],  # ... differing at several positions
+        [[0.25, 1.75], [1.75, 0.25]],
+        [[1.0, 0.5], [0.0, -1.0]],
+        [[0.5, 0.25], [1.0, 0.1]],  # mixed widths
+        [[1e-300, -0.0, math.nan], [0.30000000000000004, 7.0, -math.inf]],
+        [[0.25]],
+        [[1.0], [0.0], [0.125]],
+        [[0.0, 1.0, 0.5, -0.0]],
+    ])
+    def test_word_widths_and_shapes(self, a):
+        payload = {"alpha": np.array(a), "n": len(a)}
+        assert _json_text(payload) == json_reference(payload)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 200, 5000])
+    def test_matrix_across_chunks(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(7)
+        for a in (rng.random((30, 17)) < 0.5, rng.integers(0, 9, (30, 17)) / 8):
+            payload = {"alpha": a.astype(float), "z": 1}
+            chunks = list(cli._json_chunks(payload))
+            assert len(chunks) > 5
+            assert "".join(chunks) == json_reference(payload)
 
 
 class TestMatrixOutputsMatchSchema:
@@ -363,3 +398,30 @@ def test_sample_900_is_fast(tmp_path):
     start = time.perf_counter()
     assert main(args) == 0
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("size", [2, 700])
+def test_sample_stdout_and_output_file_bytes(tmp_path, capsysbinary, size):
+    w = random_step_kernel(4, seed=2)
+    path = write_json(tmp_path, "w.json", w.to_json_dict())
+    args = ["sample", "--input", path, "--size", str(size), "--seed", "5"]
+    out = tmp_path / "out.json"
+    assert main(args + ["--output", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(args) == 0
+    stdout = capsysbinary.readouterr().out
+    g = sample.sample_tournament(w, sample.SampleConfig(size, 5, 1))
+    want = json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == stdout == want.encode()
+
+
+def test_refused_sample_writes_only_the_error(half3, tmp_path, capsys):
+    args = ["sample", "--input", half3, "--size", "20000", "--seed", "1"]
+    out = tmp_path / "out.json"
+    assert main(args + ["--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    payload = json.loads(out.read_text())
+    assert list(payload) == ["error"] and "20000" in payload["error"]
+    assert out.read_text() == json_reference(payload)
+    assert main(args) == 1
+    assert capsys.readouterr() == (out.read_text(), "")
