@@ -46,27 +46,24 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _decode(path: str, cls, data: dict | None = None):
-    """Decode a typed object from ``path`` (or from its already loaded
-    ``data``); schema problems are usage errors (exit 2)."""
-    if data is None:
-        data = _load_json(path)
+def _decode(path: str, cls):
+    """Decode a typed object from ``path``.  ``cls`` is its class, or a dict
+    from a field name to the class of objects that hold it, tried in order;
+    schema problems are usage errors (exit 2)."""
+    data = _load_json(path)
+    if isinstance(cls, dict):
+        found = [c for name, c in cls.items() if name in data]
+        if not found:
+            required = " or ".join(map(repr, cls))
+            raise UsageError(f"invalid input in {path}: field {required} required")
+        cls = found[0]
     try:
         return cls.from_json_dict(data)
     except ValidationError as exc:
         raise UsageError(f"invalid input in {path}: {exc}") from exc
 
 
-def _decode_kernel_or_tournament(path: str):
-    data = _load_json(path)
-    try:
-        if "blocks" in data:
-            return StepKernel.from_json_dict(data)
-        if "alpha" in data:
-            return GeneralizedTournament.from_json_dict(data)
-    except ValidationError as exc:
-        raise UsageError(f"invalid input in {path}: {exc}") from exc
-    raise UsageError(f"invalid input in {path}: field 'blocks' or 'alpha' required")
+_KERNEL_OR_TOURNAMENT = {"blocks": StepKernel, "alpha": GeneralizedTournament}
 
 
 _CHUNK_BYTES = 1 << 20
@@ -272,7 +269,7 @@ def _cmd_density(args):
     if len(args.pattern) > 1:
         raise UsageError("density takes exactly one --pattern")
     pattern = _parse_pattern(args.pattern[0])
-    obj = _decode_kernel_or_tournament(args.input)
+    obj = _decode(args.input, _KERNEL_OR_TOURNAMENT)
     if isinstance(obj, StepKernel):
         value = density.density_kernel(pattern, obj)
         payload = {"pattern": args.pattern[0], "mode": "kernel", "density": value}
@@ -283,7 +280,7 @@ def _cmd_density(args):
 
 
 def _cmd_degree_dist(args):
-    obj = _decode_kernel_or_tournament(args.input)
+    obj = _decode(args.input, _KERNEL_OR_TOURNAMENT)
     if isinstance(obj, StepKernel):
         dist = degree_distribution(obj, marginal=args.marginal)
     else:
@@ -339,16 +336,12 @@ def _cmd_fingerprint(args):
 
 
 def _cmd_moments(args):
-    data = _load_json(args.input)
-    if "cells" in data:
-        fn = _decode(args.input, ScoreFunction, data)
-        moments = conditions.moments_of_score_function(fn, args.order)
+    obj = _decode(args.input, {"cells": ScoreFunction, "a": MomentSequence})
+    if isinstance(obj, ScoreFunction):
+        moments = conditions.moments_of_score_function(obj, args.order)
         return _json_chunks(moments.to_json_dict()), 0
-    if "a" in data:
-        seq = _decode(args.input, MomentSequence, data)
-        report = conditions.check_hausdorff_moments(seq, min(args.order, seq.order))
-        return _json_chunks(report.to_json_dict()), 0 if report.valid else 1
-    raise UsageError(f"invalid input in {args.input}: field 'cells' or 'a' required")
+    report = conditions.check_hausdorff_moments(obj, min(args.order, obj.order))
+    return _json_chunks(report.to_json_dict()), 0 if report.valid else 1
 
 
 _HANDLERS = {

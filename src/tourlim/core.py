@@ -79,6 +79,36 @@ def _is_skew(a: np.ndarray, c: float) -> bool:
     return True
 
 
+def _skew_matrix(x, name: str, diagonal: float) -> np.ndarray:
+    """``x`` as a new frozen square matrix in [0, 1] with ``diagonal`` on its
+    diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL."""
+    a = _float_array(x, name, ndim=2)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValidationError(f"field '{name}' must be square")
+    if np.any(np.abs(np.diag(a) - diagonal) > TOL):
+        raise ValidationError(f"field '{name}' must have {diagonal:g} on the diagonal")
+    a = _clip_unit(a, name)
+    np.fill_diagonal(a, diagonal)
+    if not _is_skew(a, 1 - 2 * diagonal):
+        raise ValidationError(f"field '{name}' violates {name}(i,j) + {name}(j,i) = 1")
+    return _freeze(a)
+
+
+_MAX_MATRIX_BYTES = 2**31
+"""Largest n x n float64 matrix an entry point may build: 2 GiB, n = 16384."""
+
+
+def _check_matrix_size(n: int) -> None:
+    """Reject a result whose n x n float64 matrix would exceed
+    ``_MAX_MATRIX_BYTES``, before anything is drawn or allocated."""
+    if 8 * n * n > _MAX_MATRIX_BYTES:
+        raise ValidationError(
+            f"an {n}x{n} float64 matrix needs {8 * n * n} bytes, "
+            f"more than the {_MAX_MATRIX_BYTES}-byte limit"
+        )
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -87,10 +117,10 @@ def _is_skew(a: np.ndarray, c: float) -> bool:
 class ScoreSequence:
     """Per-vertex out-scores of a finite (generalised) tournament.
 
-    ``kind`` is "integer" for ordinary tournaments (values stored as int64)
-    and "real" for generalised ones.  Values must be non-negative; whether
-    they are actually realizable is the business of the Landau checker, not
-    of construction.
+    ``kind`` is "integer" for ordinary tournaments (values below 2**53,
+    stored as int64) and "real" for generalised ones.  Values must be
+    non-negative; whether they are actually realizable is the business of
+    the Landau checker, not of construction.
     """
 
     values: np.ndarray
@@ -107,6 +137,12 @@ class ScoreSequence:
             if not np.all(v == np.round(v)):
                 raise ValidationError(
                     "field 'values' must be integral for kind='integer'"
+                )
+            # every int below 2**53 is exact in float64 and int64, and any
+            # larger input rounds to 2**53 or more
+            if np.any(v >= 2.0**53):
+                raise ValidationError(
+                    "field 'values' must be below 2**53 for kind='integer'"
                 )
             v = v.astype(np.int64)
         object.__setattr__(self, "values", _freeze(v))
@@ -157,19 +193,7 @@ class GeneralizedTournament:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = _float_array(self.alpha, "alpha", ndim=2)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValidationError("field 'alpha' must be square")
-        if np.any(np.abs(np.diag(a)) > TOL):
-            raise ValidationError("field 'alpha' must have a zero diagonal")
-        a = _clip_unit(a, "alpha")
-        np.fill_diagonal(a, 0.0)
-        if not _is_skew(a, 1.0):
-            raise ValidationError(
-                "field 'alpha' violates alpha(i,j) + alpha(j,i) = 1"
-            )
-        object.__setattr__(self, "alpha", _freeze(a))
+        object.__setattr__(self, "alpha", _skew_matrix(self.alpha, "alpha", 0.0))
 
     @property
     def n(self) -> int:
@@ -201,19 +225,7 @@ class StepKernel:
     blocks: np.ndarray
 
     def __post_init__(self):
-        m = _float_array(self.blocks, "blocks", ndim=2)
-        n = m.shape[0]
-        if m.shape != (n, n):
-            raise ValidationError("field 'blocks' must be square")
-        if np.any(np.abs(np.diag(m) - 0.5) > TOL):
-            raise ValidationError("field 'blocks' must have 1/2 on the diagonal")
-        m = _clip_unit(m, "blocks")
-        np.fill_diagonal(m, 0.5)
-        if not _is_skew(m, 0.0):
-            raise ValidationError(
-                "field 'blocks' violates M(i,j) + M(j,i) = 1"
-            )
-        object.__setattr__(self, "blocks", _freeze(m))
+        object.__setattr__(self, "blocks", _skew_matrix(self.blocks, "blocks", 0.5))
 
     @property
     def n(self) -> int:
@@ -235,6 +247,7 @@ class StepKernel:
         """Split every block into factor^2 equal sub-blocks (same kernel a.e.)."""
         if factor < 1:
             raise ValidationError("refinement factor must be >= 1")
+        _check_matrix_size(self.n * factor)
         m = np.kron(self.blocks, np.ones((factor, factor)))
         return StepKernel(m)
 
@@ -328,9 +341,8 @@ class DegreeDistribution:
             raise ValidationError("field 'weights' must be positive")
         if abs(math.fsum(w) - 1.0) > TOL:
             raise ValidationError("field 'weights' must sum to 1")
-        # canonical form: sorted positions, exact duplicates merged
-        order = np.argsort(p, kind="stable")
-        p, w = p[order], w[order]
+        # canonical form: sorted positions, exact duplicates merged (add.at
+        # adds each atom's duplicates in index order)
         uniq, inverse = np.unique(p, return_inverse=True)
         merged = np.zeros_like(uniq)
         np.add.at(merged, inverse, w)
@@ -486,12 +498,9 @@ def wasserstein1(mu: DegreeDistribution, nu: DegreeDistribution) -> float:
     their breakpoints.
     """
     xs = np.union1d(mu.positions, nu.positions)
-    f_mu = np.cumsum(mu.weights)[np.searchsorted(mu.positions, xs, side="right") - 1]
-    f_nu = np.cumsum(nu.weights)[np.searchsorted(nu.positions, xs, side="right") - 1]
-    # searchsorted index -1 means "no atom yet": CDF value 0 there
-    f_mu = np.where(np.searchsorted(mu.positions, xs, side="right") == 0, 0.0, f_mu)
-    f_nu = np.where(np.searchsorted(nu.positions, xs, side="right") == 0, 0.0, f_nu)
-    if len(xs) < 2:
-        return 0.0
-    gaps = np.diff(xs)
-    return float(np.sum(np.abs(f_mu[:-1] - f_nu[:-1]) * gaps))
+    # one CDF lookup per side; before the first atom it reads the leading 0
+    f_mu, f_nu = (
+        np.concatenate(([0.0], np.cumsum(d.weights)))[np.searchsorted(d.positions, xs, "right")]
+        for d in (mu, nu)
+    )
+    return float(np.sum(np.abs(f_mu[:-1] - f_nu[:-1]) * np.diff(xs)))

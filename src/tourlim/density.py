@@ -44,14 +44,16 @@ evaluate these sums along one path of three steps.
    of n.  Eliminating a vertex contracts the operands that carry it in one
    BLAS product or one einsum of at most three operands, so a term costs
    about n^(w + 1) for the widest neighbourhood w along its order, and
-   separate components never meet.  Step results with at most one index
-   (a leaf summed out into a vector, say) are named by what they compute
-   and shared by the terms of one call, or of one fingerprint.  A term
-   runs as its plain sum in one einsum, n^k times its factor count
-   multiply-adds, when that is at most 2^13 (below that, running the steps
-   costs more than it saves) or when its plan would hold an intermediate of
-   more than max(n^2, 2^24) elements.  The cost guard reads the exact count
-   of multiplications and additions of what runs, each shared step once.
+   separate components never meet.  A term's plain sum is its one-step
+   plan: a single einsum over all its factors, n^k times its factor count
+   multiply-adds.  A term runs that plan when it costs at most 2^13 (below
+   that, running the steps costs more than it saves) or when its
+   elimination plan would hold an intermediate of more than max(n^2, 2^24)
+   elements.  Step results with at most one index (a leaf summed out into a
+   vector, a plain sum) are named by what they compute and shared by the
+   terms of one call, or of one fingerprint.  The cost guard reads the exact
+   count of multiplications and additions of what runs, each shared step
+   once.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -79,7 +81,7 @@ MAX_PATTERN_VERTICES = 8
 # multiplications and additions of one density_finite, density_kernel or
 # fingerprint call, as counted by the contraction plans
 MAX_FINITE_FLOPS = 10**11
-# plain sums up to this many multiply-adds run as one einsum, without steps
+# terms whose plain sum is at most this many multiply-adds run it as one step
 _DIRECT_FLOPS = 2**13
 # so do terms whose plan would hold more than max(n^2, _MAX_ELEMENTS) values
 _MAX_ELEMENTS = 2**24
@@ -210,14 +212,16 @@ def _order(vertices: tuple, pairs: frozenset) -> tuple:
 def _renamed(spec: str) -> str:
     """einsum subscripts with letters renamed in order of appearance."""
     names: dict = {}
-    return "".join(
-        names.setdefault(ch, _LETTERS[len(names)]) if ch.isalpha() else ch for ch in spec
-    )
+    for ch in spec:
+        if ch.isalpha() and ch not in names:
+            names[ch] = _LETTERS[len(names)]
+    return "".join(names.get(ch, ch) for ch in spec)
 
 
 @lru_cache(maxsize=4096)
-def _plan(k: int, factors: tuple) -> _Plan:
-    """Bucket elimination of one term along the order of ``_order``.
+def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
+    """Bucket elimination of one term along the order of ``_order``, or,
+    when ``plain``, its plain sum as one einsum step over all factors.
 
     Eliminating x contracts the operands that carry x.  While more than two
     remain, the two with the fewest indices between them are multiplied
@@ -248,7 +252,10 @@ def _plan(k: int, factors: tuple) -> _Plan:
         return emit("einsum", ids, spec, out, len(ids) - 1 + (len(union) > len(out)))
 
     touched = sorted({x for u, v, _ in factors for x in (u, v)})
-    for x in _order(tuple(touched), frozenset((min(u, v), max(u, v)) for u, v, _ in factors)):
+    if plain:
+        einsum(tuple(live), ())
+    pairs = frozenset((min(u, v), max(u, v)) for u, v, _ in factors)
+    for x in () if plain else _order(tuple(touched), pairs):
         bucket = [i for i in live if x in live[i]]
         while len(bucket) > 2:
             i, j = min(combinations(bucket, 2), key=lambda p: len({*live[p[0]], *live[p[1]]}))
@@ -270,38 +277,33 @@ def _plan(k: int, factors: tuple) -> _Plan:
     )
 
 
-@lru_cache(maxsize=4096)
-def _direct(factors: tuple) -> tuple:
-    """The subscripts of the plain sum of ``factors`` as one einsum, and the
-    number of vertices they touch."""
-    touched = {x for u, v, _ in factors for x in (u, v)}
-    return ",".join(_indices(f[:2]) for f in factors) + "->", len(touched)
-
-
-def _tiny(factors: tuple, n: int) -> bool:
-    return n ** _direct(factors)[1] * len(factors) <= _DIRECT_FLOPS
+def _tiny(k: int, factors: tuple, n: int) -> bool:
+    """Whether the term's plain sum makes at most _DIRECT_FLOPS operations."""
+    (step,) = _plan(k, factors, True).steps
+    return n ** step.power * step.count <= _DIRECT_FLOPS
 
 
 def _is_direct(k: int, factors: tuple, n: int) -> bool:
     """Whether the term runs as its plain sum: when that is tiny, or when
     its plan would hold an intermediate larger than max(n^2, _MAX_ELEMENTS)."""
-    return _tiny(factors, n) or n ** _plan(k, factors).width > max(n * n, _MAX_ELEMENTS)
+    return _tiny(k, factors, n) or n ** _plan(k, factors).width > max(n * n, _MAX_ELEMENTS)
 
 
-def _value(plan: _Plan, i: int, leaves: list, shared: dict, run):
-    """Operand i of ``plan``: a factor from ``leaves``, else ``run(step,
-    operands)`` for the step that makes it, or the result of a step of the
-    same key in ``shared``, which keeps every result with at most one index.
+def _value(plan: _Plan, i: int, leaves: list | tuple, shared: dict, run):
+    """Operand i of ``plan``, made by a step: ``run(step, operands)`` on
+    the factors from ``leaves`` and the results of earlier steps, or the
+    result of a step of the same key in ``shared``, which keeps every result
+    with at most one index.
     """
-    if i < len(leaves):
-        return leaves[i]
-    step = plan.steps[i - len(leaves)]
-    if step.key not in shared:
-        out = run(step, [_value(plan, j, leaves, shared, run) for j in step.ids])
-        if step.rank > 1:
-            return out
+    k = len(leaves)
+    step = plan.steps[i - k]
+    if step.key in shared:
+        return shared[step.key]
+    ops = [leaves[j] if j < k else _value(plan, j, leaves, shared, run) for j in step.ids]
+    out = run(step, ops)
+    if step.rank <= 1:
         shared[step.key] = out
-    return shared[step.key]
+    return out
 
 
 def _run(step: _Step, ops: list) -> np.ndarray:
@@ -325,10 +327,7 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
-    if _is_direct(k, factors, n):
-        spec, touched = _direct(factors)
-        return float(np.einsum(spec, *leaves)) * float(n) ** (k - touched)
-    plan = _plan(k, factors)
+    plan = _plan(k, factors, _is_direct(k, factors, n))
     value = float(n) ** plan.free
     for i in plan.scalars:
         value *= float(_value(plan, i, leaves, shared, _run))
@@ -338,20 +337,16 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
 def _work(terms, n: int | None = None) -> list:
     """(power, count) for each step that ``_evaluate`` runs on ``terms``:
     count multiplications and additions per each of n^power index values.
-    At a given n, a term small enough for the plain sum lists that sum
-    instead; without n, every term lists its plan."""
+    At a given n, a term that runs as its plain sum lists that one step;
+    without n, every term lists its elimination plan."""
     work: list = []
     shared: dict = {}
     for _, k, factors in terms:
         if not factors:
             continue
-        if n is not None and _is_direct(k, factors, n):
-            work.append((_direct(factors)[1], len(factors)))
-            continue
-        plan = _plan(k, factors)
+        plan = _plan(k, factors, n is not None and _is_direct(k, factors, n))
         for i in plan.scalars:
-            _value(plan, i, [None] * len(factors), shared,
-                   lambda step, ops: work.append((step.power, step.count)))
+            _value(plan, i, factors, shared, lambda step, _: work.append((step.power, step.count)))
     return work
 
 
@@ -570,7 +565,7 @@ def _terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
     every term too large for the plain sum taking its cycle rewrite."""
     out = Counter()
     for coef, k, factors in _expansion(f, mode, c):
-        if factors and not _tiny(factors, n):
+        if factors and not _tiny(k, factors, n):
             for sub, kk, ff in _rewrite(k, factors, c):
                 out[(kk, ff)] += coef * sub
         else:

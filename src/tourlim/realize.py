@@ -12,19 +12,22 @@ numpy work; integer input comes back as a 0/1 tournament.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from .conditions import DEFAULT_TOL, check_condition_I, check_eplett, check_landau
+from .conditions import DEFAULT_TOL, _exact, check_condition_I, check_eplett, check_landau
 from .core import (
     GeneralizedTournament,
     ScoreFunction,
     ScoreSequence,
     StepKernel,
     ValidationError,
+    _check_matrix_size,
     scores_of_tournament,
     step_kernel_from_tournament,
 )
+
 
 def _water_fill(r: np.ndarray, total: float) -> np.ndarray:
     """clip(r - t, 0, 1) with the level t set so that its sum is total.
@@ -109,6 +112,7 @@ def realize_scores(s: ScoreSequence, tol: float = DEFAULT_TOL) -> GeneralizedTou
     boundary no row missed by more than twice the input's infeasibility
     and all rows together by at most three times it, so 3 tol is allowed.
     """
+    _check_matrix_size(s.n)
     report = check_landau(s, tol)
     if not report.valid:
         raise ValidationError("score sequence is not realizable", report)
@@ -124,13 +128,23 @@ def realize_scores(s: ScoreSequence, tol: float = DEFAULT_TOL) -> GeneralizedTou
     return GeneralizedTournament(alpha)
 
 
-def _resampled_cells(f: ScoreFunction, n: int) -> tuple[np.ndarray, int]:
-    """Cells of f on the coarsest uniform grid refined by both m and n."""
+def _cell_sums(f: ScoreFunction, n: int) -> np.ndarray:
+    """For each of n equal cells, the correctly rounded sum of f's cell means
+    over the lcm(m, n) grid cells inside it, without building that grid.
+
+    With f's cells exact ints C_j over 2**e, F(t) = sum_{j<q} C_j n + C_q r,
+    (q, r) = divmod(t, n), is 2**e times the integral of f on [0, t/(m n)]
+    in units of 1/(m n).  Cell i spans t = i m .. (i + 1) m, and one lcm
+    cell is gcd(m, n) such units, so its sum is the exact int
+    (F_{i+1} - F_i) / gcd over 2**e; int / int rounds correctly.
+    """
     m = f.m
-    if m % n == 0:
-        return f.cells, m
-    grid = math.lcm(m, n)
-    return np.repeat(f.cells, grid // m), grid
+    c, _, e = _exact(f.cells, 0.0)
+    prefix = [0, *accumulate(c)]
+    c = [*c, 0]  # read only at t = m n, where r = 0
+    F = [prefix[q] * n + c[q] * r for q, r in (divmod(i * m, n) for i in range(n + 1))]
+    g = math.gcd(m, n)
+    return np.array([(b - a) // g / (1 << e) for a, b in zip(F, F[1:])])
 
 
 def discretize_score_function(
@@ -138,9 +152,9 @@ def discretize_score_function(
 ) -> ScoreSequence:
     """The n-vertex generalised score sequence induced by a score function.
 
-    d_i = n^2 * integral over the i-th n-cell of (f(x) - 1/(2n)), computed
-    exactly from cell means; the prefix-integral condition on f guarantees
-    the result is Landau-valid, which is asserted.
+    d_i = n^2 * integral over the i-th n-cell of (f(x) - 1/(2n)), from the
+    exact cell sums of ``_cell_sums`` in O(m + n); the prefix-integral
+    condition on f guarantees the result is Landau-valid, which is asserted.
     """
     if n < 1:
         raise ValidationError("vertex count must be at least 1")
@@ -149,12 +163,7 @@ def discretize_score_function(
         raise ValidationError(
             "score function fails the prefix-integral condition", report
         )
-    cells, grid = _resampled_cells(f, n)
-    per = grid // n
-    scale = n * n / grid
-    d = np.array([
-        scale * math.fsum(cells[i * per:(i + 1) * per]) - 0.5 for i in range(n)
-    ])
+    d = n * n / math.lcm(f.m, n) * _cell_sums(f, n) - 0.5
     d[(d < 0) & (d > -tol)] = 0.0  # rounding dust only
     seq = ScoreSequence(d, "real")
     out = check_landau(seq, tol)
@@ -169,11 +178,7 @@ def kernel_from_score_function(
     """An n-block step kernel whose score function is the n-cell average of f."""
     seq = discretize_score_function(f, n, tol)
     kernel = step_kernel_from_tournament(realize_scores(seq, tol))
-    cells, grid = _resampled_cells(f, n)
-    per = grid // n
-    target = np.array([
-        math.fsum(cells[i * per:(i + 1) * per]) / per for i in range(n)
-    ])
+    target = _cell_sums(f, n) / (math.lcm(f.m, n) // n)
     got = np.array([math.fsum(row) / n for row in kernel.blocks])
     if np.max(np.abs(got - target)) > max(tol, 1e-9):  # unreachable
         raise RuntimeError("realized kernel does not average the score function")

@@ -21,6 +21,7 @@ from .core import (
     GeneralizedTournament,
     StepKernel,
     ValidationError,
+    _check_matrix_size,
     degree_distribution,
     scores_of_tournament,
     wasserstein1,
@@ -49,20 +50,6 @@ def _rng(seed: int, key) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
     )
-
-
-_MAX_MATRIX_BYTES = 2**31
-"""Largest n x n float64 matrix a sampler may produce: 2 GiB, n = 16384."""
-
-
-def _check_matrix_size(n: int) -> None:
-    """Reject a sample whose n x n float64 matrix would exceed
-    ``_MAX_MATRIX_BYTES``, before anything is drawn or allocated."""
-    if 8 * n * n > _MAX_MATRIX_BYTES:
-        raise ValidationError(
-            f"a sample on {n} vertices needs an {n}x{n} float64 matrix "
-            f"({8 * n * n} bytes), more than the {_MAX_MATRIX_BYTES}-byte limit"
-        )
 
 
 def _cells_of(x: np.ndarray, blocks: int) -> np.ndarray:

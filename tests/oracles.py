@@ -51,6 +51,16 @@ def exact_condition(cells, which: str, tol: float) -> bool:
     return ok and abs(integrals[-1] - Fraction(1, 2)) <= t
 
 
+def lcm_grid_cell_sums(cells, n: int) -> np.ndarray:
+    """For each of n equal cells, math.fsum of the cell means over the
+    lcm(m, n) grid cells inside it, on the grid itself."""
+    m = len(cells)
+    grid = math.lcm(m, n)
+    fine = np.repeat(np.asarray(cells, dtype=float), grid // m)
+    per = grid // n
+    return np.array([math.fsum(fine[i * per:(i + 1) * per]) for i in range(n)])
+
+
 def pair_list(n):
     return list(combinations(range(n), 2))
 

@@ -68,6 +68,38 @@ class TestExitCodes:
         assert main(["check-score-seq", "--input", path]) == 2
         assert "values" in capsys.readouterr().err
 
+    def test_integer_scores_from_2_53_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "seq.json", {"values": [2**70, 0, 1], "kind": "integer"})
+        assert main(["check-score-seq", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert "2**53" in captured.err and captured.out == ""
+
+    def test_either_class_names_both_fields(self, tmp_path, capsys):
+        path = write_json(tmp_path, "empty.json", {"n": 3})
+        assert main(["density", "--input", path, "--pattern", "C3"]) == 2
+        assert "field 'blocks' or 'alpha' required" in capsys.readouterr().err
+        assert main(["degree-dist", "--input", path]) == 2
+        assert "field 'blocks' or 'alpha' required" in capsys.readouterr().err
+        assert main(["moments", "--input", path]) == 2
+        assert "field 'cells' or 'a' required" in capsys.readouterr().err
+        # the first field present picks the class; its own errors are usage errors
+        bad = write_json(tmp_path, "bad.json", {"blocks": [[0.5, 0.2], [0.2, 0.5]],
+                                                "alpha": [[0, 1], [0, 0]]})
+        assert main(["density", "--input", bad, "--pattern", "C3"]) == 2
+        assert "field 'blocks' violates" in capsys.readouterr().err
+
+    def test_matrix_budget_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
+        import tourlim.core
+
+        def no_peel(*args):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(tourlim.core, "_MAX_MATRIX_BYTES", 8 * 10 * 10)
+        monkeypatch.setattr(realize, "_peel", no_peel)
+        path = write_json(tmp_path, "fn.json", {"cells": [0.5]})
+        assert main(["kernel-from-fn", "--input", path, "--blocks", "11"]) == 1
+        assert "bytes" in json.loads(capsys.readouterr().out)["error"]
+
     def test_unknown_flag_exits_2(self, half3):
         assert main(["perturb", "--input", half3, "--bogus"]) == 2
 

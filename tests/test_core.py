@@ -41,6 +41,16 @@ class TestTypes:
         with pytest.raises(ValidationError):
             ScoreSequence([1.5, 0.5], "integer")
 
+    def test_score_sequence_integer_kind_rejects_values_from_2_53(self):
+        # 1e19 would wrap to -2**63 in int64; 2**53 + 1 rounds to 2**53 in float64
+        for big in (1e19, 2**70, 2**53 + 1, 2**53):
+            with pytest.raises(ValidationError, match="2\\*\\*53"):
+                ScoreSequence([big, 0, 1], "integer")
+            with pytest.raises(ValidationError, match="2\\*\\*53"):
+                ScoreSequence.from_json_dict({"values": [big, 0, 1], "kind": "integer"})
+        assert ScoreSequence([2**53 - 1, 0], "integer").values.tolist() == [2**53 - 1, 0]
+        assert ScoreSequence([1e19, 0, 1], "real").values[0] == 1e19
+
     def test_score_sequence_is_immutable(self):
         s = ScoreSequence([0, 1, 2], "integer")
         with pytest.raises(ValueError):

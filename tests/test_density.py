@@ -260,6 +260,15 @@ class TestDensityKernel:
         assert time.perf_counter() - start < 1.0
 
 
+def test_t8_plain_step_uses_all_eight_letters():
+    # on 2 blocks the 8-vertex terms are tiny, so each runs its plain sum as
+    # one einsum step over all 8 letters
+    w = random_step_kernel(2, seed=3)
+    t8 = DigraphPattern.transitive(8)
+    want = oracles.brute_density_kernel(t8, w.blocks)
+    assert density_kernel(t8, w) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 ANTI_C4 = DigraphPattern(4, frozenset({(0, 1), (2, 1), (2, 3), (0, 3)}))
 CYCLE_PATTERNS = (C3, C4, DigraphPattern.cycle(5), ANTI_C4)
 

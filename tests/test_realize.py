@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tourlim import (
     step_kernel_from_tournament,
     symmetrize_self_converse,
 )
-from tourlim.realize import _peel
+from tourlim.realize import _cell_sums, _peel
 
 
 def iseq(*vals):
@@ -215,6 +216,45 @@ class TestDiscretize:
             discretize_score_function(ScoreFunction([0.1, 0.1]), 2)
 
 
+class TestCellSums:
+    """The exact O(m + n) cell sums against math.fsum on the lcm grid."""
+
+    @pytest.mark.parametrize("dyadic", [True, False])
+    def test_matches_lcm_grid_fsum(self, dyadic):
+        rng = np.random.default_rng(29 + dyadic)
+        for _ in range(300):
+            m, n = (int(x) for x in rng.integers(1, 61, 2))
+            cells = rng.integers(0, 65, m) / 64 if dyadic else rng.random(m)
+            # non-dyadic cells of very different exponents, too
+            if not dyadic and rng.random() < 0.3:
+                cells = cells * 10.0 ** rng.integers(-300, 1, m)
+            got = _cell_sums(ScoreFunction(cells), n)
+            assert np.array_equal(got, oracles.lcm_grid_cell_sums(cells, n)), (m, n)
+
+    @pytest.mark.parametrize("m,n", [(7, 5), (12, 35), (64, 63), (97, 89), (60, 60), (6, 4)])
+    def test_coprime_and_shared_factors(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        for cells in (rng.random(m), rng.integers(0, 17, m) / 16, np.full(m, 1 / 3)):
+            got = _cell_sums(ScoreFunction(cells), n)
+            assert np.array_equal(got, oracles.lcm_grid_cell_sums(cells, n))
+
+    def test_discretize_4096_to_4095_is_fast_and_small(self):
+        # non-dyadic, condition-I valid (a mixture of the identity and 1/2);
+        # the lcm grid would have 4096 * 4095 cells, 128 MiB of float64
+        f = ScoreFunction(0.9 * identity_cells(4096).cells + 0.05)
+        start = time.perf_counter()
+        d = discretize_score_function(f, 4095)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            discretize_score_function(f, 4095)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert check_landau(d).valid and d.n == 4095
+
+
 class TestKernelFromScoreFunction:
     def test_identity_n3_score_cells(self):
         w = kernel_from_score_function(identity_cells(3), 3)
@@ -265,6 +305,41 @@ class TestKernelFromScoreFunction:
             ) < 1e-3
             w_half = kernel_from_score_function(f, m // 2)
             assert wasserstein1(degree_distribution(w_half), atoms) <= 2 / m + 1e-12
+
+
+class TestMatrixBudget:
+    """realize_scores and StepKernel.refine refuse, before allocating, an
+    n x n result beyond the shared matrix budget."""
+
+    def test_realize_scores_refuses_before_the_peel(self, monkeypatch):
+        import tourlim.core
+        import tourlim.realize
+
+        def no_peel(*args):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(tourlim.core, "_MAX_MATRIX_BYTES", 8 * 10 * 10)
+        assert realize_scores(ScoreSequence(np.full(9, 4), "integer")).n == 9
+        monkeypatch.setattr(tourlim.realize, "_peel", no_peel)
+        with pytest.raises(ValidationError, match="bytes"):
+            realize_scores(ScoreSequence(np.full(11, 5), "integer"))
+        with pytest.raises(ValidationError, match="bytes"):
+            kernel_from_score_function(ScoreFunction([0.5]), 11)
+
+    def test_refine_refuses_before_kron(self, monkeypatch):
+        import tourlim.core
+        from tourlim import StepKernel
+
+        monkeypatch.setattr(tourlim.core, "_MAX_MATRIX_BYTES", 8 * 10 * 10)
+        w = StepKernel([[0.5, 1.0], [0.0, 0.5]])
+        assert w.refine(5).n == 10
+
+        def no_kron(*args):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(tourlim.core.np, "kron", no_kron)
+        with pytest.raises(ValidationError, match="bytes"):
+            w.refine(6)
 
 
 class TestSelfConverse:

@@ -107,12 +107,12 @@ class TestSampleMemoryGuard:
             sample_tournament(HALF3, SampleConfig(10**6))
 
     def test_sample_self_converse_counts_both_sides(self, monkeypatch):
-        import tourlim.sample
+        import tourlim.core
 
         with pytest.raises(ValidationError, match="bytes"):
             sample_self_converse(HALF3, np.arange(3), SampleConfig(10**6))
         # with a 100 x 100 limit, 50 pairs fit and 51 pairs (102 vertices) do not
-        monkeypatch.setattr(tourlim.sample, "_MAX_MATRIX_BYTES", 8 * 100 * 100)
+        monkeypatch.setattr(tourlim.core, "_MAX_MATRIX_BYTES", 8 * 100 * 100)
         assert sample_self_converse(HALF3, np.arange(3), SampleConfig(50)).n == 100
         with pytest.raises(ValidationError, match="bytes"):
             sample_self_converse(HALF3, np.arange(3), SampleConfig(51))
@@ -131,7 +131,7 @@ class TestSampleMemoryGuard:
             )
 
     def test_limit_is_2_gib(self):
-        from tourlim.sample import _MAX_MATRIX_BYTES, _check_matrix_size
+        from tourlim.core import _MAX_MATRIX_BYTES, _check_matrix_size
 
         assert _MAX_MATRIX_BYTES == 2**31
         _check_matrix_size(16384)
