@@ -312,6 +312,8 @@ def _cmd_converge(args):
         raise UsageError(f"cannot parse --sizes '{args.sizes}'") from exc
     if not sizes or any(n < 1 for n in sizes):
         raise UsageError("--sizes entries must be positive")
+    if len(set(sizes)) != len(sizes):
+        raise UsageError("--sizes entries must be distinct")
     if args.reps < 1:
         raise UsageError("--reps must be positive")
     cfg = sample.SampleConfig(max(sizes), _seed(args), args.reps)

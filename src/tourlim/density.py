@@ -573,6 +573,13 @@ def _terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
     return _as_terms(out)
 
 
+def _checked_terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
+    """``_terms(f, mode, c, n)`` once ``_check_cost`` admits them."""
+    terms = _terms(f, mode, c, n)
+    _check_cost(terms, n)
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # public densities
 
@@ -597,8 +604,7 @@ def density_finite(
     n = g.n
     if mode != "hom" and f.k > n:
         return 0.0
-    terms = _terms(f, mode, 1, n)
-    _check_cost(terms, n)
+    terms = _checked_terms(f, mode, 1, n)
     mats = {_EDGE: g.alpha}
     if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
         mats[_BLANK] = (1.0 - g.alpha) * (1.0 - g.alpha.T)
@@ -613,8 +619,7 @@ def density_kernel(f: DigraphPattern, w: StepKernel) -> float:
     n = w.n
     if f.k > MAX_PATTERN_VERTICES:
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
-    terms = _terms(f, "hom", 0, n)
-    _check_cost(terms, n)
+    terms = _checked_terms(f, "hom", 0, n)
     return _evaluate(terms, {_EDGE: w.blocks}, n) / float(n) ** f.k
 
 

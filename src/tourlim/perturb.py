@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StepKernel, ValidationError, score_function_of_kernel
-from .density import DigraphPattern, _check_cost, _terms, density_kernel
+from .density import DigraphPattern, _checked_terms, density_kernel
 
 C4_DIFF_THRESHOLD = 1e-9
 _CIRCULATION = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
@@ -178,6 +178,6 @@ def nonuniqueness_certificate(
                 moved = float(np.max(np.abs(f1 - f0)))
                 return NonUniquenessCertificate(s0, kernel, base, c4_perturbed, moved)
         if round_idx < refine_rounds:
-            _check_cost(_terms(c4, "hom", 0, 2 * current.n), 2 * current.n)
+            _checked_terms(c4, "hom", 0, 2 * current.n)
             current = current.refine(2)
     return None

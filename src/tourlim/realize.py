@@ -203,17 +203,14 @@ def symmetrize_self_converse(
     order = np.argsort(np.asarray(scores.values, dtype=float), kind="stable")
     a = g.alpha[np.ix_(order, order)]
     v = (a + 1.0 - a[::-1, ::-1]) / 2.0
-    # the orbit {(i, j), (rho(j), rho(i))} takes v at its lexicographically
-    # first upper-triangle pair
-    i, j = np.triu_indices(n, 1)
-    p, q = n - 1 - j, n - 1 - i
-    first = (i < p) | ((i == p) & (j <= q))
-    i, j, p, q = i[first], j[first], p[first], q[first]
-    out = np.zeros((n, n))
-    out[i, j] = v[i, j]
-    out[p, q] = v[i, j]
-    lower = np.tril_indices(n, -1)
-    out[lower] = 1.0 - out.T[lower]
+    del a
+    # the orbit {(i, j), (rho(j), rho(i))} of upper pairs takes v at its
+    # lexicographically first pair, the one with i + j <= n - 1
+    k = np.arange(n)
+    v = np.where(k[:, None] + k <= n - 1, v, v[::-1, ::-1].T)
+    out = np.triu(v, 1)
+    del v
+    out += np.tril(1.0 - out.T, -1)
     return GeneralizedTournament(out)
 
 

@@ -26,7 +26,7 @@ from .core import (
     scores_of_tournament,
     wasserstein1,
 )
-from .density import density_finite, density_kernel
+from .density import _checked_terms, density_finite, density_kernel
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     _check_matrix_size(cfg.n)
     rng = _rng(cfg.seed, rep)
     cells = _cells_of(rng.random(cfg.n), w.n)
-    u = rng.random((cfg.n, cfg.n))
-    wins = np.triu(u < w.blocks[cells][:, cells], 1)
+    wins = np.triu(rng.random((cfg.n, cfg.n)) < w.blocks[cells][:, cells], 1)
     wins |= np.tril(~wins.T, -1)
     return GeneralizedTournament(wins.astype(float))
 
@@ -119,16 +118,13 @@ def sample_self_converse(
     rng = _rng(cfg.seed, rep)
     m = cfg.n
     cells = _cells_of(rng.random(m), n)
-    u_vv = rng.random((m, m))
-    u_vw = rng.random((m, m))
     # vv[i, j]: v_i -> v_j; vw[i, j]: v_i -> w_j, drawn for i <= j and mirrored
-    vv = np.triu(u_vv < w.blocks[cells][:, cells], 1)
+    vv = np.triu(rng.random((m, m)) < w.blocks[cells][:, cells], 1)
     vv |= np.tril(~vv.T, -1)
-    vw = np.triu(u_vw < w.blocks[cells][:, sigma[cells]])
+    vw = np.triu(rng.random((m, m)) < w.blocks[cells][:, sigma[cells]])
     vw |= vw.T
     # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j
-    alpha = np.block([[vv, vw], [~vw, vv.T]]).astype(float)
-    out = GeneralizedTournament(alpha)
+    out = GeneralizedTournament(np.block([[vv, vw], [~vw, vv.T]]).astype(float))
     if not is_selfconverse_under(out, witness_permutation(m)):
         raise RuntimeError("sampled tournament is not self-converse under the witness")
     return out
@@ -180,10 +176,18 @@ def convergence_report(
 
     The per-size Wasserstein-1 samples are reported both as summary rows
     (pattern name "degree_w1", exact 0) and raw in ``w1_samples``.
+    Sizes must be distinct.  The matrix budget of the largest size and the
+    cost guard of every density are checked before the first draw.
     """
+    if len(set(sizes)) != len(sizes):
+        raise ValidationError("sample sizes must be distinct")
     _check_matrix_size(max(sizes, default=0))
     target = degree_distribution(w)
     exact = {name: density_kernel(f, w) for name, f in patterns.items()}
+    for size in sizes:
+        for f in patterns.values():
+            if f.k <= size:
+                _checked_terms(f, "inj", 1, size)
     rows = []
     w1_samples: dict[int, tuple] = {}
     stats: dict[str, dict[int, list[float]]] = {name: {} for name in patterns}

@@ -254,6 +254,11 @@ class TestCommands:
         assert lines[0] == "pattern,n,mean,stderr,exact"
         assert len(lines) == 1 + 2 * 2 + 2  # patterns x sizes + degree_w1 rows
 
+    def test_converge_repeated_sizes_are_a_usage_error(self, half3, capsys):
+        assert main(["converge", "--input", half3, "--pattern", "C3",
+                     "--sizes", "20,20", "--reps", "2"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_fingerprint(self, half3, capsys):
         assert main(["fingerprint", "--input", half3, "--order", "3"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -405,6 +405,17 @@ class TestSelfConverse:
             ref = oracles.symmetrize_by_orbits(g.alpha[np.ix_(order, order)])
             assert np.array_equal(out, ref)
 
+    def test_symmetrize_peak_is_below_3_5_results(self):
+        n = 1001
+        g = realize_scores(ScoreSequence(np.full(n, n // 2), "integer"))
+        tracemalloc.start()
+        try:
+            out = symmetrize_self_converse(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * out.alpha.nbytes
+
     def test_converse_is_rho_relabelling(self):
         from tourlim import converse
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def transitive_kernel(n):
     return step_kernel_from_tournament(
         GeneralizedTournament(np.triu(np.ones((n, n)), 1))
     )
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 class TestSampleTournament:
@@ -129,6 +142,35 @@ class TestSampleMemoryGuard:
             convergence_report(
                 HALF3, {"C3": DigraphPattern.cycle(3)}, [10, 10**6], SampleConfig(1)
             )
+
+    def test_convergence_report_checks_density_cost_before_drawing(self, monkeypatch):
+        import tourlim.sample
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return sample_tournament(*args, **kwargs)
+
+        monkeypatch.setattr(tourlim.sample, "sample_tournament", spy)
+        with pytest.raises(ValidationError, match="cost guard"):
+            convergence_report(
+                HALF3, {"T5": DigraphPattern.transitive(5)}, [300], SampleConfig(300)
+            )
+        assert calls == []
+
+    def test_sample_tournament_peak_is_below_2_5_results(self):
+        g, peak = traced_peak(
+            lambda: sample_tournament(random_step_kernel(5, seed=3), SampleConfig(2000, 1))
+        )
+        assert peak <= 2.5 * g.alpha.nbytes
+
+    def test_sample_self_converse_peak_is_below_2_5_results(self):
+        g, peak = traced_peak(
+            lambda: sample_self_converse(HALF3, np.arange(3), SampleConfig(1000, 1))
+        )
+        assert g.n == 2000
+        assert peak <= 2.5 * g.alpha.nbytes
 
     def test_limit_is_2_gib(self):
         from tourlim.core import _MAX_MATRIX_BYTES, _check_matrix_size
@@ -270,6 +312,10 @@ class TestConvergenceReport:
         a = convergence_report(HALF3, patterns, [20], SampleConfig(1, seed=3, reps=3))
         b = convergence_report(HALF3, patterns, [20], SampleConfig(1, seed=3, reps=3))
         assert a.to_csv() == b.to_csv()
+
+    def test_repeated_sizes_are_refused(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            convergence_report(HALF3, {}, [20, 20], SampleConfig(1, seed=0, reps=2))
 
     def test_empirical_density_close_to_exact(self):
         patterns = {"S0,1": DigraphPattern.star(0, 1)}
