@@ -271,6 +271,9 @@ def _cmd_density(args):
     pattern = _parse_pattern(args.pattern[0])
     obj = _decode(args.input, _KERNEL_OR_TOURNAMENT)
     if isinstance(obj, StepKernel):
+        # on a kernel the blank factor (1 - W) o (1 - W^T) = W o W^T is not zero
+        if args.mode == "ind":
+            raise UsageError("--mode ind needs a finite (generalised) tournament, not a kernel")
         value = density.density_kernel(pattern, obj)
         payload = {"pattern": args.pattern[0], "mode": "kernel", "density": value}
     else:

@@ -46,14 +46,17 @@ evaluate these sums along one path of three steps.
    about n^(w + 1) for the widest neighbourhood w along its order, and
    separate components never meet.  A term's plain sum is its one-step
    plan: a single einsum over all its factors, n^k times its factor count
-   multiply-adds.  A term runs that plan when it costs at most 2^13 (below
-   that, running the steps costs more than it saves) or when its
-   elimination plan would hold an intermediate of more than max(n^2, 2^24)
-   elements.  Step results with at most one index (a leaf summed out into a
-   vector, a plain sum) are named by what they compute and shared by the
-   terms of one call, or of one fingerprint.  The cost guard reads the exact
-   count of multiplications and additions of what runs, each shared step
-   once.
+   multiply-adds; a term runs it only when that costs at most 2^13 (below
+   that, running the steps costs more than it saves).  No intermediate
+   holds more than max(n^2, 2^24) values: when the widest ones would, the
+   plan runs over row ranges of one vertex that all of them carry (a
+   slice, after Gray and Kourtis 2021), one pass per range, and the passes
+   are summed; a term that one row does not fit is refused.  Step results
+   with at most one index (a leaf summed out into a vector, a plain sum)
+   are named by what they compute and shared by the terms of one call, or
+   of one fingerprint, and within each pass.  The cost guard reads the
+   exact count of multiplications and additions of what runs, each shared
+   step once, and keeps it per list of terms and n.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -83,7 +86,7 @@ MAX_PATTERN_VERTICES = 8
 MAX_FINITE_FLOPS = 10**11
 # terms whose plain sum is at most this many multiply-adds run it as one step
 _DIRECT_FLOPS = 2**13
-# so do terms whose plan would hold more than max(n^2, _MAX_ELEMENTS) values
+# no intermediate holds more than max(n^2, _MAX_ELEMENTS) values
 _MAX_ELEMENTS = 2**24
 _LETTERS = "abcdefgh"
 _MODES = ("hom", "inj", "ind")
@@ -133,13 +136,18 @@ class _Plan(NamedTuple):
     operands, so the steps form a tree under each of the 0-d ``scalars``,
     whose product, times n for each of the ``free`` vertices that no factor
     touches, is the sum.  ``width`` is the most indices an intermediate
-    carries.
+    carries, and ``cut`` a vertex that every intermediate of that many
+    indices carries (None if there is none): when those intermediates are
+    too large, the ``sliced`` scalars, those whose trees carry ``cut``, are
+    summed over row ranges of ``cut`` one pass at a time.
     """
 
     steps: tuple
     scalars: tuple
     free: int
     width: int
+    cut: int | None
+    sliced: frozenset
 
 
 class _Step(NamedTuple):
@@ -147,14 +155,14 @@ class _Step(NamedTuple):
     axes ``spec``; op "einsum" runs the subscripts ``spec`` on at most three
     operands.  ``key`` names the computation up to vertex names: results
     with at most ``rank`` 1 are shared by key across the terms of a call.
-    The step makes ``count`` multiplications and additions per each of
-    n^``power`` index values."""
+    The step makes ``count`` multiplications and additions per value of
+    the vertices ``over``."""
 
     op: str
     ids: tuple
     spec: object
     key: tuple
-    power: int
+    over: tuple
     count: int
     rank: int
 
@@ -227,23 +235,22 @@ def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
     remain, the two with the fewest indices between them are multiplied
     elementwise, except that three operands stay for one einsum when no
     such product leaves two that share only x.  Two operands that share
-    only x become one BLAS product; anything else is one einsum.
+    only x become one BLAS product; anything else is one einsum.  The cut
+    is the least vertex that every output of the most indices carries.
     """
     live = {i: (u, v) for i, (u, v, _) in enumerate(factors)}
     keys = {i: kind for i, (_, _, kind) in enumerate(factors)}
-    steps = []
-    width = 0
+    steps, outs = [], []
 
     def emit(op, ids, spec, out, count):
-        nonlocal width
         new = len(factors) + len(steps)
         keys[new] = (op, _renamed(spec) if op == "einsum" else spec, *(keys[i] for i in ids))
-        power = len(set().union(*(live[i] for i in ids)))
-        steps.append(_Step(op, ids, spec, keys[new], power, count, len(out)))
+        over = tuple(sorted(set().union(*(live[i] for i in ids))))
+        steps.append(_Step(op, ids, spec, keys[new], over, count, len(out)))
         for i in ids:
             del live[i]
         live[new] = out
-        width = max(width, len(out))
+        outs.append({*out})
         return new
 
     def einsum(ids, out):
@@ -269,24 +276,47 @@ def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
             emit("dot", (i, j), (live[i].index(x), live[j].index(x)), out, 2)
         else:
             einsum(tuple(bucket), tuple(sorted(set().union(*(live[i] for i in bucket)) - {x})))
+    width = max(map(len, outs))
+    cut = min(set.intersection(*(out for out in outs if len(out) == width)), default=None)
+    carries = [cut in (u, v) for u, v, _ in factors]
+    for step in steps:
+        carries.append(any(carries[i] for i in step.ids))
     return _Plan(
         steps=tuple(steps),
         scalars=tuple(live),
         free=k - len(touched),
         width=width,
+        cut=cut,
+        sliced=frozenset(i for i in live if carries[i]),
     )
 
 
 def _tiny(k: int, factors: tuple, n: int) -> bool:
     """Whether the term's plain sum makes at most _DIRECT_FLOPS operations."""
     (step,) = _plan(k, factors, True).steps
-    return n ** step.power * step.count <= _DIRECT_FLOPS
+    return n ** len(step.over) * step.count <= _DIRECT_FLOPS
 
 
-def _is_direct(k: int, factors: tuple, n: int) -> bool:
-    """Whether the term runs as its plain sum: when that is tiny, or when
-    its plan would hold an intermediate larger than max(n^2, _MAX_ELEMENTS)."""
-    return _tiny(k, factors, n) or n ** _plan(k, factors).width > max(n * n, _MAX_ELEMENTS)
+def _chosen(k: int, factors: tuple, n: int | None) -> _Plan:
+    """The plan the term runs at n: its plain sum when that is tiny, else
+    its elimination plan; without n, its elimination plan."""
+    return _plan(k, factors, n is not None and _tiny(k, factors, n))
+
+
+def _rows(plan: _Plan, n: int) -> int:
+    """Rows of ``plan.cut`` per pass: n when every intermediate fits in
+    max(n^2, _MAX_ELEMENTS) values, else as many as fit, 0 if not one."""
+    ceiling = max(n * n, _MAX_ELEMENTS)
+    if n ** plan.width <= ceiling:
+        return n
+    return 0 if plan.cut is None else ceiling // n ** (plan.width - 1)
+
+
+def _passes(plan: _Plan, i: int, n: int | None) -> list:
+    """The row ranges of ``plan.cut`` that scalar i is summed over, one per
+    pass; [None] for one pass over every row."""
+    rows = n if n is None or i not in plan.sliced else _rows(plan, n)
+    return [None] if rows == n else [slice(a, a + rows) for a in range(0, n, rows)]
 
 
 def _value(plan: _Plan, i: int, leaves: list | tuple, shared: dict, run):
@@ -323,37 +353,67 @@ def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
 def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
     """Sum over all of [n]^k of the product of the term's factors, each
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
-    the other terms of the call through ``shared``."""
+    the other terms of the call through ``shared``.  A sliced pass reads
+    only its rows of the cut vertex and shares results within itself."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
-    plan = _plan(k, factors, _is_direct(k, factors, n))
+    plan = _chosen(k, factors, n)
     value = float(n) ** plan.free
     for i in plan.scalars:
-        value *= float(_value(plan, i, leaves, shared, _run))
+        total = 0.0
+        for rows in _passes(plan, i, n):
+            ops = leaves if rows is None else [
+                m[rows] if u == plan.cut else m[:, rows] if v == plan.cut else m
+                for m, (u, v, _) in zip(leaves, factors)
+            ]
+            total += float(_value(plan, i, ops, shared if rows is None else {}, _run))
+        value *= total
     return value
 
 
 def _work(terms, n: int | None = None) -> list:
     """(power, count) for each step that ``_evaluate`` runs on ``terms``:
     count multiplications and additions per each of n^power index values.
-    At a given n, a term that runs as its plain sum lists that one step;
-    without n, every term lists its elimination plan."""
+    At a given n, a tiny term lists its plain sum, and a step over the cut
+    vertex in a pass of r rows lists (power - 1, r count); without n, every
+    term lists its elimination plan in one pass."""
     work: list = []
     shared: dict = {}
     for _, k, factors in terms:
         if not factors:
             continue
-        plan = _plan(k, factors, n is not None and _is_direct(k, factors, n))
+        plan = _chosen(k, factors, n)
         for i in plan.scalars:
-            _value(plan, i, factors, shared, lambda step, _: work.append((step.power, step.count)))
+            for rows in _passes(plan, i, n):
+                # a pass of r rows runs a step over the cut on r n^(power - 1) values
+                r = rows and len(range(n)[rows])
+                _value(plan, i, factors, {} if r else shared, lambda step, _: work.append(
+                    (len(step.over) - 1, r * step.count) if r and plan.cut in step.over
+                    else (len(step.over), step.count)
+                ))
     return work
 
 
-def _check_cost(terms, n: int) -> None:
-    """Reject, before any contraction, terms whose planned multiplications
-    and additions on n x n operands exceed MAX_FINITE_FLOPS."""
-    flops = sum(count * float(n) ** power for power, count in _work(terms, n))
+@lru_cache(maxsize=1024)
+def _cost(terms: tuple, n: int, *limits) -> float:
+    """The planned multiplications and additions of ``terms`` on n x n
+    operands.  ``limits``, the values of _DIRECT_FLOPS and _MAX_ELEMENTS,
+    which decide what runs, only key the cache."""
+    for _, k, factors in terms:
+        if factors and not _rows(plan := _chosen(k, factors, n), n):
+            raise ValidationError(
+                f"density term too wide (cost guard: one row of its {plan.width}-index "
+                f"intermediates exceeds {max(n * n, _MAX_ELEMENTS):.3g} values)"
+            )
+    return sum(count * float(n) ** power for power, count in _work(terms, n))
+
+
+def _check_cost(terms: tuple, n: int) -> None:
+    """Reject, before any contraction, terms with an intermediate that does
+    not fit in max(n^2, _MAX_ELEMENTS) values even one row of the cut vertex
+    at a time, or whose planned count exceeds MAX_FINITE_FLOPS."""
+    flops = _cost(terms, n, _DIRECT_FLOPS, _MAX_ELEMENTS)
     if flops > MAX_FINITE_FLOPS:
         raise ValidationError(
             f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
@@ -688,7 +748,7 @@ def fingerprint(w: StepKernel, K: int) -> DensityFingerprint:
     if not 1 <= K <= 5:
         raise ValidationError("fingerprint order K must be in 1..5")
     classes = [c for k in range(1, K + 1) for c in _tournament_pattern_classes(k)]
-    _check_cost([t for _, f in classes for t in _terms(f, "hom", 0, w.n)], w.n)
+    _check_cost(tuple(t for _, f in classes for t in _terms(f, "hom", 0, w.n)), w.n)
     shared: dict = {}
     return DensityFingerprint(K, {
         d: _evaluate(_terms(f, "hom", 0, w.n), {_EDGE: w.blocks}, w.n, shared) / float(w.n) ** f.k

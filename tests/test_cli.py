@@ -198,6 +198,22 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["density"] == pytest.approx(1 / (8 * 81), abs=1e-15)
 
+    def test_density_ind_on_a_kernel_exits_2(self, tmp_path, capsys):
+        # the induced blank factor of a kernel is W o W^T, not zero: ind is
+        # not the kernel density, while inj is
+        path = write_json(tmp_path, "w.json", {"n": 2, "blocks": [[0.5, 0.3], [0.7, 0.5]]})
+        args = ["density", "--pattern", "S1,1", "--input", path]
+        assert main(args + ["--mode", "ind"]) == 2
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--mode", "hom"], ["--mode", "inj"]):
+            assert main(args + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+        out = json.loads(outputs[0])
+        assert out["mode"] == "kernel"
+        assert out["density"] == pytest.approx(0.24, abs=1e-15)
+
     def test_density_on_finite_tournament(self, tmp_path, capsys):
         g = {"n": 3, "alpha": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}
         path = write_json(tmp_path, "g.json", g)

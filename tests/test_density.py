@@ -277,17 +277,27 @@ def falling(x, k):
     return math.prod(x - i for i in range(k))
 
 
+def einsum_dims(spec, ops):
+    """The size of each index letter of an einsum step's operands."""
+    dims = {}
+    for names, op in zip(spec.split("->")[0].split(","), ops):
+        dims.update(zip(names, op.shape))
+    return dims
+
+
 class TestPlanner:
-    @pytest.mark.parametrize("path", ["as sized", "planned", "plain unless n^2 wide"])
+    @pytest.mark.parametrize("path", ["as sized", "planned", "sliced, one row per pass"])
     @pytest.mark.parametrize("n", [4, 6])
     def test_cycles_match_bruteforce(self, monkeypatch, path, n):
         # with the tiny-sum shortcut off, every term runs its planned steps,
-        # or its plain sum when its plan holds more than n^2 values
+        # one row of the cut vertex per pass when its plan holds more than
+        # n^2 values; C5 ind keeps a 4-index intermediate, of which one row
+        # holds n^3 > n^2 values, so at n = 6 the guard refuses it
         import tourlim.density
 
         if path != "as sized":
             monkeypatch.setattr(tourlim.density, "_DIRECT_FLOPS", 0)
-        if path == "plain unless n^2 wide":
+        if path == "sliced, one row per pass":
             monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 0)
         rng = np.random.default_rng(n)
         upper = np.triu(rng.random((n, n)), 1)
@@ -299,6 +309,10 @@ class TestPlanner:
             for alpha in hosts:
                 g = GeneralizedTournament(alpha)
                 for mode in ("hom", "inj", "ind"):
+                    if path == "sliced, one row per pass" and (f.k, mode, n) == (5, "ind", 6):
+                        with pytest.raises(ValidationError, match="too wide"):
+                            density_finite(f, g, mode)
+                        continue
                     want = oracles.brute_density_finite(f, alpha, mode)
                     assert abs(density_finite(f, g, mode) - want) <= 1e-12
             want = oracles.brute_density_kernel(f, blocks)
@@ -336,6 +350,115 @@ class TestPlanner:
         monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
         with pytest.raises(ValidationError, match="cost guard"):
             density_finite(C4, g, "inj")
+
+    def test_guard_counts_once_per_terms_and_size(self, monkeypatch):
+        import tourlim.density
+        from tourlim.density import _cost, _terms, _work
+
+        n = 123
+        g = GeneralizedTournament(random_tournament(n, 4))
+        _terms(C4, "inj", 1, n)
+        _cost.cache_clear()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _work(*args)
+
+        monkeypatch.setattr(tourlim.density, "_work", spy)
+        assert density_finite(C4, g, "inj") == density_finite(C4, g, "inj")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("f, mode", [(C4, "ind"), (DigraphPattern.cycle(5), "ind"),
+                                         (DigraphPattern.transitive(5), "inj")])
+    def test_ragged_slices_match_the_unsliced_plan(self, monkeypatch, f, mode):
+        # 7 rows of the cut vertex per pass at n = 30: four passes of 7 rows
+        # and one of 2
+        import tourlim.density
+        from tourlim.density import _passes, _plan, _terms
+
+        n = 30
+        g = GeneralizedTournament(random_tournament(n, 7) * 0.8 + 0.1 * (1 - np.eye(n)))
+        plans = [_plan(k, factors) for _, k, factors in _terms(f, mode, 1, n) if factors]
+        width = max(plan.width for plan in plans)
+        assert width >= 3
+        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", n**width)
+        whole = density_finite(f, g, mode)
+        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 7 * n ** (width - 1))
+        wide = [plan for plan in plans if plan.width == width]
+        assert {len(_passes(plan, i, n)) for plan in wide for i in plan.sliced} == {5}
+        assert density_finite(f, g, mode) == pytest.approx(whole, rel=1e-12)
+
+    def test_sliced_steps_are_the_counted_steps(self, monkeypatch):
+        # C4 ind at 300 slices its widest term; every step of a term that is
+        # not tiny has at most three operands, and the multiply-adds of the
+        # steps that run, read off their operand shapes, are the guard's count
+        import tourlim.density
+        from tourlim.density import _passes, _plan, _run, _terms, _work
+
+        n = 300
+        terms = _terms(C4, "ind", 1, n)
+        assert any(len(_passes(_plan(k, f), i, n)) > 1 for _, k, f in terms if f
+                   for i in _plan(k, f).sliced)
+        g = GeneralizedTournament(random_tournament(n, 8))
+        executed = []
+
+        def spy(step, ops):
+            if step.op == "dot":
+                i, j = step.spec
+                size = ops[0].size * ops[1].size // ops[0].shape[i]
+            else:
+                size = math.prod(einsum_dims(step.spec, ops).values())
+            executed.append((len(ops), step.count * size))
+            return _run(step, ops)
+
+        monkeypatch.setattr(tourlim.density, "_run", spy)
+        density_finite(C4, g, "ind")
+        assert max(arity for arity, _ in executed) <= 3
+        assert sum(flops for _, flops in executed) == sum(c * float(n) ** p for p, c in _work(terms, n))
+
+    def test_the_largest_parent_sizes_fit_the_ceiling(self, monkeypatch):
+        # plan only: steps return zero-stride stand-ins of their output shape
+        import tourlim.density
+
+        sizes = []
+
+        def shapes_only(step, ops):
+            if step.op == "dot":
+                i, j = step.spec
+                shape = ops[0].shape[:i] + ops[0].shape[i + 1:] + ops[1].shape[:j] + ops[1].shape[j + 1:]
+            else:
+                dims = einsum_dims(step.spec, ops)
+                shape = tuple(dims[x] for x in step.spec.split("->")[1])
+            sizes.append(math.prod(shape))
+            return np.broadcast_to(np.float64(0.0), shape)
+
+        monkeypatch.setattr(tourlim.density, "_run", shapes_only)
+        S33 = DigraphPattern.star(3, 3)
+        C = DigraphPattern.cycle
+        for f, mode, n in [(C(4), "ind", 359), (C(5), "ind", 99), (C(6), "ind", 43),
+                           (C(7), "ind", 23), (C(8), "ind", 15), (S33, "ind", 24),
+                           (DigraphPattern.transitive(8), "hom", 16)]:
+            sizes.clear()
+            density_finite(f, GeneralizedTournament(random_tournament(n, n)), mode)
+            assert 0 < max(sizes) <= max(n * n, 2**24)
+        # one row of C8 ind's 7-index intermediates holds 19^6 > 2^24 values
+        sizes.clear()
+        with pytest.raises(ValidationError, match="too wide"):
+            density_finite(C(8), GeneralizedTournament(random_tournament(19, 19)), "ind")
+        assert sizes == []
+
+    def test_sliced_c4_ind_peak_memory(self):
+        import tracemalloc
+
+        g = GeneralizedTournament(random_tournament(350, 9))
+        tracemalloc.start()
+        try:
+            density_finite(C4, g, "ind")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**24 * 8
 
     def test_t5_inj_at_100(self):
         # four terms of treewidth 3, 2, 2, 2: about 4e8 FLOPs, one n^3

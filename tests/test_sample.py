@@ -155,7 +155,7 @@ class TestSampleMemoryGuard:
         monkeypatch.setattr(tourlim.sample, "sample_tournament", spy)
         with pytest.raises(ValidationError, match="cost guard"):
             convergence_report(
-                HALF3, {"T5": DigraphPattern.transitive(5)}, [300], SampleConfig(300)
+                HALF3, {"T5": DigraphPattern.transitive(5)}, [1000], SampleConfig(1000)
             )
         assert calls == []
 
