@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
+from json.decoder import JSONObject
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +40,119 @@ def _load_json(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read input file: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, cls=_MatrixDecoder)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"malformed JSON in {path}: expected an object")
     return data
+
+
+class _MatrixDecoder(json.JSONDecoder):
+    """json's decoder, except that a value of the top-level object that
+    ``_number_matrix`` reads comes back as its float64 array.  json's own
+    object scanner walks that object; every other value, and everything
+    inside them, is json's own, errors included."""
+
+    def __init__(self):
+        super().__init__()
+        scan = self.scan_once
+
+        def value(s, i):
+            return _number_matrix(s, i) or scan(s, i)
+
+        def document(s, i):
+            if s.startswith("{", i):
+                return JSONObject((s, i + 1), self.strict, value, None, None, {})
+            return scan(s, i)
+
+        self.scan_once = document
+
+
+_WS = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789+-.eE"
+_IS_NUMBER_BYTE = bytes(c in _NUMBER_BYTES for c in range(256))
+"""Per byte, 1 for a byte of a JSON number and 0 for any other."""
+_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
+"""Every byte of a JSON number to b"0", any other to itself."""
+_FIRST_ROW = re.compile(r"\[[ \t\n\r]*\[([^\]]*)\]")
+_MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
+_NUMBER = rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_NUMBERS = re.compile(_NUMBER + rb"(?:," + _NUMBER + rb")*")
+"""Comma-separated JSON numbers: json.scanner.NUMBER_RE without its groups,
+which make a long match several times slower."""
+
+
+def _number_matrix(text: str, i: int):
+    """``(a, end)`` when ``text[i:end]`` is a JSON array of n >= 1 arrays of
+    m >= 1 numbers each, all spelled with one number of bytes from 1 to 8,
+    whose first and last rows pass ``_row_shape``; ``a`` is then exactly
+    ``np.asarray(json.loads(text[i:end]), dtype=float)``.  None for any
+    other value, which json then reads.
+
+    The decode twin of ``_fixed_width_rows``: every cell's bytes become one
+    uint64 key, ``_bit_table`` finds the distinct keys, and only those are
+    checked against json's number grammar and converted as json converts
+    them.  The first and the last row are looked at alone first, so a real
+    matrix is declined before the whole span is touched.
+    """
+    head = _FIRST_ROW.match(text, i)
+    if head is None or (shape := _row_shape(head[1])) is None:
+        return None
+    tail = _MATRIX_END.search(text, head.end() - 1)
+    if tail is None:
+        return None
+    last = text[text.rfind("[", i, tail.start()) + 1:tail.start()]
+    if _row_shape(last) != shape:
+        return None
+    m, width = shape
+    cells = _cell_keys(text[i:tail.end()], m, width)
+    if cells is None:
+        return None
+    keys, inv = _bit_table(cells)
+    words = keys.view("S8").tolist()
+    if _NUMBERS.fullmatch(b",".join(words)) is None:
+        return None
+    values = np.array([float(w) for w in words])
+    # json reads the integer spelling -0 as the int 0, so as 0.0
+    values[[w == b"-0" for w in words]] = 0.0
+    return values[inv], tail.end()
+
+
+def _row_shape(row: str):
+    """``(m, width)`` for the text inside a row's brackets when it holds m
+    words of one width from 1 to 8 bytes that repeat: at most two distinct
+    words, or half of m.  Else None: the table of distinct words pays only
+    when words repeat, and a row of mostly distinct words (fixed-precision
+    reals) would cost a sort and a conversion per cell."""
+    words = row.split(",")
+    distinct = {w.strip(" \t\n\r") for w in words}
+    widths = {len(w) for w in distinct}
+    if len(widths) != 1 or len(distinct) > max(2, len(words) // 2):
+        return None
+    width = widths.pop()
+    return (len(words), width) if 1 <= width <= 8 else None
+
+
+def _cell_keys(span: str, m: int, width: int):
+    """The n x m uint64 keys of the cells of ``span``, each cell's bytes
+    followed by zero bytes, or None unless ``span`` is n rows of m cells,
+    each cell one run of ``width`` number bytes, with JSON whitespace
+    between any two of these parts."""
+    if not span.isascii():
+        return None
+    span = span.encode("ascii")
+    row = b",".join([b"0" * width] * m)
+    n = span.count(b"]") - 1
+    if span.translate(_AS_ZERO, _WS) != b"[[" + b"],[".join([row] * n) + b"]]":
+        return None
+    # whitespace inside a cell would split its bytes into two runs
+    if span.translate(_IS_NUMBER_BYTE).count(b"\x00\x01") != n * m:
+        return None
+    words = np.frombuffer(span.translate(None, b"[]," + _WS), np.uint8)
+    keys = np.zeros((n * m, 8), np.uint8)
+    keys[:, :width] = words.reshape(n * m, width)
+    return keys.view(np.uint64).reshape(n, m)
 
 
 def _decode(path: str, cls):
@@ -74,18 +183,20 @@ def _json_text(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
     except that ``payload``, or a value in its str-keyed dicts, may be a
     2-D float64 array where that call would take its ``tolist()``."""
-    return "".join(_json_chunks(payload))
+    return b"".join(_json_chunks(payload)).decode("ascii")
 
 
 def _json_chunks(payload):
-    """The text of ``_json_text(payload)`` as a stream of str chunks; a
-    matrix comes in blocks of whole rows of about ``_CHUNK_BYTES`` each."""
+    """The text of ``_json_text(payload)`` as a stream of ASCII bytes
+    chunks; a matrix comes in blocks of whole rows of about
+    ``_CHUNK_BYTES`` each."""
     yield from _encode(payload, "")
-    yield "\n"
+    yield b"\n"
 
 
 def _encode(x, indent: str):
-    """``x`` as json writes it with indent 2, nested at ``indent``, in chunks.
+    """``x`` as json writes it with indent 2, nested at ``indent``, in
+    bytes chunks.
 
     Dicts with str keys recurse, so arrays may sit in their values.  A
     float64 matrix goes through ``_matrix_chunks``, because json's indented
@@ -95,23 +206,24 @@ def _encode(x, indent: str):
     """
     if isinstance(x, dict) and all(isinstance(k, str) for k in x):
         if not x:
-            yield "{}"
+            yield b"{}"
             return
         inner, opener = indent + "  ", "{\n"
         for k in sorted(x):
-            yield f"{opener}{inner}{json.dumps(k)}: "
+            yield f"{opener}{inner}{json.dumps(k)}: ".encode()
             yield from _encode(x[k], inner)
             opener = ",\n"
-        yield "\n" + indent + "}"
+        yield f"\n{indent}}}".encode()
     elif isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
         yield from _matrix_chunks(x, indent) if x.size else _encode(x.tolist(), indent)
     else:
-        yield json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        yield json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent).encode()
 
 
 def _bit_table(a: np.ndarray) -> tuple:
-    """The distinct uint64 bit patterns of ``a`` and, per cell, the index
-    of its pattern.  Two patterns (every 0/1 matrix) need no sort."""
+    """The distinct uint64 bit patterns of ``a`` (float64 cells, or the
+    uint64 keys of ``_cell_keys``) and, per cell, the index of its pattern.
+    Two patterns (every 0/1 matrix) need no sort."""
     bits = a.view(np.uint64)
     lo, hi = bits.min(), bits.max()
     inv = bits == hi
@@ -136,9 +248,9 @@ def _matrix_chunks(a: np.ndarray, indent: str):
     # json's text of a list of floats is their texts joined by ", "
     words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
     rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
-    yield "[\n"
+    yield b"[\n"
     yield from rows(words, inv, indent + "  ", indent + "    ")
-    yield "\n" + indent + "]"
+    yield f"\n{indent}]".encode()
 
 
 def _fixed_width_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
@@ -166,7 +278,7 @@ def _fixed_width_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
             cells[:, :, b] = np.take(column, idx)
         text = block.reshape(-1)
         # no ",\n" after the matrix's last row
-        yield (text if i + step < len(inv) else text[:-2]).tobytes().decode("ascii")
+        yield (text if i + step < len(inv) else text[:-2]).tobytes()
 
 
 def _joined_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
@@ -179,16 +291,19 @@ def _joined_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
             f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
             for row in words[inv[i:i + step]].tolist()
         )
-        yield text + ",\n" if i + step < len(inv) else text
+        yield (text + ",\n" if i + step < len(inv) else text).encode()
 
 
 def _emit(chunks, output: str | None):
-    """Write ``chunks`` as they come, to the file ``output`` or to stdout."""
+    """Write the bytes ``chunks`` as they come, to the file ``output`` or
+    to stdout's binary buffer."""
     if output:
-        with open(output, "w") as f:
+        with open(output, "wb") as f:
             f.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        # what is already written to the text layer goes out first
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
 
 
 def _seed(args) -> int:
@@ -219,7 +334,7 @@ def _parse_pattern(spec: str) -> DigraphPattern:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (output chunks, exit code); every computation
+# command handlers: each returns (bytes chunks, exit code); every computation
 # and validation is done before they return, only the formatting is left
 
 
@@ -288,7 +403,7 @@ def _cmd_degree_dist(args):
         dist = degree_distribution(obj, marginal=args.marginal)
     else:
         dist = sample.empirical_degree_distribution(obj)
-    return [dist.to_csv()], 0
+    return [dist.to_csv().encode()], 0
 
 
 def _cmd_sample(args):
@@ -321,7 +436,7 @@ def _cmd_converge(args):
         raise UsageError("--reps must be positive")
     cfg = sample.SampleConfig(max(sizes), _seed(args), args.reps)
     report = sample.convergence_report(w, patterns, sizes, cfg)
-    return [report.to_csv()], 0
+    return [report.to_csv().encode()], 0
 
 
 def _cmd_perturb(args):

@@ -44,7 +44,7 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
     so callers make their own copy before writing."""
     try:
         a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"field '{name}' must be numeric") from exc
     if a.ndim != ndim:
         raise ValidationError(f"field '{name}' must be {ndim}-dimensional")
@@ -158,7 +158,7 @@ class ScoreSequence:
     def from_json_dict(cls, d: dict) -> "ScoreSequence":
         if not isinstance(d, dict) or "values" not in d:
             raise ValidationError("field 'values' is missing")
-        return cls(np.asarray(d["values"]), d.get("kind", "real"))
+        return cls(d["values"], d.get("kind", "real"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +182,7 @@ class ScoreFunction:
     def from_json_dict(cls, d: dict) -> "ScoreFunction":
         if not isinstance(d, dict) or "cells" not in d:
             raise ValidationError("field 'cells' is missing")
-        return cls(np.asarray(d["cells"]))
+        return cls(d["cells"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,7 @@ class GeneralizedTournament:
     def from_json_dict(cls, d: dict) -> "GeneralizedTournament":
         if not isinstance(d, dict) or "alpha" not in d:
             raise ValidationError("field 'alpha' is missing")
-        g = cls(np.asarray(d["alpha"]))
+        g = cls(d["alpha"])
         if "n" in d and d["n"] != g.n:
             raise ValidationError("field 'n' does not match the alpha matrix")
         return g
@@ -238,7 +238,7 @@ class StepKernel:
     def from_json_dict(cls, d: dict) -> "StepKernel":
         if not isinstance(d, dict) or "blocks" not in d:
             raise ValidationError("field 'blocks' is missing")
-        w = cls(np.asarray(d["blocks"]))
+        w = cls(d["blocks"])
         if "n" in d and d["n"] != w.n:
             raise ValidationError("field 'n' does not match the blocks matrix")
         return w
@@ -410,7 +410,7 @@ class MomentSequence:
     def from_json_dict(cls, d: dict) -> "MomentSequence":
         if not isinstance(d, dict) or "a" not in d:
             raise ValidationError("field 'a' is missing")
-        return cls(np.asarray(d["a"]))
+        return cls(d["a"])
 
 
 # ---------------------------------------------------------------------------

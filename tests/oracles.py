@@ -8,6 +8,7 @@ algorithms."""
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -273,6 +274,16 @@ def random_kernel_by_pair_scatter(n: int, seed: int = 0, rep=0) -> np.ndarray:
     m[iu] = u[iu]
     m[(iu[1], iu[0])] = 1.0 - u[iu]
     return m
+
+
+# ---------------------------------------------------------------------------
+# JSON input, as the stdlib reads it
+
+
+def json_matrix(text: str, field: str) -> np.ndarray:
+    """The float array the CLI built from a JSON input before it had its
+    own matrix reader: json's value of ``field``, through numpy."""
+    return np.asarray(json.loads(text)[field], dtype=float)
 
 
 # ---------------------------------------------------------------------------

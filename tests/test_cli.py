@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from tourlim import (
     GeneralizedTournament,
     ScoreFunction,
@@ -122,6 +123,20 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["report"]["witness"]["check"] == "landau-prefix"
+
+    @pytest.mark.parametrize("cmd,payload,field", [
+        ("density", {"alpha": [[0, 10**400], [0, 0]]}, "alpha"),
+        ("density", {"blocks": [[0.5, 10**400], [0, 0.5]]}, "blocks"),
+        ("check-score-seq", {"values": [0, 10**400, 1], "kind": "integer"}, "values"),
+        ("check-score-fn", {"cells": [0.5, 10**400]}, "cells"),
+        ("density", {"alpha": [[0, 1], [0]]}, "alpha"),
+    ])
+    def test_entries_numpy_cannot_convert_exit_2(self, tmp_path, capsys, cmd, payload, field):
+        path = write_json(tmp_path, "big.json", payload)
+        extra = ["--pattern", "C3"] if cmd == "density" else []
+        assert main([cmd, "--input", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert f"field '{field}' must be numeric" in captured.err and captured.out == ""
 
     def test_malformed_cells_exit_2_like_check_score_fn(self, tmp_path, capsys):
         path = write_json(tmp_path, "fn.json", {"cells": [0.5, 1.5]})
@@ -382,7 +397,178 @@ class TestJsonText:
             payload = {"alpha": a.astype(float), "z": 1}
             chunks = list(cli._json_chunks(payload))
             assert len(chunks) > 5
-            assert "".join(chunks) == json_reference(payload)
+            assert b"".join(chunks) == json_reference(payload).encode()
+
+
+def matrix_text(rows, indent, newline) -> str:
+    """A JSON array of arrays of the given number spellings, inline with
+    ``indent`` as the separator's tail when ``newline`` is empty, else laid
+    out one value per line like json's indented text at depth 1."""
+    if not newline:
+        sep = "," + indent
+        return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+    sep, i1, i2, i3 = "," + newline, indent, indent * 2, indent * 3
+    inner = sep.join(
+        f"{i2}[{newline}" + sep.join(i3 + w for w in row) + f"{newline}{i2}]" for row in rows
+    )
+    return f"[{newline}{inner}{newline}{i1}]"
+
+
+SPELLING_POOLS = [
+    ["0", "1"],
+    ["0.0", "1.0", "0.5"],
+    ["-0", "10", "-1"],
+    ["-0.0", "1E+0", "5e-1", "0.50", "1e-0"],
+    ["12345678", "-1234567", "1.25e-07"],
+    ["12345678901234567890", "10000000000000000000"],
+    ["0", "-0", "1", "-0.0", "1E+0", "5e-1", "0.50", "12345678901234567890"],
+]
+LAYOUTS = [("", ""), (" ", ""), ("  ", "\n"), ("\t", "\n"), ("  ", "\r\n")]
+
+
+@st.composite
+def matrix_documents(draw):
+    """A JSON object text with a matrix of number spellings under "alpha",
+    and that matrix's rows."""
+    pool = draw(st.sampled_from(SPELLING_POOLS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+    indent, newline = draw(st.sampled_from(LAYOUTS))
+    fields = [f'"alpha": {matrix_text(rows, indent, newline)}', f'"n": {n}']
+    if draw(st.booleans()):
+        fields.reverse()
+    if draw(st.booleans()):
+        # a duplicate key before it: json keeps the last value
+        fields.insert(0, f'"alpha": {matrix_text([["1", "0"]], indent, newline)}')
+    sep = "," + (newline + indent if newline else " ")
+    return "{" + newline + indent + sep.join(fields) + newline + "}", rows
+
+
+def load_text(text: str) -> dict:
+    return json.loads(text, cls=cli._MatrixDecoder)
+
+
+MUTATION_BASES = [
+    '{"n": 2, "alpha": [[0.0, 1.0], [0.0, 0.0]], "x": {"a": [[1, 2]]}}',
+    _json_text({"alpha": np.array([[0.0, 1.0], [1.0, 0.0]]), "n": 2}),
+    '{"blocks": [[0.5, 1], [0, 0.5]], "s": "[[0, 1]]", "k": null, "t": true}',
+    '{"c": [[1, 0], [0, 1]], "d": [[-0, 1E+0]]}',
+    "[[0, 1], [1, 0]]",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """One of ``MUTATION_BASES`` with a few bytes inserted, deleted or
+    replaced."""
+    text = draw(st.sampled_from(MUTATION_BASES))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from('[]{},:" \t\n\r0123456789.-+eEtruenlfasN\\\u00e9'))
+        text = draw(st.sampled_from([text[:k] + c + text[k:], text[:k] + text[k + 1:],
+                                     text[:k] + c + text[k + 1:]]))
+    return text
+
+
+def decode_or_error(loads, text):
+    try:
+        return loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+class TestMatrixReader:
+    """``cli._number_matrix`` must give exactly the array json and numpy
+    give, and leave every input it declines to json unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_documents())
+    def test_equals_json_bit_for_bit(self, doc):
+        text, rows = doc
+        data, want = load_text(text), json.loads(text)
+        got = data["alpha"]
+        widths = {len(w) for row in rows for w in row}
+        repeats = all(len(set(row)) <= max(2, len(row) // 2) for row in (rows[0], rows[-1]))
+        assert isinstance(got, np.ndarray) == (len(widths) == 1 and widths.pop() <= 8
+                                               and repeats)
+        expected = oracles.json_matrix(text, "alpha")
+        got = np.asarray(got, dtype=float)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert {k: v for k, v in data.items() if k != "alpha"} == (
+            {k: v for k, v in want.items() if k != "alpha"}
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_documents())
+    @example('{"c": [[1, 0], 1[, 1]]}')
+    @example('{"c": [[1, 0],2[, 1]]}')
+    def test_any_text_decodes_as_json_does(self, text):
+        got, want = decode_or_error(load_text, text), decode_or_error(json.loads, text)
+        if not isinstance(got, dict):
+            assert got == want
+            return
+        assert isinstance(want, dict) and list(got) == list(want)
+        for k, v in got.items():
+            if isinstance(v, np.ndarray):
+                expected = np.asarray(want[k], dtype=float)
+                assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
+            else:
+                assert v == want[k]
+
+    @pytest.mark.parametrize("value", [
+        "[[0, 1], [0]]",
+        "[[0], [0, 1]]",
+        "[[]]",
+        "[[], []]",
+        "[[[0, 1], [0, 0]]]",
+        "[[00, 01], [00, 00]]",
+        "[[1., 0.], [0., 1.]]",
+        "[[.5, .5], [.5, .5]]",
+        "[[+1, +0], [+0, +1]]",
+        "[[1 0, 11], [00, 11]]",
+        "[[0, 1], [0, 0],]",
+        "[[0, 1], [0, 0]",
+        "[[0.100000, 0.200000, 0.300000], [0.400000, 0.500000, 0.600000]]",
+        "[[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.125, 0.25, 0.0]]",
+        "[[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.1, 0.2, 0.3]]",
+        "[[NaN, NaN], [NaN, NaN]]",
+        "[[Infinity, Infinity]]",
+        "[[true, false], [true, false]]",
+        '[["1", "0"], ["0", "1"]]',
+        "[[0, 1], [0, \u0661]]",
+        "[[0, 1], [0, 0\u00e9]]",
+        '"[[0, 1], [0, 0]]"',
+        f"[[1{'0' * 400}, 1{'0' * 400}], [1{'0' * 400}, 1{'0' * 400}]]",
+    ])
+    def test_declined_inputs_take_json_path(self, tmp_path, capsys, monkeypatch, value):
+        text = '{"n": 2, "alpha": ' + value + "}"
+        assert cli._number_matrix(text, text.index(value)) is None
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["density", "--input", str(path), "--pattern", "C3"]
+        got = main(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_MatrixDecoder", json.JSONDecoder)
+        assert (main(argv), capsys.readouterr()) == got
+
+    def test_sample_read_back_matches_json_path(self, tmp_path, monkeypatch):
+        w = random_step_kernel(4, seed=6)
+        path = write_json(tmp_path, "w.json", w.to_json_dict())
+        sampled = str(tmp_path / "s.json")
+        assert main(["sample", "--input", path, "--size", "300", "--seed", "2",
+                     "--output", sampled]) == 0
+        assert isinstance(cli._load_json(sampled)["alpha"], np.ndarray)
+        calls = [["density", "--pattern", "C3", "--mode", "inj"], ["degree-dist"]]
+
+        def outputs():
+            out = tmp_path / "out"
+            for argv in calls:
+                assert main([argv[0], "--input", sampled, *argv[1:], "--output", str(out)]) == 0
+                yield out.read_bytes()
+
+        fast = list(outputs())
+        monkeypatch.setattr(cli, "_number_matrix", lambda text, i: None)
+        assert list(outputs()) == fast
 
 
 class TestMatrixOutputsMatchSchema:
