@@ -69,90 +69,113 @@ class _MatrixDecoder(json.JSONDecoder):
         self.scan_once = document
 
 
-_WS = b" \t\n\r"
-_NUMBER_BYTES = b"0123456789+-.eE"
-_IS_NUMBER_BYTE = bytes(c in _NUMBER_BYTES for c in range(256))
-"""Per byte, 1 for a byte of a JSON number and 0 for any other."""
-_AS_ZERO = bytes.maketrans(_NUMBER_BYTES, b"0" * len(_NUMBER_BYTES))
-"""Every byte of a JSON number to b"0", any other to itself."""
-_FIRST_ROW = re.compile(r"\[[ \t\n\r]*\[([^\]]*)\]")
-_MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
+_FIRST_ROW = re.compile(r"\[[ \t\n\r]*(\[([^\]]*)\])(?:([ \t\n\r]*,[ \t\n\r]*)\[)?")
+"""The opening of a matrix: its first row (group 1), that row's text inside
+the brackets (group 2) and, when a second row follows, the separator
+between the two (group 3)."""
+_MATRIX_END = re.compile(r"[ \t\n\r]*\]")
 _NUMBER = rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?"
 _NUMBERS = re.compile(_NUMBER + rb"(?:," + _NUMBER + rb")*")
 """Comma-separated JSON numbers: json.scanner.NUMBER_RE without its groups,
 which make a long match several times slower."""
+_IN_GAP = np.zeros(256, bool)
+_IN_GAP[list(b"[], \t\n\r")] = True
+"""Per byte, whether it may stand between two numbers of a row."""
+_BLOCK_BYTES = 1 << 16
+"""About how many bytes of matrix text ``_number_matrix`` reads at a time."""
 
 
 def _number_matrix(text: str, i: int):
     """``(a, end)`` when ``text[i:end]`` is a JSON array of n >= 1 arrays of
-    m >= 1 numbers each, all spelled with one number of bytes from 1 to 8,
-    whose first and last rows pass ``_row_shape``; ``a`` is then exactly
-    ``np.asarray(json.loads(text[i:end]), dtype=float)``.  None for any
-    other value, which json then reads.
+    m >= 1 numbers each, laid out alike, whose cells are all words of its
+    first and last row, and those rows pass ``_row_words``; ``a`` is then
+    exactly ``np.asarray(json.loads(text[i:end]), dtype=float)``.  None for
+    any other value, which json then reads.
 
-    The decode twin of ``_fixed_width_rows``: every cell's bytes become one
-    uint64 key, ``_bit_table`` finds the distinct keys, and only those are
-    checked against json's number grammar and converted as json converts
-    them.  The first and the last row are looked at alone first, so a real
-    matrix is declined before the whole span is touched.
+    Laid out alike means that the rows start at one stride, the cells of a
+    row at another, and every byte equals the first row's byte, or the
+    first separator's, except at the at most two byte positions per cell
+    at which the words of the first and last row differ.  Those bytes are
+    read through a strided view and looked up in a table made from these
+    words, which are checked against json's number grammar and converted as
+    json converts them; a cell that is none of them declines the matrix.
     """
     head = _FIRST_ROW.match(text, i)
-    if head is None or (shape := _row_shape(head[1])) is None:
+    if head is None or (first := _row_words(head[2])) is None:
         return None
-    tail = _MATRIX_END.search(text, head.end() - 1)
-    if tail is None:
+    start, rowlen, sep = head.start(1), len(head[1]), head[3] or ""
+    stride = rowlen + len(sep)
+    # the rows are the "[" at that stride
+    opens = text[start::stride] if sep else "["
+    n = len(opens) - len(opens.lstrip("["))
+    last = start + (n - 1) * stride
+    tail = _MATRIX_END.match(text, last + rowlen)
+    if tail is None or (final := _row_words(text[last + 1:last + rowlen - 1])) is None:
         return None
-    last = text[text.rfind("[", i, tail.start()) + 1:tail.start()]
-    if _row_shape(last) != shape:
+    if any(text[start + rowlen + j:last:stride] != c * (n - 1) for j, c in enumerate(sep)):
         return None
-    m, width = shape
-    cells = _cell_keys(text[i:tail.end()], m, width)
-    if cells is None:
+    words = sorted(first[1] | final[1])
+    m, width = first[0], len(words[0])
+    spelled = ",".join(words).encode("ascii", "replace")
+    if final[0] != m or any(len(w) != width for w in words) or not _NUMBERS.fullmatch(spelled):
         return None
-    keys, inv = _bit_table(cells)
-    words = keys.view("S8").tolist()
-    if _NUMBERS.fullmatch(b",".join(words)) is None:
+    table = np.frombuffer(spelled.replace(b",", b""), np.uint8).reshape(len(words), width)
+    varying = np.flatnonzero((table != table[0]).any(axis=0)) if len(words) > 1 else [0]
+    row = np.frombuffer(head[1].encode(), np.uint8)
+    gap = _IN_GAP[row]
+    # a cell starts where a gap byte is followed by a word byte
+    cell_starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1
+    periods = cell_starts[1:] - cell_starts[:-1]
+    period = periods[0] if m > 1 else width
+    if len(varying) > 2 or (periods != period).any():
         return None
-    values = np.array([float(w) for w in words])
+    # with two varying positions, a cell's index is its second byte plus 256
+    # times the slot of its first byte, 0 for a byte that no word has there
+    firsts = sorted(set(table[:, varying[0]].tolist())) if len(varying) == 2 else []
+    slots = np.zeros(256, np.intp)
+    slots[firsts] = range(256, 256 * (len(firsts) + 1), 256)
+    lut = np.full(256 * (len(firsts) + 1), np.nan)
     # json reads the integer spelling -0 as the int 0, so as 0.0
-    values[[w == b"-0" for w in words]] = 0.0
-    return values[inv], tail.end()
+    lut[_key(table, varying, slots)] = [0.0 if w == "-0" else float(w) for w in words]
+    varies = np.zeros(rowlen, bool)
+    for j in varying:
+        varies[cell_starts + j] = True
+    out = np.empty((n, m))
+    step = max(1, _BLOCK_BYTES // stride)
+    for r in range(0, n, step):
+        k, at = min(step, n - r), start + r * stride
+        block = text[at:at + (k - 1) * stride + rowlen].encode("ascii", "replace")
+        rows = np.ndarray((k, rowlen), np.uint8, block, 0, (stride, 1))
+        if not ((rows == row) | varies).all():
+            return None
+        cells = np.ndarray((k, m, width), np.uint8, block, cell_starts[0], (stride, period, 1))
+        np.take(lut, _key(cells, varying, slots), out=out[r:r + k], mode="clip")
+        if np.isnan(out[r:r + k]).any():
+            return None
+    return out, tail.end()
 
 
-def _row_shape(row: str):
-    """``(m, width)`` for the text inside a row's brackets when it holds m
-    words of one width from 1 to 8 bytes that repeat: at most two distinct
-    words, or half of m.  Else None: the table of distinct words pays only
-    when words repeat, and a row of mostly distinct words (fixed-precision
-    reals) would cost a sort and a conversion per cell."""
+def _row_words(row: str):
+    """``(m, words)`` for the text inside a row's brackets when it holds m
+    words of one width from 1 to 8 bytes that repeat: ``words``, the set
+    of distinct ones, has at most two, or half of m.  Else None: only the
+    words of the first and the last row are looked up, so a row of mostly
+    distinct words (fixed-precision reals) would make a table that does
+    not pay."""
     words = row.split(",")
-    distinct = {w.strip(" \t\n\r") for w in words}
+    distinct = {w.strip(" \t\n\r") for w in set(words)}
     widths = {len(w) for w in distinct}
     if len(widths) != 1 or len(distinct) > max(2, len(words) // 2):
         return None
-    width = widths.pop()
-    return (len(words), width) if 1 <= width <= 8 else None
+    return (len(words), distinct) if 1 <= widths.pop() <= 8 else None
 
 
-def _cell_keys(span: str, m: int, width: int):
-    """The n x m uint64 keys of the cells of ``span``, each cell's bytes
-    followed by zero bytes, or None unless ``span`` is n rows of m cells,
-    each cell one run of ``width`` number bytes, with JSON whitespace
-    between any two of these parts."""
-    if not span.isascii():
-        return None
-    span = span.encode("ascii")
-    row = b",".join([b"0" * width] * m)
-    n = span.count(b"]") - 1
-    if span.translate(_AS_ZERO, _WS) != b"[[" + b"],[".join([row] * n) + b"]]":
-        return None
-    # whitespace inside a cell would split its bytes into two runs
-    if span.translate(_IS_NUMBER_BYTE).count(b"\x00\x01") != n * m:
-        return None
-    words = np.frombuffer(span.translate(None, b"[]," + _WS), np.uint8)
-    keys = np.zeros((n * m, 8), np.uint8)
-    keys[:, :width] = words.reshape(n * m, width)
-    return keys.view(np.uint64).reshape(n, m)
+def _key(cells: np.ndarray, varying, slots: np.ndarray) -> np.ndarray:
+    """Per word along the last axis of the uint8 array ``cells``, its index
+    into the table of ``_number_matrix`` from its bytes at the one or two
+    positions ``varying``."""
+    key = cells[..., varying[-1]]
+    return slots[cells[..., varying[0]]] + key if len(varying) == 2 else key
 
 
 def _decode(path: str, cls):
@@ -221,8 +244,8 @@ def _encode(x, indent: str):
 
 
 def _bit_table(a: np.ndarray) -> tuple:
-    """The distinct uint64 bit patterns of ``a`` (float64 cells, or the
-    uint64 keys of ``_cell_keys``) and, per cell, the index of its pattern.
+    """The distinct uint64 bit patterns of the float64 cells of ``a`` and,
+    per cell, the index of its pattern.
     Two patterns (every 0/1 matrix) need no sort."""
     bits = a.view(np.uint64)
     lo, hi = bits.min(), bits.max()

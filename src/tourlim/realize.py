@@ -24,6 +24,7 @@ from .core import (
     StepKernel,
     ValidationError,
     _check_matrix_size,
+    _sorted_distinct,
     scores_of_tournament,
     step_kernel_from_tournament,
 )
@@ -43,7 +44,8 @@ def _water_fill(r: np.ndarray, total: float) -> np.ndarray:
     if total >= k:
         return np.ones(k)
     a = np.sort(r)
-    levels = np.unique(np.concatenate((a - 1.0, a)))
+    # r holds no -0.0 (scores are stored as max(v, 0.0)): np.unique's levels
+    levels = _sorted_distinct(np.concatenate((a - 1.0, a)))
     prefix = np.concatenate(([0.0], np.cumsum(a)))
     lo = np.searchsorted(a, levels, side="right")
     hi = np.searchsorted(a, levels + 1.0, side="left")
@@ -156,6 +158,12 @@ def discretize_score_function(
     exact cell sums of ``_cell_sums`` in O(m + n); the prefix-integral
     condition on f guarantees the result is Landau-valid, which is asserted.
     """
+    return _discretized(f, n, tol)[0]
+
+
+def _discretized(f: ScoreFunction, n: int, tol: float) -> tuple:
+    """``discretize_score_function(f, n, tol)`` and the cell sums it came
+    from."""
     if n < 1:
         raise ValidationError("vertex count must be at least 1")
     report = check_condition_I(f, tol)
@@ -163,22 +171,23 @@ def discretize_score_function(
         raise ValidationError(
             "score function fails the prefix-integral condition", report
         )
-    d = n * n / math.lcm(f.m, n) * _cell_sums(f, n) - 0.5
+    sums = _cell_sums(f, n)
+    d = n * n / math.lcm(f.m, n) * sums - 0.5
     d[(d < 0) & (d > -tol)] = 0.0  # rounding dust only
     seq = ScoreSequence(d, "real")
     out = check_landau(seq, tol)
     if not out.valid:  # unreachable for condition-I input
         raise RuntimeError(f"discretization produced an invalid sequence: {out.witness}")
-    return seq
+    return seq, sums
 
 
 def kernel_from_score_function(
     f: ScoreFunction, n: int, tol: float = DEFAULT_TOL
 ) -> StepKernel:
     """An n-block step kernel whose score function is the n-cell average of f."""
-    seq = discretize_score_function(f, n, tol)
+    seq, sums = _discretized(f, n, tol)
     kernel = step_kernel_from_tournament(realize_scores(seq, tol))
-    target = _cell_sums(f, n) / (math.lcm(f.m, n) // n)
+    target = sums / (math.lcm(f.m, n) // n)
     got = np.array([math.fsum(row) / n for row in kernel.blocks])
     if np.max(np.abs(got - target)) > max(tol, 1e-9):  # unreachable
         raise RuntimeError("realized kernel does not average the score function")

@@ -1,6 +1,12 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,18 +406,23 @@ class TestJsonText:
             assert b"".join(chunks) == json_reference(payload).encode()
 
 
-def matrix_text(rows, indent, newline) -> str:
+def matrix_text(rows, indent, newline, uneven=None) -> str:
     """A JSON array of arrays of the given number spellings, inline with
     ``indent`` as the separator's tail when ``newline`` is empty, else laid
-    out one value per line like json's indented text at depth 1."""
-    if not newline:
-        sep = "," + indent
-        return "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
-    sep, i1, i2, i3 = "," + newline, indent, indent * 2, indent * 3
-    inner = sep.join(
-        f"{i2}[{newline}" + sep.join(i3 + w for w in row) + f"{newline}{i2}]" for row in rows
-    )
-    return f"[{newline}{inner}{newline}{i1}]"
+    out one value per line like json's indented text at depth 1.  Row
+    ``uneven``, when given, gets one more space before its "]"."""
+    sep = "," + (newline or indent)
+    if newline:
+        i1, i2, i3 = indent, indent * 2, indent * 3
+        texts = [f"{i2}[{newline}" + sep.join(i3 + w for w in row) + f"{newline}{i2}]"
+                 for row in rows]
+    else:
+        texts = ["[" + sep.join(row) + "]" for row in rows]
+    if uneven is not None:
+        texts[uneven] = texts[uneven][:-1] + " ]"
+    if newline:
+        return f"[{newline}" + sep.join(texts) + f"{newline}{i1}]"
+    return "[" + sep.join(texts) + "]"
 
 
 SPELLING_POOLS = [
@@ -429,19 +440,38 @@ LAYOUTS = [("", ""), (" ", ""), ("  ", "\n"), ("\t", "\n"), ("  ", "\r\n")]
 @st.composite
 def matrix_documents(draw):
     """A JSON object text with a matrix of number spellings under "alpha",
-    and that matrix's rows."""
+    that matrix's rows, and whether they are laid out alike: one of them may
+    get one more space than the others."""
     pool = draw(st.sampled_from(SPELLING_POOLS))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rows = [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
     indent, newline = draw(st.sampled_from(LAYOUTS))
-    fields = [f'"alpha": {matrix_text(rows, indent, newline)}', f'"n": {n}']
+    uneven = draw(st.none() | st.integers(0, n - 1))
+    fields = [f'"alpha": {matrix_text(rows, indent, newline, uneven)}', f'"n": {n}']
     if draw(st.booleans()):
         fields.reverse()
     if draw(st.booleans()):
         # a duplicate key before it: json keeps the last value
         fields.insert(0, f'"alpha": {matrix_text([["1", "0"]], indent, newline)}')
     sep = "," + (newline + indent if newline else " ")
-    return "{" + newline + indent + sep.join(fields) + newline + "}", rows
+    return "{" + newline + indent + sep.join(fields) + newline + "}", rows, uneven is None or n == 1
+
+
+def reader_takes(rows, alike) -> bool:
+    """Whether ``cli._number_matrix`` reads these rows rather than json:
+    rows laid out alike, the words of the first and last row of one width
+    up to 8 and repeating (at most two distinct, or half the row), every
+    cell one of those words, and those words differing in at most two byte
+    positions."""
+    ends = set(rows[0]) | set(rows[-1])
+    widths = {len(w) for w in ends}
+    if not alike or len(widths) != 1 or widths.pop() > 8:
+        return False
+    if any(len(set(row)) > max(2, len(row) // 2) for row in (rows[0], rows[-1])):
+        return False
+    if any(w not in ends for row in rows for w in row):
+        return False
+    return sum(len(set(col)) > 1 for col in zip(*ends)) <= 2
 
 
 def load_text(text: str) -> dict:
@@ -483,14 +513,18 @@ class TestMatrixReader:
 
     @settings(max_examples=300, deadline=None)
     @given(matrix_documents())
+    @example(('{"alpha": [[0.5]]}', [["0.5"]], True))
+    @example(('{"alpha": [[1], [0], [1]]}', [["1"], ["0"], ["1"]], True))
+    @example(('{"alpha": [[0, 1], [1, 0]]}', [["0", "1"], ["1", "0"]], True))
+    @example(('{"alpha": [[0, 1], [1, 0 ]]}', [["0", "1"], ["1", "0"]], False))
+    @example(('{"alpha": [[0, 1], [1, 0], [0,1]]}', [["0", "1"], ["1", "0"], ["0", "1"]], False))
+    @example(("{\r\n" + '"alpha": ' + matrix_text([["0", "1"], ["1", "0"]], "  ", "\r\n") + "}",
+              [["0", "1"], ["1", "0"]], True))
     def test_equals_json_bit_for_bit(self, doc):
-        text, rows = doc
+        text, rows, alike = doc
         data, want = load_text(text), json.loads(text)
         got = data["alpha"]
-        widths = {len(w) for row in rows for w in row}
-        repeats = all(len(set(row)) <= max(2, len(row) // 2) for row in (rows[0], rows[-1]))
-        assert isinstance(got, np.ndarray) == (len(widths) == 1 and widths.pop() <= 8
-                                               and repeats)
+        assert isinstance(got, np.ndarray) == reader_takes(rows, alike)
         expected = oracles.json_matrix(text, "alpha")
         got = np.asarray(got, dtype=float)
         assert got.shape == expected.shape
@@ -540,6 +574,12 @@ class TestMatrixReader:
         "[[0, 1], [0, 0\u00e9]]",
         '"[[0, 1], [0, 0]]"',
         f"[[1{'0' * 400}, 1{'0' * 400}], [1{'0' * 400}, 1{'0' * 400}]]",
+        # 0/1 first and last rows with reals between them
+        "[[0.000000, 1.000000], [0.250000, 0.750000], [1.000000, 0.000000]]",
+        "[[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]",
+        # rows laid out differently
+        "[[0, 1], [1, 0], [0,1]]",
+        "[[0, 1],\n [1, 0], [0, 1]]",
     ])
     def test_declined_inputs_take_json_path(self, tmp_path, capsys, monkeypatch, value):
         text = '{"n": 2, "alpha": ' + value + "}"
@@ -550,6 +590,54 @@ class TestMatrixReader:
         got = main(argv), capsys.readouterr()
         monkeypatch.setattr(cli, "_MatrixDecoder", json.JSONDecoder)
         assert (main(argv), capsys.readouterr()) == got
+
+    def test_declined_matrix_costs_what_json_costs(self, tmp_path, monkeypatch):
+        """0/1 first and last rows with reals between them: the reader must
+        decline before it converts more words than those rows hold."""
+        rng = np.random.default_rng(4)
+        a = rng.random((500, 500))
+        a[[0, -1]] = a[[0, -1]] < 0.5
+        text = ", ".join("[" + ", ".join(f"{x:.6f}" for x in row) + "]" for row in a)
+        path = tmp_path / "mixed.json"
+        path.write_text('{"n": 500, "alpha": [' + text + "]}")
+        reader, declined = cli._number_matrix, lambda text, i: None
+        best = {reader: math.inf, declined: math.inf}
+        # json's 250,000 floats would make the collector's passes, which
+        # fall on the same calls each round, part of one side's time
+        gc.disable()
+        try:
+            for _ in range(5):
+                for fn in best:
+                    monkeypatch.setattr(cli, "_number_matrix", fn)
+                    start = time.perf_counter()
+                    data = cli._load_json(str(path))
+                    best[fn] = min(best[fn], time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert data["alpha"] == json.loads(path.read_text())["alpha"]
+        assert best[reader] <= 1.2 * best[declined]
+
+    @pytest.mark.parametrize("n,indent,limit_mib", [(500, None, 5.3), (900, 2, 26.3)])
+    def test_peak_of_a_0_1_tournament(self, tmp_path, n, indent, limit_mib):
+        """The tracemalloc peak of ``_load_json`` on a compact 500-vertex and
+        an indented 900-vertex 0/1 tournament (the benchmark's and the CLI's
+        layouts) stays at most that of the previous reader, which encoded
+        the whole text and built an 8-byte key per cell."""
+        u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
+        payload = {"n": n, "alpha": u + np.tril(1.0 - u.T, -1)}
+        path = tmp_path / "t.json"
+        if indent:
+            path.write_text(_json_text(payload))
+        else:
+            path.write_text(json.dumps({"n": n, "alpha": payload["alpha"].tolist()}))
+        tracemalloc.start()
+        try:
+            got = cli._load_json(str(path))["alpha"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, payload["alpha"])
+        assert peak <= limit_mib * 2**20
 
     def test_sample_read_back_matches_json_path(self, tmp_path, monkeypatch):
         w = random_step_kernel(4, seed=6)
@@ -626,6 +714,25 @@ class TestMatrixOutputsMatchSchema:
         payload = cert.to_json_dict()
         payload["result"] = "certificate"
         assert self.run(["perturb", "--input", path], tmp_path) == json_reference(payload)
+
+
+def test_fresh_process_does_not_import_numpy_ma(tmp_path, half3):
+    """np.unique and np.union1d import numpy.ma, about 15 ms that a fresh
+    ``kernel-from-fn``, real ``realize`` or ``converge`` would pay."""
+    fn = write_json(tmp_path, "fn.json", {"cells": [0.2, 0.45, 0.5, 0.85]})
+    seq = write_json(tmp_path, "seq.json", {"kind": "real", "values": [0.25, 1.5, 1.25, 3.0]})
+    out = str(tmp_path / "out")
+    calls = [["kernel-from-fn", "--input", fn, "--blocks", "8", "--output", out],
+             ["realize", "--input", seq, "--output", out],
+             ["converge", "--input", half3, "--pattern", "C3", "--sizes", "8,16", "--reps", "2",
+              "--seed", "1", "--output", out]]
+    script = ("import sys\nfrom tourlim.cli import main\n"
+              f"assert all(main(argv) == 0 for argv in {calls!r})\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_sample_900_is_fast(tmp_path):
