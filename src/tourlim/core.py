@@ -39,9 +39,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _float_array(x, name: str, ndim: int) -> np.ndarray:
-    """``x`` as a checked float array; ``x`` itself when it already is one,
-    so callers make their own copy before writing."""
+def _float_array(x, name: str, ndim: int) -> tuple[np.ndarray, float, float]:
+    """``x`` as a checked float array, with its least and its greatest
+    entry; the array is ``x`` itself when it already is one, so callers
+    make their own copy before writing."""
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -50,9 +51,11 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"field '{name}' must be {ndim}-dimensional")
     if a.size == 0:
         raise ValidationError(f"field '{name}' must be non-empty")
-    if not np.all(np.isfinite(a)):
+    lo, hi = float(a.min()), float(a.max())
+    # a NaN or an infinity anywhere would be one of the two
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"field '{name}' contains non-finite entries")
-    return a
+    return a, lo, hi
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -65,42 +68,61 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _clip_unit(a: np.ndarray, name: str) -> np.ndarray:
-    """A new array: the finite ``a`` clipped to [0, 1]."""
+def _owned_unit(x, a: np.ndarray, lo: float, hi: float, name: str) -> np.ndarray:
+    """``a``, the float array of ``x`` with range ``[lo, hi]``, clipped to
+    [0, 1] in an array that ``x`` does not share: ``a`` itself when the
+    conversion made it, else a copy."""
     # tolerate rounding-level excursions, reject anything larger
-    if a.min() < -TOL or a.max() > 1 + TOL:
+    if lo < -TOL or hi > 1 + TOL:
         raise ValidationError(f"field '{name}' has entries outside [0, 1]")
-    return np.clip(a, 0.0, 1.0)
+    converted = a is not x and a.base is None and isinstance(x, (list, tuple, np.ndarray))
+    if not converted:
+        a = a.copy()
+    # clipping leaves entries in [0, 1] as they are, -0.0 included
+    if lo < 0.0 or hi > 1.0:
+        np.clip(a, 0.0, 1.0, out=a)
+    return a
 
 
-_SKEW_ROWS = 128
+def _unit_array(x, name: str) -> np.ndarray:
+    """``x`` as a new finite 1-d array clipped to [0, 1]."""
+    return _owned_unit(x, *_float_array(x, name, ndim=1), name)
 
 
-def _is_skew(a: np.ndarray, c: float) -> bool:
-    """Whether a(i, j) + a(j, i) = 1 - c [i = j] within TOL, checked
-    _SKEW_ROWS rows at a time so that no n x n temporary is made."""
-    for start in range(0, a.shape[0], _SKEW_ROWS):
-        block = a[start:start + _SKEW_ROWS] + a[:, start:start + _SKEW_ROWS].T
-        rows = np.arange(block.shape[0])
-        block[rows, rows + start] += c
-        block -= 1.0
-        if np.abs(block, out=block).max() > TOL:
-            return False
+_SKEW_TILE = 256
+
+
+def _is_skew(a: np.ndarray) -> bool:
+    """Whether a(i, j) + a(j, i) = 1 within TOL for all i != j, checked on
+    mirrored _SKEW_TILE x _SKEW_TILE tile pairs so that no n x n temporary
+    is made; the diagonal is not checked."""
+    n = a.shape[0]
+    buf = np.empty(min(n, _SKEW_TILE) ** 2)
+    for i in range(0, n, _SKEW_TILE):
+        for j in range(i, n, _SKEW_TILE):
+            upper = a[i:i + _SKEW_TILE, j:j + _SKEW_TILE]
+            s = np.add(upper, a[j:j + _SKEW_TILE, i:i + _SKEW_TILE].T,
+                       out=buf[:upper.size].reshape(upper.shape))
+            if i == j:
+                np.fill_diagonal(s, 1.0)
+            # s - 1 is monotone in s, so its largest magnitude is at an extreme
+            if s.max() - 1.0 > TOL or 1.0 - s.min() > TOL:
+                return False
     return True
 
 
 def _skew_matrix(x, name: str, diagonal: float) -> np.ndarray:
     """``x`` as a new frozen square matrix in [0, 1] with ``diagonal`` on its
     diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL."""
-    a = _float_array(x, name, ndim=2)
+    a, lo, hi = _float_array(x, name, ndim=2)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError(f"field '{name}' must be square")
     if np.any(np.abs(np.diag(a) - diagonal) > TOL):
         raise ValidationError(f"field '{name}' must have {diagonal:g} on the diagonal")
-    a = _clip_unit(a, name)
+    a = _owned_unit(x, a, lo, hi, name)
     np.fill_diagonal(a, diagonal)
-    if not _is_skew(a, 1 - 2 * diagonal):
+    if not _is_skew(a):
         raise ValidationError(f"field '{name}' violates {name}(i,j) + {name}(j,i) = 1")
     return _freeze(a)
 
@@ -139,8 +161,8 @@ class ScoreSequence:
     def __post_init__(self):
         if self.kind not in ("integer", "real"):
             raise ValidationError("field 'kind' must be 'integer' or 'real'")
-        v = _float_array(self.values, "values", ndim=1)
-        if np.any(v < -TOL):
+        v, lo, _ = _float_array(self.values, "values", ndim=1)
+        if lo < -TOL:
             raise ValidationError("field 'values' has negative entries")
         v = np.maximum(v, 0.0)
         if self.kind == "integer":
@@ -178,7 +200,7 @@ class ScoreFunction:
     cells: np.ndarray
 
     def __post_init__(self):
-        c = _clip_unit(_float_array(self.cells, "cells", ndim=1), "cells")
+        c = _unit_array(self.cells, "cells")
         object.__setattr__(self, "cells", _freeze(c))
 
     @property
@@ -343,13 +365,13 @@ class DegreeDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        p = _clip_unit(_float_array(self.positions, "positions", 1), "positions")
-        w = _float_array(self.weights, "weights", 1)
+        p = _unit_array(self.positions, "positions")
+        w, lightest, _ = _float_array(self.weights, "weights", 1)
         if p.shape != w.shape:
             raise ValidationError("positions and weights differ in length")
-        if np.any(w <= 0):
+        if lightest <= 0:
             raise ValidationError("field 'weights' must be positive")
-        if abs(math.fsum(w) - 1.0) > TOL:
+        if abs(math.fsum(w.tolist()) - 1.0) > TOL:
             raise ValidationError("field 'weights' must sum to 1")
         # canonical form: sorted positions, exact duplicates merged (add.at
         # adds each atom's duplicates in index order)
@@ -406,7 +428,7 @@ class MomentSequence:
     a: np.ndarray
 
     def __post_init__(self):
-        a = _clip_unit(_float_array(self.a, "a", 1), "a")
+        a = _unit_array(self.a, "a")
         object.__setattr__(self, "a", _freeze(a))
 
     @property
@@ -440,7 +462,7 @@ def scores_of_tournament(g: GeneralizedTournament) -> ScoreSequence:
     if g.is_tournament:
         vals = np.sum(g.alpha, axis=1).astype(np.int64)
         return ScoreSequence(vals, "integer")
-    vals = np.array([math.fsum(row) for row in g.alpha])
+    vals = np.array([math.fsum(row) for row in g.alpha.tolist()])
     return ScoreSequence(vals, "real")
 
 
@@ -452,7 +474,7 @@ def score_function_of_kernel(w: StepKernel) -> ScoreFunction:
     compare as exactly equal at double precision.
     """
     n = w.n
-    cells = np.array([math.fsum(row) / n for row in w.blocks])
+    cells = np.array([math.fsum(row) / n for row in w.blocks.tolist()])
     return ScoreFunction(cells)
 
 

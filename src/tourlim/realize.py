@@ -57,10 +57,10 @@ def _water_fill(r: np.ndarray, total: float) -> np.ndarray:
     t = levels[j]
     if part.any():
         full = np.count_nonzero(r >= mid + 1.0)
-        t = (math.fsum(r[part]) + full - total) / np.count_nonzero(part)
+        t = (math.fsum(r[part].tolist()) + full - total) / np.count_nonzero(part)
     x = np.clip(r - t, 0.0, 1.0)
     i = int(np.argmax(np.minimum(x, 1.0 - x)))
-    x[i] = min(max(x[i] + (total - math.fsum(x)), 0.0), 1.0)
+    x[i] = min(max(x[i] + (total - math.fsum(x.tolist())), 0.0), 1.0)
     return x
 
 
@@ -71,7 +71,7 @@ def _peel(d: np.ndarray, integer: bool) -> np.ndarray:
     alpha = np.zeros((n, n))
     for v in range(n - 1):
         k = n - 1 - v
-        r_v = d[v] - math.fsum(alpha[v, :v])
+        r_v = d[v] - math.fsum(alpha[v, :v].tolist())
         losses = min(max(k - r_v, 0.0), float(k))
         rest = r[v + 1:]
         if integer:
@@ -188,7 +188,7 @@ def kernel_from_score_function(
     seq, sums = _discretized(f, n, tol)
     kernel = step_kernel_from_tournament(realize_scores(seq, tol))
     target = sums / (math.lcm(f.m, n) // n)
-    got = np.array([math.fsum(row) / n for row in kernel.blocks])
+    got = np.array([math.fsum(row) / n for row in kernel.blocks.tolist()])
     if np.max(np.abs(got - target)) > max(tol, 1e-9):  # unreachable
         raise RuntimeError("realized kernel does not average the score function")
     return kernel

@@ -63,6 +63,45 @@ def random_step_kernel(n: int, seed: int = 0, rep=0) -> StepKernel:
     return StepKernel(u + np.tril(1.0 - u.T, -1) + np.eye(n) / 2)
 
 
+_DRAW_BLOCK = 1 << 16
+"""About how many uniforms a sampler draws at a time."""
+
+
+def _draw_pairs(rng: np.random.Generator, blocks: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, out: np.ndarray, flip: bool) -> None:
+    """Orient every pair of the n x n bool matrix ``out`` by one draw.
+
+    With u = rng.random((n, n)), for i < j the draw is u[i, j] <
+    blocks[rows[i], cols[j]]; out[i, j] is the draw and out[j, i] its
+    negation when ``flip``, else the draw again.  The diagonal is False
+    when ``flip``, else drawn likewise.  u comes a block of about
+    _DRAW_BLOCK entries at a time, which consumes the stream as the one
+    (n, n) draw does, and each block's rows are compared from their
+    diagonal on and mirrored while they are in cache.
+    """
+    n = len(rows)
+    step = min(n, max(1, _DRAW_BLOCK // n))
+    u = np.empty((step, n))
+    wins = np.empty((step, n), bool)
+    above = ~np.tri(step, dtype=bool)
+    for r in range(0, n, step):
+        k = min(step, n - r)
+        rng.random(out=u[:k])
+        band = np.less(u[:k, r:], blocks[rows[r:r + k]][:, cols[r:]], out=wins[:k, r:])
+        # the block's rows from the diagonal on, and their mirror column;
+        # the square where the two meet keeps the rows' upper triangle
+        lower = out[r:, r:r + k]
+        if flip:
+            np.logical_not(band.T, out=lower)
+        else:
+            lower[...] = band.T
+        out[r:r + k, r + k:] = band[:, k:]
+        corner = out[r:r + k, r:r + k]
+        np.copyto(corner, band[:, :k], where=above[:k, :k])
+        if flip:
+            np.fill_diagonal(corner, False)
+
+
 def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTournament:
     """One W-random tournament G(n, W).
 
@@ -73,9 +112,9 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     _check_matrix_size(cfg.n)
     rng = _rng(cfg.seed, rep)
     cells = _cells_of(rng.random(cfg.n), w.n)
-    wins = np.triu(rng.random((cfg.n, cfg.n)) < w.blocks[cells][:, cells], 1)
-    wins |= np.tril(~wins.T, -1)
-    return GeneralizedTournament(wins.astype(float))
+    wins = np.empty((cfg.n, cfg.n), bool)
+    _draw_pairs(rng, w.blocks, cells, cells, wins, flip=True)
+    return GeneralizedTournament(wins)
 
 
 def witness_permutation(n: int) -> np.ndarray:
@@ -83,11 +122,19 @@ def witness_permutation(n: int) -> np.ndarray:
     return np.concatenate([np.arange(n, 2 * n), np.arange(n)])
 
 
+_CHECK_ROWS = 128
+
+
 def is_selfconverse_under(g: GeneralizedTournament, perm: np.ndarray) -> bool:
-    """Exact check that relabelling by perm reverses every orientation."""
+    """Exact check that relabelling by perm reverses every orientation,
+    _CHECK_ROWS rows of the relabelled matrix at a time."""
     perm = np.asarray(perm)
-    relabelled = g.alpha[np.ix_(perm, perm)]
-    return bool(np.array_equal(relabelled, g.alpha.T))
+    alpha = g.alpha
+    for r in range(0, g.n, _CHECK_ROWS):
+        rows = alpha[perm[r:r + _CHECK_ROWS]][:, perm]
+        if not np.array_equal(rows, alpha[:, r:r + _CHECK_ROWS].T):
+            return False
+    return True
 
 
 def sample_self_converse(
@@ -118,13 +165,16 @@ def sample_self_converse(
     rng = _rng(cfg.seed, rep)
     m = cfg.n
     cells = _cells_of(rng.random(m), n)
-    # vv[i, j]: v_i -> v_j; vw[i, j]: v_i -> w_j, drawn for i <= j and mirrored
-    vv = np.triu(rng.random((m, m)) < w.blocks[cells][:, cells], 1)
-    vv |= np.tril(~vv.T, -1)
-    vw = np.triu(rng.random((m, m)) < w.blocks[cells][:, sigma[cells]])
-    vw |= vw.T
-    # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j
-    out = GeneralizedTournament(np.block([[vv, vw], [~vw, vv.T]]).astype(float))
+    # out[i, j]: v_i -> v_j; out[i, m + j]: v_i -> w_j, drawn for i <= j
+    # and mirrored
+    out = np.empty((2 * m, 2 * m), bool)
+    _draw_pairs(rng, w.blocks, cells, cells, out[:m, :m], flip=True)
+    _draw_pairs(rng, w.blocks, cells, sigma[cells], out[:m, m:], flip=False)
+    # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j (the
+    # cross block is its own transpose)
+    out[m:, m:] = out[:m, :m].T
+    np.logical_not(out[:m, m:], out=out[m:, :m])
+    out = GeneralizedTournament(out)
     if not is_selfconverse_under(out, witness_permutation(m)):
         raise RuntimeError("sampled tournament is not self-converse under the witness")
     return out

@@ -437,34 +437,50 @@ SPELLING_POOLS = [
 LAYOUTS = [("", ""), (" ", ""), ("  ", "\n"), ("\t", "\n"), ("  ", "\r\n")]
 
 
-@st.composite
-def matrix_documents(draw):
+def matrix_document(rows, indent, newline, uneven=None, reverse=False, duplicate=False):
     """A JSON object text with a matrix of number spellings under "alpha",
-    that matrix's rows, and whether they are laid out alike: one of them may
-    get one more space than the others."""
-    pool = draw(st.sampled_from(SPELLING_POOLS))
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    rows = [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
-    indent, newline = draw(st.sampled_from(LAYOUTS))
-    uneven = draw(st.none() | st.integers(0, n - 1))
-    fields = [f'"alpha": {matrix_text(rows, indent, newline, uneven)}', f'"n": {n}']
-    if draw(st.booleans()):
+    that matrix's rows, and whether they are laid out alike (row ``uneven``
+    gets one more space than the others).  ``reverse`` puts "n" first and
+    ``duplicate`` puts a one-row "alpha" before both: json keeps the last
+    value."""
+    fields = [f'"alpha": {matrix_text(rows, indent, newline, uneven)}', f'"n": {len(rows)}']
+    if reverse:
         fields.reverse()
-    if draw(st.booleans()):
-        # a duplicate key before it: json keeps the last value
+    if duplicate:
         fields.insert(0, f'"alpha": {matrix_text([["1", "0"]], indent, newline)}')
     sep = "," + (newline + indent if newline else " ")
-    return "{" + newline + indent + sep.join(fields) + newline + "}", rows, uneven is None or n == 1
+    text = "{" + newline + indent + sep.join(fields) + newline + "}"
+    return text, rows, uneven is None or len(rows) == 1
+
+
+def above_floor(rows):
+    """``rows`` repeated, in order, until they hold at least the reader's
+    ``cli._MIN_CELLS`` cells."""
+    return rows * -(-cli._MIN_CELLS // (len(rows) * len(rows[0])))
+
+
+@st.composite
+def matrix_documents(draw):
+    """``matrix_document`` of 1 to 4 drawn rows of 1 to 6 spellings from
+    one pool, repeated up to the reader's floor, in a drawn layout."""
+    pool = draw(st.sampled_from(SPELLING_POOLS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = above_floor([[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)])
+    indent, newline = draw(st.sampled_from(LAYOUTS))
+    uneven = draw(st.none() | st.integers(0, len(rows) - 1))
+    return matrix_document(rows, indent, newline, uneven, draw(st.booleans()), draw(st.booleans()))
 
 
 def reader_takes(rows, alike) -> bool:
     """Whether ``cli._number_matrix`` reads these rows rather than json:
-    rows laid out alike, the words of the first and last row of one width
-    up to 8 and repeating (at most two distinct, or half the row), every
-    cell one of those words, and those words differing in at most two byte
-    positions."""
+    at least ``cli._MIN_CELLS`` cells, rows laid out alike, the words of the
+    first and last row of one width up to 8 and repeating (at most two
+    distinct, or half the row), every cell one of those words, and those
+    words differing in at most two byte positions."""
     ends = set(rows[0]) | set(rows[-1])
     widths = {len(w) for w in ends}
+    if len(rows) * len(rows[0]) < cli._MIN_CELLS:
+        return False
     if not alike or len(widths) != 1 or widths.pop() > 8:
         return False
     if any(len(set(row)) > max(2, len(row) // 2) for row in (rows[0], rows[-1])):
@@ -478,12 +494,17 @@ def load_text(text: str) -> dict:
     return json.loads(text, cls=cli._MatrixDecoder)
 
 
+# a 24 x 24 0/1 matrix: 576 cells, above the reader's floor
+_WIDE = ((np.arange(24)[:, None] + np.arange(24)) % 3 == 0).astype(float)
 MUTATION_BASES = [
     '{"n": 2, "alpha": [[0.0, 1.0], [0.0, 0.0]], "x": {"a": [[1, 2]]}}',
     _json_text({"alpha": np.array([[0.0, 1.0], [1.0, 0.0]]), "n": 2}),
     '{"blocks": [[0.5, 1], [0, 0.5]], "s": "[[0, 1]]", "k": null, "t": true}',
     '{"c": [[1, 0], [0, 1]], "d": [[-0, 1E+0]]}',
     "[[0, 1], [1, 0]]",
+    json.dumps({"n": 24, "alpha": _WIDE.tolist(), "k": None}),
+    _json_text({"alpha": _WIDE, "n": 24}),
+    '{"d": ' + json.dumps(np.where(_WIDE, 10, -1).tolist()).replace("-1", "-0") + "}",
 ]
 
 
@@ -513,13 +534,12 @@ class TestMatrixReader:
 
     @settings(max_examples=300, deadline=None)
     @given(matrix_documents())
-    @example(('{"alpha": [[0.5]]}', [["0.5"]], True))
-    @example(('{"alpha": [[1], [0], [1]]}', [["1"], ["0"], ["1"]], True))
-    @example(('{"alpha": [[0, 1], [1, 0]]}', [["0", "1"], ["1", "0"]], True))
-    @example(('{"alpha": [[0, 1], [1, 0 ]]}', [["0", "1"], ["1", "0"]], False))
-    @example(('{"alpha": [[0, 1], [1, 0], [0,1]]}', [["0", "1"], ["1", "0"], ["0", "1"]], False))
-    @example(("{\r\n" + '"alpha": ' + matrix_text([["0", "1"], ["1", "0"]], "  ", "\r\n") + "}",
-              [["0", "1"], ["1", "0"]], True))
+    @example(matrix_document(above_floor([["0.5"]]), "", ""))
+    @example(matrix_document(above_floor([["1"], ["0"], ["1"]]), "", ""))
+    @example(matrix_document(above_floor([["0", "1"], ["1", "0"]]), " ", ""))
+    @example(matrix_document(above_floor([["0", "1"], ["1", "0"]]), " ", "", uneven=3))
+    @example(matrix_document(above_floor([["0", "1"], ["1", "0"]]), "  ", "\r\n"))
+    @example(matrix_document([["0", "1"], ["1", "0"]], " ", ""))
     def test_equals_json_bit_for_bit(self, doc):
         text, rows, alike = doc
         data, want = load_text(text), json.loads(text)
@@ -532,6 +552,24 @@ class TestMatrixReader:
         assert {k: v for k, v in data.items() if k != "alpha"} == (
             {k: v for k, v in want.items() if k != "alpha"}
         )
+
+    @pytest.mark.parametrize("rows", [
+        # the benchmark's kernel_half.json, a 3 x 3 kernel and transitive_8.json
+        [["0.5"]],
+        [["0.5"] * 3] * 3,
+        [["0.5" if i == j else "1.0" if i < j else "0.0" for j in range(8)] for i in range(8)],
+        # one cell below the floor, and at it
+        [(["0", "1"] * 37)[:73]] * 7,
+        [["0", "1"] * 16] * 16,
+    ])
+    def test_floor_sends_small_matrices_to_json(self, rows):
+        text, rows, _ = matrix_document(rows, " ", "")
+        got = load_text(text)["alpha"]
+        taken = len(rows) * len(rows[0]) >= cli._MIN_CELLS
+        assert isinstance(got, np.ndarray) == taken == reader_takes(rows, True)
+        expected = oracles.json_matrix(text, "alpha")
+        got = np.asarray(got, dtype=float)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @settings(max_examples=500, deadline=None)
     @given(mutated_documents())
@@ -582,6 +620,8 @@ class TestMatrixReader:
         "[[0, 1],\n [1, 0], [0, 1]]",
     ])
     def test_declined_inputs_take_json_path(self, tmp_path, capsys, monkeypatch, value):
+        # declined for what they hold, not for their size
+        monkeypatch.setattr(cli, "_MIN_CELLS", 1)
         text = '{"n": 2, "alpha": ' + value + "}"
         assert cli._number_matrix(text, text.index(value)) is None
         path = tmp_path / "in.json"

@@ -73,8 +73,8 @@ class TestTypes:
             StepKernel(np.array([[0.5, 1.5], [-0.5, 0.5]]))
 
     def test_skew_violation_in_last_row_block_is_rejected(self):
-        # 300 rows are checked in blocks of 128; the pair (298, 299) lies
-        # in the last block alone and misses the skew identity by 2 TOL
+        # 300 rows are checked in tiles of 256; the pair (298, 299) lies
+        # in the last, partial diagonal tile and misses the skew identity by 2 TOL
         n = 300
         upper = np.triu(np.random.default_rng(4).random((n, n)), 1)
         a = upper + np.tril(1.0 - upper.T, -1)
@@ -88,6 +88,52 @@ class TestTypes:
         a[298, 299] = m[298, 299] = 0.5 + TOL / 2
         assert GeneralizedTournament(a).n == StepKernel(m).n == n
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_skew_violation_in_any_tile_is_rejected(self, n):
+        # with tiles of 256: a diagonal tile, an off-diagonal one and the
+        # last, partial one (they coincide below 257)
+        from tourlim.core import _SKEW_TILE
+
+        assert _SKEW_TILE == 256
+        upper = np.triu(np.random.default_rng(n).random((n, n)), 1)
+        a = upper + np.tril(1.0 - upper.T, -1)
+        for i, j in ((1, 2), (n // 2, n // 2 + 1), (2, n - 1), (n - 1, n - 2)):
+            bad = a.copy()
+            bad[i, j], bad[j, i] = 0.5 + 2 * TOL, 0.5
+            with pytest.raises(ValidationError, match="violates"):
+                GeneralizedTournament(bad)
+            np.fill_diagonal(bad, 0.5)
+            with pytest.raises(ValidationError, match="violates"):
+                StepKernel(bad)
+        assert GeneralizedTournament(a).n == n
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_named_first(self, value):
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        for at in ((0, 1), (1, 1), (2, 0)):
+            bad = a.copy()
+            bad[at] = value
+            with pytest.raises(ValidationError, match="non-finite"):
+                GeneralizedTournament(bad)
+            with pytest.raises(ValidationError, match="non-finite"):
+                GeneralizedTournament(bad.tolist())
+            # before the shape
+            with pytest.raises(ValidationError, match="non-finite"):
+                GeneralizedTournament(bad[:, :2])
+        for make in (lambda v: ScoreSequence(v, "real"), ScoreFunction,
+                     lambda v: DegreeDistribution(np.full(3, 0.5), v)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                make([1 / 3, value, 1 / 3])
+
+    def test_range_error_comes_before_skew_error(self):
+        # (0, 1) is out of range, and (1, 2) with (2, 1) breaks the skew identity
+        a = np.array([[0.0, 1.5, 0.5], [-0.5, 0.0, 0.5], [0.5, 0.9, 0.0]])
+        with pytest.raises(ValidationError, match="outside"):
+            GeneralizedTournament(a)
+        a[0, 1], a[1, 0] = 1.0, 0.0
+        with pytest.raises(ValidationError, match="violates"):
+            GeneralizedTournament(a)
+
     def test_constructor_memory_is_below_twice_the_matrix(self):
         n = 900
         upper = np.triu(np.random.default_rng(5).random((n, n)), 1)
@@ -100,6 +146,20 @@ class TestTypes:
             tracemalloc.stop()
         assert peak < 2 * a.nbytes
 
+    def test_constructor_memory_on_bool_input_is_below_1_5_results(self):
+        # the float conversion is the constructor's own and is kept
+        n = 900
+        upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.5, 1)
+        b = upper | np.tril(~upper.T, -1)
+        tracemalloc.start()
+        try:
+            g = GeneralizedTournament(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g.alpha, b)
+        assert peak <= 1.5 * g.alpha.nbytes
+
     def test_constructors_keep_their_own_copy(self):
         a = np.array([[0.0, 1.0 + TOL / 2], [-TOL / 2, 0.0]])
         g = GeneralizedTournament(a)
@@ -110,6 +170,14 @@ class TestTypes:
         assert w.blocks.tolist() == [[0.5, 1.0], [0.0, 0.5]]
         a[0, 1] = 0.5
         assert g.alpha[0, 1] == 1.0
+        # a view of the caller's array is copied; a list, a float32 array
+        # and a bool array are converted, and the conversion is clipped
+        b = np.array([[0.0, -TOL / 2], [1.0 + TOL / 2, 0.0]])
+        assert GeneralizedTournament(b.T).alpha.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert b[1, 0] == 1.0 + TOL / 2
+        for x in (b.tolist(), b.astype(np.float32), b > 0.5):
+            assert GeneralizedTournament(x).alpha.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert b.tolist() == [[0.0, -TOL / 2], [1.0 + TOL / 2, 0.0]]
 
     def test_is_tournament(self):
         assert T3.is_tournament and CYCLE3.is_tournament

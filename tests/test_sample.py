@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,12 @@ from tourlim import (
     wasserstein1,
     witness_permutation,
 )
+from tourlim.sample import _DRAW_BLOCK
+
+# sizes at the draw-block boundaries: below B + 1 one block of rows, and
+# at 2B a whole number of blocks
+_B = math.isqrt(_DRAW_BLOCK)
+DRAW_BLOCK_SIZES = [_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1]
 
 HALF1 = StepKernel([[0.5]])
 HALF3 = StepKernel(np.full((3, 3), 0.5))
@@ -93,7 +100,7 @@ class TestSampleTournament:
         assert found > 0
 
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 125, 500])
+    @pytest.mark.parametrize("n", [1, 2, 3, 125, 500] + DRAW_BLOCK_SIZES)
     def test_bits_match_pair_scatter_oracle(self, n):
         kernels = [HALF3, transitive_kernel(4), random_step_kernel(7, seed=n)]
         reps = [0, 5, (0, 2), (1, 0)]
@@ -159,18 +166,18 @@ class TestSampleMemoryGuard:
             )
         assert calls == []
 
-    def test_sample_tournament_peak_is_below_2_5_results(self):
+    def test_sample_tournament_peak_is_below_1_5_results(self):
         g, peak = traced_peak(
             lambda: sample_tournament(random_step_kernel(5, seed=3), SampleConfig(2000, 1))
         )
-        assert peak <= 2.5 * g.alpha.nbytes
+        assert peak <= 1.5 * g.alpha.nbytes
 
-    def test_sample_self_converse_peak_is_below_2_5_results(self):
+    def test_sample_self_converse_peak_is_below_1_5_results(self):
         g, peak = traced_peak(
             lambda: sample_self_converse(HALF3, np.arange(3), SampleConfig(1000, 1))
         )
         assert g.n == 2000
-        assert peak <= 2.5 * g.alpha.nbytes
+        assert peak <= 1.5 * g.alpha.nbytes
 
     def test_limit_is_2_gib(self):
         from tourlim.core import _MAX_MATRIX_BYTES, _check_matrix_size
@@ -223,7 +230,7 @@ class TestSampleSelfConverse:
         with pytest.raises(RuntimeError, match="self-converse"):
             sample_self_converse(HALF3, np.arange(3), SampleConfig(4, seed=0))
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 50, 400])
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 400] + DRAW_BLOCK_SIZES)
     def test_bits_match_pair_scatter_oracle(self, m):
         # kernels on 1, 2, 3 and 8 blocks, averaged with their sigma-converse
         # so that W(x, y) = W(sigma(y), sigma(x)) holds exactly
