@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
+import stat
 import sys
 from json.decoder import JSONObject
 from pathlib import Path
@@ -256,16 +258,21 @@ def _encode(x, indent: str):
 
 
 def _bit_table(a: np.ndarray) -> tuple:
-    """The distinct uint64 bit patterns of the float64 cells of ``a`` and,
-    per cell, the index of its pattern.
-    Two patterns (every 0/1 matrix) need no sort."""
+    """The distinct uint64 bit patterns of the float64 cells of ``a`` and
+    a function from a slice of rows to the index of each of their cells'
+    pattern.  Two patterns (every 0/1 matrix) need no sort and no n x n
+    array: the cells are compared with them _CHUNK_BYTES / 8 at a time,
+    here and again as their rows are written."""
     bits = a.view(np.uint64)
     lo, hi = bits.min(), bits.max()
-    inv = bits == hi
-    if lo == hi or np.count_nonzero(inv) + np.count_nonzero(bits == lo) == bits.size:
-        return np.array([lo, hi]), inv.view(np.uint8)
+    step = max(1, _CHUNK_BYTES // 8 // bits.shape[1])
+    blocks = (bits[r:r + step] for r in range(0, len(bits), step))
+    if lo == hi or all(np.count_nonzero(b == hi) + np.count_nonzero(b == lo) == b.size
+                       for b in blocks):
+        return np.array([lo, hi]), lambda rows: (bits[rows] == hi).view(np.uint8)
     keys, inv = np.unique(bits, return_inverse=True)
-    return keys, inv.reshape(a.shape)
+    inv = inv.reshape(a.shape)
+    return keys, lambda rows: inv[rows]
 
 
 def _matrix_chunks(a: np.ndarray, indent: str):
@@ -279,17 +286,18 @@ def _matrix_chunks(a: np.ndarray, indent: str):
     one join of its words.  Either way a block holds about
     ``_CHUNK_BYTES`` and ends with the ",\n" before the next row.
     """
-    keys, inv = _bit_table(a)
+    keys, index = _bit_table(a)
     # json's text of a list of floats is their texts joined by ", "
     words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
     rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
     yield b"[\n"
-    yield from rows(words, inv, indent + "  ", indent + "    ")
+    yield from rows(words, index, a.shape, indent + "  ", indent + "    ")
     yield f"\n{indent}]".encode()
 
 
-def _fixed_width_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
-    """Rows of words of one length, built as bytes from a template row.
+def _fixed_width_rows(words: list, index, shape: tuple, row_in: str, cell_in: str):
+    """Rows of words of one length, built as bytes from a template row;
+    ``index(rows)`` gives the word of each cell of those rows.
 
     The template holds the brackets, the separators and the first word in
     every cell and is repeated once for a block of rows; for each block,
@@ -302,40 +310,50 @@ def _fixed_width_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
     # every word is followed by a separator, the last one of a row by the
     # row's end and ",\n", which has the same length
     head, sep, end = f"{row_in}[\n{cell_in}", ",\n" + cell_in, f"\n{row_in}],\n"
-    m = inv.shape[1]
+    n, m = shape
     row = np.frombuffer((head + (words[0] + sep) * (m - 1) + words[0] + end).encode(), np.uint8)
     step = max(1, _CHUNK_BYTES // len(row))
-    block = row[None].repeat(min(step, len(inv)), axis=0)
+    block = row[None].repeat(min(step, n), axis=0)
     cells = block[:, len(head):].reshape(len(block), m, -1)
-    for i in range(0, len(inv), step):
-        idx = inv[i:i + step]
+    for i in range(0, n, step):
+        idx = index(slice(i, i + step))
         for b, column in zip(varying, columns):
             # every index is in range; "clip" writes to the strided out directly
             np.take(column, idx, out=cells[:len(idx), :, b], mode="clip")
         text = block[:len(idx)].reshape(-1)
         # no ",\n" after the matrix's last row
-        yield (text if i + step < len(inv) else text[:-2]).tobytes()
+        yield (text if i + step < n else text[:-2]).tobytes()
 
 
-def _joined_rows(words: list, inv: np.ndarray, row_in: str, cell_in: str):
+def _joined_rows(words: list, index, shape: tuple, row_in: str, cell_in: str):
     """Rows of words of mixed lengths, each row one ``sep.join``."""
     sep = ",\n" + cell_in
-    step = max(1, _CHUNK_BYTES // (inv.shape[1] * (max(map(len, words)) + len(sep))))
+    n, m = shape
+    step = max(1, _CHUNK_BYTES // (m * (max(map(len, words)) + len(sep))))
     words = np.array(words, dtype=object)
-    for i in range(0, len(inv), step):
+    for i in range(0, n, step):
         text = ",\n".join(
             f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
-            for row in words[inv[i:i + step]].tolist()
+            for row in words[index(slice(i, i + step))].tolist()
         )
-        yield (text + ",\n" if i + step < len(inv) else text).encode()
+        yield (text + ",\n" if i + step < n else text).encode()
 
 
 def _emit(chunks, output: str | None):
     """Write the bytes ``chunks`` as they come, to the file ``output`` or
-    to stdout's binary buffer."""
+    to stdout's binary buffer.
+
+    ``output`` is written over in place from its start and, when it is a
+    regular file, cut to the bytes written: truncating a file that holds
+    blocks before writing its new bytes cost more than writing them.
+    FIFOs and devices (/dev/null, /dev/stdout on a pipe) are not cut.  A
+    crash mid-write leaves the new bytes followed by the old file's tail.
+    """
     if output:
-        with open(output, "wb") as f:
+        with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.writelines(chunks)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     else:
         # what is already written to the text layer goes out first
         sys.stdout.flush()

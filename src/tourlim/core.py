@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -92,38 +93,66 @@ def _unit_array(x, name: str) -> np.ndarray:
 _SKEW_TILE = 256
 
 
-def _is_skew(a: np.ndarray) -> bool:
-    """Whether a(i, j) + a(j, i) = 1 within TOL for all i != j, checked on
-    mirrored _SKEW_TILE x _SKEW_TILE tile pairs so that no n x n temporary
-    is made; the diagonal is not checked."""
+def _mirrored_tiles(a: np.ndarray, op, diagonal):
+    """``op(upper, lower.T)`` for each pair of mirrored _SKEW_TILE x
+    _SKEW_TILE tiles of the square ``a``, upper on or above the diagonal,
+    one pair at a time in one tile buffer, so that no n x n temporary is
+    made; where the result covers a's diagonal, it holds ``diagonal``."""
     n = a.shape[0]
-    buf = np.empty(min(n, _SKEW_TILE) ** 2)
+    buf = np.empty(min(n, _SKEW_TILE) ** 2, a.dtype)
     for i in range(0, n, _SKEW_TILE):
         for j in range(i, n, _SKEW_TILE):
             upper = a[i:i + _SKEW_TILE, j:j + _SKEW_TILE]
-            s = np.add(upper, a[j:j + _SKEW_TILE, i:i + _SKEW_TILE].T,
-                       out=buf[:upper.size].reshape(upper.shape))
+            s = op(upper, a[j:j + _SKEW_TILE, i:i + _SKEW_TILE].T,
+                   out=buf[:upper.size].reshape(upper.shape))
             if i == j:
-                np.fill_diagonal(s, 1.0)
-            # s - 1 is monotone in s, so its largest magnitude is at an extreme
-            if s.max() - 1.0 > TOL or 1.0 - s.min() > TOL:
-                return False
+                np.fill_diagonal(s, diagonal)
+            yield s
+
+
+def _is_skew(a: np.ndarray) -> bool:
+    """Whether a(i, j) + a(j, i) = 1 within TOL for all i != j of the float
+    matrix ``a``; the diagonal is not checked."""
+    for s in _mirrored_tiles(a, np.add, 1.0):
+        # s - 1 is monotone in s, so its largest magnitude is at an extreme
+        if s.max() - 1.0 > TOL or 1.0 - s.min() > TOL:
+            return False
     return True
+
+
+def _diagonal_error(name: str, diagonal: float) -> ValidationError:
+    return ValidationError(f"field '{name}' must have {diagonal:g} on the diagonal")
+
+
+def _skew_error(name: str) -> ValidationError:
+    return ValidationError(f"field '{name}' violates {name}(i,j) + {name}(j,i) = 1")
 
 
 def _skew_matrix(x, name: str, diagonal: float) -> np.ndarray:
     """``x`` as a new frozen square matrix in [0, 1] with ``diagonal`` on its
-    diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL."""
+    diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL.
+
+    A square non-empty bool array with ``diagonal`` 0 is checked as bools,
+    a(i, j) xor a(j, i) off the diagonal, and converted once; the errors
+    and their order are those of the float path that every other input
+    takes."""
+    if (diagonal == 0.0 and isinstance(x, np.ndarray) and x.dtype == bool
+            and x.ndim == 2 and 0 < len(x) == x.shape[1]):
+        if x.diagonal().any():
+            raise _diagonal_error(name, diagonal)
+        if not all(s.all() for s in _mirrored_tiles(x, np.not_equal, True)):
+            raise _skew_error(name)
+        return _freeze(np.asarray(x, dtype=float))
     a, lo, hi = _float_array(x, name, ndim=2)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError(f"field '{name}' must be square")
     if np.any(np.abs(np.diag(a) - diagonal) > TOL):
-        raise ValidationError(f"field '{name}' must have {diagonal:g} on the diagonal")
+        raise _diagonal_error(name, diagonal)
     a = _owned_unit(x, a, lo, hi, name)
     np.fill_diagonal(a, diagonal)
     if not _is_skew(a):
-        raise ValidationError(f"field '{name}' violates {name}(i,j) + {name}(j,i) = 1")
+        raise _skew_error(name)
     return _freeze(a)
 
 
@@ -225,14 +254,19 @@ class GeneralizedTournament:
     alpha: np.ndarray
 
     def __post_init__(self):
+        bools = isinstance(self.alpha, np.ndarray) and self.alpha.dtype == bool
         object.__setattr__(self, "alpha", _skew_matrix(self.alpha, "alpha", 0.0))
+        if bools:
+            object.__setattr__(self, "is_tournament", True)
 
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
 
-    @property
+    @cached_property
     def is_tournament(self) -> bool:
+        """Whether every entry is 0 or 1: known from bool input, else
+        computed on first use."""
         # the diagonal is exactly 0.0 after construction
         return bool(((self.alpha == 0.0) | (self.alpha == 1.0)).all())
 

@@ -657,6 +657,14 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
+    return _density_finite(f, g, mode, {})
+
+
+def _density_finite(
+    f: DigraphPattern, g: GeneralizedTournament, mode: str, shared: dict
+) -> float:
+    """``density_finite(f, g, mode)``, sharing keyed step results through
+    ``shared`` with the other calls on ``g`` that it is passed to."""
     if f.k > MAX_PATTERN_VERTICES:
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
     if mode not in _MODES:
@@ -668,7 +676,7 @@ def density_finite(
     mats = {_EDGE: g.alpha}
     if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
         mats[_BLANK] = (1.0 - g.alpha) * (1.0 - g.alpha.T)
-    total = _evaluate(terms, mats, n)
+    total = _evaluate(terms, mats, n, shared)
     return total / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
 
 

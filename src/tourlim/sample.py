@@ -26,7 +26,7 @@ from .core import (
     scores_of_tournament,
     wasserstein1,
 )
-from .density import _checked_terms, density_finite, density_kernel
+from .density import _checked_terms, _density_finite, density_kernel
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,20 @@ def witness_permutation(n: int) -> np.ndarray:
 _CHECK_ROWS = 128
 
 
-def is_selfconverse_under(g: GeneralizedTournament, perm: np.ndarray) -> bool:
-    """Exact check that relabelling by perm reverses every orientation,
-    _CHECK_ROWS rows of the relabelled matrix at a time."""
-    perm = np.asarray(perm)
-    alpha = g.alpha
-    for r in range(0, g.n, _CHECK_ROWS):
-        rows = alpha[perm[r:r + _CHECK_ROWS]][:, perm]
-        if not np.array_equal(rows, alpha[:, r:r + _CHECK_ROWS].T):
+def _reversed_by(a: np.ndarray, perm: np.ndarray) -> bool:
+    """Whether relabelling the square matrix ``a`` by perm gives exactly
+    its transpose, checked _CHECK_ROWS rows of the relabelled matrix at a
+    time."""
+    for r in range(0, len(a), _CHECK_ROWS):
+        rows = a[perm[r:r + _CHECK_ROWS]][:, perm]
+        if not np.array_equal(rows, a[:, r:r + _CHECK_ROWS].T):
             return False
     return True
+
+
+def is_selfconverse_under(g: GeneralizedTournament, perm: np.ndarray) -> bool:
+    """Exact check that relabelling by perm reverses every orientation."""
+    return _reversed_by(g.alpha, np.asarray(perm))
 
 
 def sample_self_converse(
@@ -174,10 +178,10 @@ def sample_self_converse(
     # cross block is its own transpose)
     out[m:, m:] = out[:m, :m].T
     np.logical_not(out[:m, m:], out=out[m:, :m])
-    out = GeneralizedTournament(out)
-    if not is_selfconverse_under(out, witness_permutation(m)):
+    # the witness is checked on the bools, which convert exactly
+    if not _reversed_by(out, witness_permutation(m)):
         raise RuntimeError("sampled tournament is not self-converse under the witness")
-    return out
+    return GeneralizedTournament(out)
 
 
 def empirical_degree_distribution(g: GeneralizedTournament) -> DegreeDistribution:
@@ -245,8 +249,10 @@ def convergence_report(
         w1s = []
         for r in range(cfg.reps):
             g = sample_tournament(w, SampleConfig(size, cfg.seed, 1), rep=(si, r))
+            # the patterns of one sample share their keyed step results
+            shared: dict = {}
             for name, f in patterns.items():
-                stats[name].setdefault(size, []).append(density_finite(f, g, "inj"))
+                stats[name].setdefault(size, []).append(_density_finite(f, g, "inj", shared))
             w1s.append(wasserstein1(empirical_degree_distribution(g), target))
         w1_samples[size] = tuple(w1s)
     for name in patterns:

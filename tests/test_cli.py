@@ -811,3 +811,73 @@ def test_refused_sample_writes_only_the_error(half3, tmp_path, capsys):
     assert out.read_text() == json_reference(payload)
     assert main(args) == 1
     assert capsys.readouterr() == (out.read_text(), "")
+
+
+class TestOutputInPlace:
+    """--output is written over in place and cut to length when it is a
+    regular file; FIFOs and devices are written, never cut."""
+
+    def args(self, half3, size):
+        return ["sample", "--input", half3, "--size", str(size), "--seed", "3"]
+
+    def test_over_a_longer_file_leaves_a_fresh_write(self, half3, tmp_path):
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        assert main(self.args(half3, 60) + ["--output", str(fresh)]) == 0
+        reused.write_bytes(b"x" * (5 * fresh.stat().st_size))
+        os.chmod(reused, 0o640)
+        assert main(self.args(half3, 60) + ["--output", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        # the file is written over, not made anew
+        assert reused.stat().st_mode & 0o777 == 0o640
+        assert main(self.args(half3, 200) + ["--output", str(reused)]) == 0
+        assert main(self.args(half3, 60) + ["--output", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_devnull_is_not_cut(self, half3):
+        # ftruncate on a character device fails (EINVAL), so a cut would raise
+        assert main(self.args(half3, 40) + ["--output", os.devnull]) == 0
+
+    def test_fifo_is_written_and_not_cut(self, half3, tmp_path):
+        import threading
+
+        fifo, want = tmp_path / "fifo", tmp_path / "want.json"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            # ftruncate on a FIFO fails (EINVAL), so a cut would raise
+            assert main(self.args(half3, 300) + ["--output", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=60)
+        assert main(self.args(half3, 300) + ["--output", str(want)]) == 0
+        assert got == [want.read_bytes()]
+
+    def test_unwritable_paths_raise_as_open_does(self, half3, tmp_path):
+        for target in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+            with pytest.raises(OSError) as want:
+                open(target, "wb")
+            with pytest.raises(OSError) as got:
+                main(self.args(half3, 5) + ["--output", target])
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        assert not (tmp_path / "missing").exists()
+
+    def test_output_may_be_the_input(self, tmp_path):
+        # the input is decoded before anything is written: a shorter and a
+        # longer output over the file that was read
+        sampled = tmp_path / "t.json"
+        kernel = write_json(tmp_path, "w.json", random_step_kernel(3, seed=1).to_json_dict())
+        assert main(["sample", "--input", kernel, "--size", "50", "--seed", "2",
+                     "--output", str(sampled)]) == 0
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(sampled.read_bytes())
+        density_args = ["density", "--pattern", "C3", "--mode", "inj"]
+        assert main(density_args + ["--input", str(copy), "--output", str(tmp_path / "want")]) == 0
+        assert main(density_args + ["--input", str(sampled), "--output", str(sampled)]) == 0
+        assert sampled.read_bytes() == (tmp_path / "want").read_bytes()
+        seq = write_json(tmp_path, "seq.json", {"values": [2, 2, 2, 2, 2], "kind": "integer"})
+        fresh = tmp_path / "realized.json"
+        assert main(["realize", "--input", seq, "--output", str(fresh)]) == 0
+        assert main(["realize", "--input", seq, "--output", seq]) == 0
+        assert Path(seq).read_bytes() == fresh.read_bytes()

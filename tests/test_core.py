@@ -182,6 +182,16 @@ class TestTypes:
     def test_is_tournament(self):
         assert T3.is_tournament and CYCLE3.is_tournament
         assert not HALF2.is_tournament
+        # bool input is known to be 0/1 at construction; float input is
+        # checked on first use and then kept
+        b = GeneralizedTournament(np.array([[False, True], [False, False]]))
+        assert b.__dict__["is_tournament"] is True
+        assert b.is_tournament
+        g = GeneralizedTournament(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert "is_tournament" not in g.__dict__
+        assert g.is_tournament and g.__dict__["is_tournament"] is True
+        h = GeneralizedTournament(np.array([[0.0, 1.0 - TOL / 2], [TOL / 2, 0.0]]))
+        assert not h.is_tournament
 
     def test_pattern_rejects_two_cycle_and_loops(self):
         from tourlim import DigraphPattern
@@ -205,6 +215,85 @@ class TestTypes:
             from tourlim import MomentSequence
 
             MomentSequence([1.0, 1.2])
+
+
+def _constructor_error(x) -> str | None:
+    try:
+        GeneralizedTournament(x)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _random_bool_tournament(n: int, seed: int) -> np.ndarray:
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+    return upper | np.tril(~upper.T, -1)
+
+
+class TestBoolInput:
+    """Square non-empty bool input is validated as bools and converted once;
+    verdicts, messages and results must be those of its float64 copy."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+    def test_verdicts_and_messages_match_float_path(self, n):
+        from tourlim.core import _SKEW_TILE
+
+        assert _SKEW_TILE == 256
+        b = _random_bool_tournament(n, n)
+        # with tiles of 256: a diagonal tile, an off-diagonal one and the
+        # last, partial one (they coincide below 257)
+        pairs = [(i, j) for i, j in ((0, 1), (n // 2, n // 2 + 1), (2, n - 1), (n - 1, n - 2))
+                 if i != j and 0 <= min(i, j) and max(i, j) < n]
+        cases = []
+        for i, j in pairs:
+            for both in (True, False):
+                bad = b.copy()
+                bad[i, j] = bad[j, i] = both
+                cases.append(bad)
+        for at in {0, n // 2, n - 1}:
+            bad = b.copy()
+            bad[at, at] = True
+            cases.append(bad)
+            # a diagonal error is reported before a skew error
+            if pairs:
+                bad = bad.copy()
+                i, j = pairs[-1]
+                bad[i, j] = bad[j, i] = True
+                cases.append(bad)
+        for bad in cases:
+            message = _constructor_error(bad)
+            assert message is not None
+            assert message == _constructor_error(bad.astype(float))
+        assert _constructor_error(b) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+    def test_result_equals_float_path_frozen_and_owned(self, n):
+        b = _random_bool_tournament(n, n + 1)
+        for x in (b, b.T, b[::-1, ::-1]):
+            g = GeneralizedTournament(x)
+            want = GeneralizedTournament(x.astype(float)).alpha
+            assert g.alpha.dtype == np.float64 and g.alpha.tobytes() == want.tobytes()
+            assert not g.alpha.flags.writeable
+            assert not np.shares_memory(g.alpha, x)
+            assert g.is_tournament
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 0), (0, 3), (3,), (0,), (2, 2, 2)])
+    def test_shape_errors_match_float_path(self, shape):
+        b = np.zeros(shape, bool)
+        message = _constructor_error(b)
+        assert message is not None and message == _constructor_error(b.astype(float))
+
+    def test_kernels_take_the_float_path(self):
+        # a bool matrix has no 1/2 on its diagonal
+        b = np.zeros((3, 3), bool)
+        for x in (b, b.astype(float)):
+            with pytest.raises(ValidationError, match="0.5 on the diagonal"):
+                StepKernel(x)
+
+    def test_generalised_and_float_0_1_inputs_are_unchanged(self):
+        assert not HALF2.is_tournament
+        assert GeneralizedTournament(T3.alpha.copy()).is_tournament
+        assert GeneralizedTournament(T3.alpha.tolist()).is_tournament
 
 
 class TestConversions:

@@ -14,6 +14,7 @@ from tourlim import (
     ValidationError,
     convergence_report,
     degree_distribution,
+    density_finite,
     density_kernel,
     empirical_degree_distribution,
     is_selfconverse_under,
@@ -226,7 +227,9 @@ class TestSampleSelfConverse:
         # an explicit error, not an assert that python -O strips
         import tourlim.sample
 
-        monkeypatch.setattr(tourlim.sample, "is_selfconverse_under", lambda g, perm: False)
+        # the sampler checks its witness on the bool matrix, through the
+        # helper that is_selfconverse_under calls too
+        monkeypatch.setattr(tourlim.sample, "_reversed_by", lambda a, perm: False)
         with pytest.raises(RuntimeError, match="self-converse"):
             sample_self_converse(HALF3, np.arange(3), SampleConfig(4, seed=0))
 
@@ -323,6 +326,39 @@ class TestConvergenceReport:
     def test_repeated_sizes_are_refused(self):
         with pytest.raises(ValidationError, match="distinct"):
             convergence_report(HALF3, {}, [20, 20], SampleConfig(1, seed=0, reps=2))
+
+    def test_shared_contractions_equal_separate_calls_bit_for_bit(self):
+        # one repetition's patterns share their keyed step results; each
+        # value must be that of its own density_finite call on the sample
+        from tourlim.sample import _mean_stderr
+
+        w = random_step_kernel(4, seed=8)
+        specs = ("S0,1", "S1,1", "S2,0", "S1,2", "C3", "C4", "T3", "T4")
+        patterns = {spec: DigraphPattern.from_spec(spec) for spec in specs}
+        sizes, reps = [3, 9, 60], 3
+        report = convergence_report(w, patterns, sizes, SampleConfig(1, seed=13, reps=reps))
+        want = {}
+        for si, size in enumerate(sizes):
+            gs = [sample_tournament(w, SampleConfig(size, 13, 1), rep=(si, r)) for r in range(reps)]
+            for name, f in patterns.items():
+                want[name, size] = _mean_stderr([density_finite(f, g, "inj") for g in gs])
+        got = {(r.pattern, r.n): (r.mean, r.stderr)
+               for r in report.rows if r.pattern != "degree_w1"}
+        assert got.keys() == want.keys()
+        for key, values in want.items():
+            assert [v.hex() for v in got[key]] == [v.hex() for v in values], key
+
+    def test_shared_dict_serves_every_mode_bit_for_bit(self):
+        from tourlim.density import _density_finite
+
+        g = GeneralizedTournament(random_step_kernel(40, seed=3).blocks - np.eye(40) / 2)
+        shared: dict = {}
+        for spec in ("S1,1", "C3", "C4", "T4", "S0,2"):
+            f = DigraphPattern.from_spec(spec)
+            for mode in ("hom", "inj", "ind"):
+                want = density_finite(f, g, mode)
+                assert _density_finite(f, g, mode, shared).hex() == want.hex()
+        assert shared
 
     def test_empirical_density_close_to_exact(self):
         patterns = {"S0,1": DigraphPattern.star(0, 1)}
