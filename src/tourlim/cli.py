@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import stat
@@ -52,9 +53,9 @@ def _load_json(path: str) -> dict:
 
 class _MatrixDecoder(json.JSONDecoder):
     """json's decoder, except that a value of the top-level object that
-    ``_number_matrix`` reads comes back as its float64 array.  json's own
-    object scanner walks that object; every other value, and everything
-    inside them, is json's own, errors included."""
+    ``_number_matrix`` reads comes back as its bool or float64 array.
+    json's own object scanner walks that object; every other value, and
+    everything inside them, is json's own, errors included."""
 
     def __init__(self):
         super().__init__()
@@ -85,6 +86,11 @@ _IN_GAP[list(b"[], \t\n\r")] = True
 """Per byte, whether it may stand between two numbers of a row."""
 _BLOCK_BYTES = 1 << 16
 """About how many bytes of matrix text ``_number_matrix`` reads at a time."""
+_INVALID = 255
+"""The code of a cell that is none of the words of ``_number_matrix``.  The
+words differ in at most two byte positions, each one of the 15 bytes
+``0-9 + - . e E``, so there are at most 225 of them and no word has this
+code."""
 _MIN_CELLS = 512
 """The fewest cells ``_number_matrix`` reads; json reads smaller matrices.
 The reader's fixed cost, about 25 numpy calls, came to 40-120 us on
@@ -96,17 +102,19 @@ def _number_matrix(text: str, i: int):
     """``(a, end)`` when ``text[i:end]`` is a JSON array of n >= 1 arrays of
     m >= 1 numbers each, n m >= _MIN_CELLS of them, laid out alike, whose
     cells are all words of its first and last row, and those rows pass
-    ``_row_words``; ``a`` is then exactly
-    ``np.asarray(json.loads(text[i:end]), dtype=float)``.  None for any
-    other value, which json then reads.
+    ``_row_words``; ``a`` then holds exactly the values of
+    ``np.asarray(json.loads(text[i:end]), dtype=float)``, as a bool array
+    when each of them is +0.0 or 1.0 and as float64 otherwise.  None for
+    any other value, which json then reads.
 
     Laid out alike means that the rows start at one stride, the cells of a
     row at another, and every byte equals the first row's byte, or the
     first separator's, except at the at most two byte positions per cell
     at which the words of the first and last row differ.  Those bytes are
-    read through a strided view and looked up in a table made from these
-    words, which are checked against json's number grammar and converted as
-    json converts them; a cell that is none of them declines the matrix.
+    read through a strided view and looked up in a byte table made from
+    these words, which are checked against json's number grammar and
+    converted as json converts them; a cell that is none of them reads as
+    ``_INVALID`` and declines the matrix.
     """
     head = _FIRST_ROW.match(text, i)
     if head is None or (first := _row_words(head[2])) is None:
@@ -139,19 +147,25 @@ def _number_matrix(text: str, i: int):
     period = periods[0] if m > 1 else width
     if len(varying) > 2 or (periods != period).any():
         return None
-    # with two varying positions, a cell's index is its second byte plus 256
+    # json reads the integer spelling -0 as the int 0, so as 0.0
+    values = [0.0 if w == "-0" else float(w) for w in words]
+    # when every word reads as +0.0 or 1.0, a cell's code is its bool value;
+    # else it indexes ``values``
+    binary = all(v == 1.0 or v == 0.0 and math.copysign(1.0, v) > 0 for v in values)
+    # with two varying positions, a cell's key is its second byte plus 256
     # times the slot of its first byte, 0 for a byte that no word has there
     firsts = sorted(set(table[:, varying[0]].tolist())) if len(varying) == 2 else []
     slots = np.zeros(256, np.intp)
     slots[firsts] = range(256, 256 * (len(firsts) + 1), 256)
-    lut = np.full(256 * (len(firsts) + 1), np.nan)
-    # json reads the integer spelling -0 as the int 0, so as 0.0
-    lut[_key(table, varying, slots)] = [0.0 if w == "-0" else float(w) for w in words]
+    codes = np.full(256 * (len(firsts) + 1), _INVALID, np.uint8)
+    codes[_key(table, varying, slots)] = values if binary else range(len(words))
+    values = np.array(values)
     varies = np.zeros(rowlen, bool)
     for j in varying:
         varies[cell_starts + j] = True
-    out = np.empty((n, m))
+    out = np.empty((n, m), bool if binary else float)
     step = max(1, _BLOCK_BYTES // stride)
+    block_codes = out.view(np.uint8) if binary else np.empty((min(step, n), m), np.uint8)
     for r in range(0, n, step):
         k, at = min(step, n - r), start + r * stride
         block = text[at:at + (k - 1) * stride + rowlen].encode("ascii", "replace")
@@ -159,9 +173,12 @@ def _number_matrix(text: str, i: int):
         if not ((rows == row) | varies).all():
             return None
         cells = np.ndarray((k, m, width), np.uint8, block, cell_starts[0], (stride, period, 1))
-        np.take(lut, _key(cells, varying, slots), out=out[r:r + k], mode="clip")
-        if np.isnan(out[r:r + k]).any():
+        got = block_codes[r:r + k] if binary else block_codes[:k]
+        np.take(codes, _key(cells, varying, slots), out=got, mode="clip")
+        if got.max() == _INVALID:
             return None
+        if not binary:
+            np.take(values, got, out=out[r:r + k], mode="clip")
     return out, tail.end()
 
 

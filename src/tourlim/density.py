@@ -54,9 +54,18 @@ evaluate these sums along one path of three steps.
    are summed; a term that one row does not fit is refused.  Step results
    with at most one index (a leaf summed out into a vector, a plain sum)
    are named by what they compute and shared by the terms of one call, or
-   of one fingerprint, and within each pass.  The cost guard reads the
-   exact count of multiplications and additions of what runs, each shared
-   step once, and keeps it per list of terms and n.
+   of one fingerprint, and within each pass.  A BLAS product of two n x n
+   operands is named the same way, up to the order of its operands: when
+   a term makes one twice (C4 along the order b, d: A.A both times), the
+   later step is made like the earlier one and reuses its array, which is
+   dropped after its last use; a sliced pass reuses none.  A term in
+   which several vertices would make one such product is also planned
+   with those vertices first, and takes that plan when it keeps every
+   intermediate to two indices and counts strictly fewer operations, each
+   repeated product once: C4 then runs one n^3 product instead of two.
+   The cost guard reads the exact count of multiplications and additions
+   of what runs, each shared or reused step once, and keeps it per list
+   of terms and n.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -139,7 +148,10 @@ class _Plan(NamedTuple):
     carries, and ``cut`` a vertex that every intermediate of that many
     indices carries (None if there is none): when those intermediates are
     too large, the ``sliced`` scalars, those whose trees carry ``cut``, are
-    summed over row ranges of ``cut`` one pass at a time.
+    summed over row ranges of ``cut`` one pass at a time.  ``repeats`` maps
+    each BLAS product of two n x n operands that an earlier step, in the
+    order ``_value`` runs them, makes the same way to (that step, whether
+    this is the last such repeat); ``kept`` holds those earlier steps.
     """
 
     steps: tuple
@@ -148,15 +160,17 @@ class _Plan(NamedTuple):
     width: int
     cut: int | None
     sliced: frozenset
+    repeats: dict
+    kept: frozenset
 
 
 class _Step(NamedTuple):
     """One contraction step.  op "dot" is one BLAS product over the operand
     axes ``spec``; op "einsum" runs the subscripts ``spec`` on at most three
     operands.  ``key`` names the computation up to vertex names: results
-    with at most ``rank`` 1 are shared by key across the terms of a call.
-    The step makes ``count`` multiplications and additions per value of
-    the vertices ``over``."""
+    with at most ``rank`` 1 are shared by key across the terms of a call,
+    and a rank-2 product by key within its term.  The step makes ``count``
+    multiplications and additions per value of the vertices ``over``."""
 
     op: str
     ids: tuple
@@ -169,6 +183,11 @@ class _Step(NamedTuple):
 
 def _indices(vertices) -> str:
     return "".join(_LETTERS[x] for x in vertices)
+
+
+def _pairs(operands) -> frozenset:
+    """The vertex pairs that some operand, a tuple of vertices, carries."""
+    return frozenset(pair for out in operands for pair in combinations(sorted(out), 2))
 
 
 @lru_cache(maxsize=1024)
@@ -226,69 +245,167 @@ def _renamed(spec: str) -> str:
     return "".join(names.get(ch, ch) for ch in spec)
 
 
-@lru_cache(maxsize=4096)
-def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
-    """Bucket elimination of one term along the order of ``_order``, or,
-    when ``plain``, its plain sum as one einsum step over all factors.
+class _Elimination:
+    """One term's bucket elimination in progress: its live operands, each
+    the tuple of the vertices it carries, their keys, and the steps so far.
 
     Eliminating x contracts the operands that carry x.  While more than two
     remain, the two with the fewest indices between them are multiplied
     elementwise, except that three operands stay for one einsum when no
     such product leaves two that share only x.  Two operands that share
-    only x become one BLAS product; anything else is one einsum.  The cut
-    is the least vertex that every output of the most indices carries.
+    only x become one BLAS product; anything else is one einsum.
     """
-    live = {i: (u, v) for i, (u, v, _) in enumerate(factors)}
-    keys = {i: kind for i, (_, _, kind) in enumerate(factors)}
-    steps, outs = [], []
 
-    def emit(op, ids, spec, out, count):
-        new = len(factors) + len(steps)
+    def __init__(self, factors: tuple):
+        self.factors = factors
+        self.live = {i: (u, v) for i, (u, v, _) in enumerate(factors)}
+        self.keys = {i: kind for i, (_, _, kind) in enumerate(factors)}
+        self.steps: list = []
+        self.outs: list = []
+
+    def vertices(self) -> tuple:
+        """The vertices that some live operand still carries."""
+        return tuple(sorted({x for out in self.live.values() for x in out}))
+
+    def emit(self, op, ids, spec, out, count) -> int:
+        live, keys = self.live, self.keys
+        new = len(self.factors) + len(self.steps)
         keys[new] = (op, _renamed(spec) if op == "einsum" else spec, *(keys[i] for i in ids))
         over = tuple(sorted(set().union(*(live[i] for i in ids))))
-        steps.append(_Step(op, ids, spec, keys[new], over, count, len(out)))
+        self.steps.append(_Step(op, ids, spec, keys[new], over, count, len(out)))
         for i in ids:
             del live[i]
         live[new] = out
-        outs.append({*out})
+        self.outs.append({*out})
         return new
 
-    def einsum(ids, out):
+    def einsum(self, ids, out) -> int:
+        live = self.live
         union = set().union(*(live[i] for i in ids))
         spec = ",".join(_indices(live[i]) for i in ids) + "->" + _indices(out)
-        return emit("einsum", ids, spec, out, len(ids) - 1 + (len(union) > len(out)))
+        return self.emit("einsum", ids, spec, out, len(ids) - 1 + (len(union) > len(out)))
 
-    touched = sorted({x for u, v, _ in factors for x in (u, v)})
-    if plain:
-        einsum(tuple(live), ())
-    pairs = frozenset((min(u, v), max(u, v)) for u, v, _ in factors)
-    for x in () if plain else _order(tuple(touched), pairs):
+    def product(self, x) -> frozenset | None:
+        """The BLAS product of two n x n operands that eliminating x makes,
+        as its set of (axis, operand key), which swapping the two operands
+        keeps; None when eliminating x makes no such product."""
+        live = self.live
+        bucket = [i for i in live if x in live[i]]
+        if len(bucket) != 2 or {*live[bucket[0]]} & {*live[bucket[1]]} != {x}:
+            return None
+        if any(len(live[i]) != 2 for i in bucket):
+            return None
+        return frozenset((live[i].index(x), self.keys[i]) for i in bucket)
+
+    def eliminate(self, x) -> None:
+        live = self.live
         bucket = [i for i in live if x in live[i]]
         while len(bucket) > 2:
             i, j = min(combinations(bucket, 2), key=lambda p: len({*live[p[0]], *live[p[1]]}))
             union = {*live[i], *live[j]}
             if len(bucket) == 3 and union & {*live[({*bucket} - {i, j}).pop()]} != {x}:
                 break
-            bucket = [b for b in bucket if b not in (i, j)] + [einsum((i, j), tuple(sorted(union)))]
+            bucket = [b for b in bucket if b not in (i, j)]
+            bucket.append(self.einsum((i, j), tuple(sorted(union))))
         if len(bucket) == 2 and {*live[bucket[0]]} & {*live[bucket[1]]} == {x}:
             i, j = bucket
+            spec = (live[i].index(x), live[j].index(x))
+            # a product that an earlier step made with its operands swapped
+            # is made that step's way, so that both compute one array
+            if len(live[i]) == len(live[j]) == 2 and (
+                    ("dot", spec[::-1], self.keys[j], self.keys[i]) in self.keys.values()):
+                i, j, spec = j, i, spec[::-1]
             out = tuple(y for y in live[i] + live[j] if y != x)
-            emit("dot", (i, j), (live[i].index(x), live[j].index(x)), out, 2)
+            self.emit("dot", (i, j), spec, out, 2)
         else:
-            einsum(tuple(bucket), tuple(sorted(set().union(*(live[i] for i in bucket)) - {x})))
-    width = max(map(len, outs))
-    cut = min(set.intersection(*(out for out in outs if len(out) == width)), default=None)
-    carries = [cut in (u, v) for u, v, _ in factors]
-    for step in steps:
-        carries.append(any(carries[i] for i in step.ids))
-    return _Plan(
-        steps=tuple(steps),
-        scalars=tuple(live),
-        free=k - len(touched),
-        width=width,
-        cut=cut,
-        sliced=frozenset(i for i in live if carries[i]),
-    )
+            out = set().union(*(live[i] for i in bucket)) - {x}
+            self.einsum(tuple(bucket), tuple(sorted(out)))
+
+    def plan(self, k: int) -> _Plan:
+        """The finished plan.  The cut is the least vertex that every output
+        of the most indices carries."""
+        factors, steps, first = self.factors, self.steps, len(self.factors)
+        width = max(map(len, self.outs))
+        cut = min(set.intersection(*(out for out in self.outs if len(out) == width)), default=None)
+        carries = [cut in (u, v) for u, v, _ in factors]
+        for step in steps:
+            carries.append(any(carries[i] for i in step.ids))
+        runs: list = []  # the steps in the order _value runs them
+
+        def visit(i: int) -> None:
+            if i >= first:
+                for j in steps[i - first].ids:
+                    visit(j)
+                runs.append(i)
+
+        for i in self.live:
+            visit(i)
+        made, source = {}, {}
+        for i in runs:
+            step = steps[i - first]
+            if step.op == "dot" and step.rank == 2:
+                if step.key in made:
+                    source[i] = made[step.key]
+                else:
+                    made[step.key] = i
+        last = {j: i for i, j in source.items()}
+        touched = {x for u, v, _ in factors for x in (u, v)}
+        return _Plan(
+            steps=tuple(steps),
+            scalars=tuple(self.live),
+            free=k - len(touched),
+            width=width,
+            cut=cut,
+            sliced=frozenset(i for i in self.live if carries[i]),
+            repeats={i: (j, last[j] == i) for i, j in source.items()},
+            kept=frozenset(last),
+        )
+
+
+@lru_cache(maxsize=4096)
+def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
+    """Bucket elimination of one term along the order of ``_order``, or,
+    when ``plain``, its plain sum as one einsum step over all factors.
+
+    A term in which eliminating two or more vertices would make one BLAS
+    product takes the order of ``_products_first`` instead, when that plan
+    keeps every intermediate to two indices (so it never runs sliced) and
+    its count, each repeated product once, is strictly lower.
+    """
+    e = _Elimination(factors)
+    if plain:
+        e.einsum(tuple(e.live), ())
+        return e.plan(k)
+    for x in _order(e.vertices(), _pairs(e.live.values())):
+        e.eliminate(x)
+    plan = e.plan(k)
+    other = _products_first(k, factors)
+    if other is None or other.width > 2 or _counted(other, factors) >= _counted(plan, factors):
+        return plan
+    return other
+
+
+def _products_first(k: int, factors: tuple) -> _Plan | None:
+    """The term eliminated repeated products first: while two or more
+    vertices would each make one BLAS product of the same two n x n
+    operands, those vertices are eliminated, each while its product is
+    still that one; then the rest along ``_order``.  None when no product
+    repeats."""
+    e = _Elimination(factors)
+    while True:
+        products = {x: e.product(x) for x in e.vertices()}
+        times = Counter(products.values())
+        repeated = [x for x, p in products.items() if p is not None and times[p] > 1]
+        if not repeated:
+            break
+        for x in repeated:
+            if e.product(x) == products[x]:
+                e.eliminate(x)
+    if not e.steps:
+        return None
+    for x in _order(e.vertices(), _pairs(e.live.values())):
+        e.eliminate(x)
+    return e.plan(k)
 
 
 def _tiny(k: int, factors: tuple, n: int) -> bool:
@@ -319,20 +436,28 @@ def _passes(plan: _Plan, i: int, n: int | None) -> list:
     return [None] if rows == n else [slice(a, a + rows) for a in range(0, n, rows)]
 
 
-def _value(plan: _Plan, i: int, leaves: list | tuple, shared: dict, run):
+def _value(plan: _Plan, i: int, leaves: list | tuple, shared: dict, run, kept=None):
     """Operand i of ``plan``, made by a step: ``run(step, operands)`` on
     the factors from ``leaves`` and the results of earlier steps, or the
     result of a step of the same key in ``shared``, which keeps every result
-    with at most one index.
+    with at most one index.  With ``kept`` (a dict, None for no reuse), a
+    step of ``plan.repeats`` returns its earlier step's array from there,
+    dropped at its last use, and the steps of ``plan.kept`` leave theirs.
     """
     k = len(leaves)
     step = plan.steps[i - k]
     if step.key in shared:
         return shared[step.key]
-    ops = [leaves[j] if j < k else _value(plan, j, leaves, shared, run) for j in step.ids]
+    if kept is not None and i in plan.repeats:
+        j, last = plan.repeats[i]
+        if j in kept:
+            return kept.pop(j) if last else kept[j]
+    ops = [leaves[j] if j < k else _value(plan, j, leaves, shared, run, kept) for j in step.ids]
     out = run(step, ops)
     if step.rank <= 1:
         shared[step.key] = out
+    elif kept is not None and i in plan.kept:
+        kept[i] = out
     return out
 
 
@@ -354,20 +479,24 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
     """Sum over all of [n]^k of the product of the term's factors, each
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
     the other terms of the call through ``shared``.  A sliced pass reads
-    only its rows of the cut vertex and shares results within itself."""
+    only its rows of the cut vertex, shares results within itself and
+    reuses no repeated product."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
     plan = _chosen(k, factors, n)
+    kept = {} if plan.repeats else None
     value = float(n) ** plan.free
     for i in plan.scalars:
         total = 0.0
         for rows in _passes(plan, i, n):
-            ops = leaves if rows is None else [
+            whole = rows is None
+            ops = leaves if whole else [
                 m[rows] if u == plan.cut else m[:, rows] if v == plan.cut else m
                 for m, (u, v, _) in zip(leaves, factors)
             ]
-            total += float(_value(plan, i, ops, shared if rows is None else {}, _run))
+            total += float(_value(plan, i, ops, shared if whole else {}, _run,
+                                  kept if whole else None))
         value *= total
     return value
 
@@ -377,22 +506,44 @@ def _work(terms, n: int | None = None) -> list:
     count multiplications and additions per each of n^power index values.
     At a given n, a tiny term lists its plain sum, and a step over the cut
     vertex in a pass of r rows lists (power - 1, r count); without n, every
-    term lists its elimination plan in one pass."""
+    term lists its elimination plan in one pass.  A repeated product is
+    listed once, as it runs."""
     work: list = []
     shared: dict = {}
     for _, k, factors in terms:
-        if not factors:
-            continue
-        plan = _chosen(k, factors, n)
-        for i in plan.scalars:
-            for rows in _passes(plan, i, n):
-                # a pass of r rows runs a step over the cut on r n^(power - 1) values
-                r = rows and len(range(n)[rows])
-                _value(plan, i, factors, {} if r else shared, lambda step, _: work.append(
-                    (len(step.over) - 1, r * step.count) if r and plan.cut in step.over
-                    else (len(step.over), step.count)
-                ))
+        if factors:
+            _count(_chosen(k, factors, n), factors, n, shared, work)
     return work
+
+
+def _count(plan: _Plan, factors: tuple, n: int | None, shared: dict, work: list) -> None:
+    """Append to ``work`` the (power, count) of each step of ``plan`` that
+    ``_hom`` runs at n (see ``_work``), sharing results through ``shared``."""
+    kept = {} if plan.repeats else None
+    for i in plan.scalars:
+        for rows in _passes(plan, i, n):
+            # a pass of r rows runs a step over the cut on r n^(power - 1) values
+            r = rows and len(range(n)[rows])
+            _value(plan, i, factors, {} if r else shared, lambda step, _: work.append(
+                (len(step.over) - 1, r * step.count) if r and plan.cut in step.over
+                else (len(step.over), step.count)
+            ), None if r else kept)
+
+
+def _coefficients(work: list) -> tuple:
+    """A ``_work`` list as the coefficients of n^8, n^7, ..., n^0, so that
+    tuples compare by growth in n."""
+    total = [0] * (MAX_PATTERN_VERTICES + 1)
+    for power, count in work:
+        total[MAX_PATTERN_VERTICES - power] += count
+    return tuple(total)
+
+
+def _counted(plan: _Plan, factors: tuple) -> tuple:
+    """The count of ``plan`` alone, in one pass, as ``_coefficients``."""
+    work: list = []
+    _count(plan, factors, None, {}, work)
+    return _coefficients(work)
 
 
 @lru_cache(maxsize=1024)
@@ -409,11 +560,16 @@ def _cost(terms: tuple, n: int, *limits) -> float:
     return sum(count * float(n) ** power for power, count in _work(terms, n))
 
 
+def _flops(terms: tuple, n: int) -> float:
+    """The planned count of ``terms`` at n, as the cost guard reads it."""
+    return _cost(terms, n, _DIRECT_FLOPS, _MAX_ELEMENTS)
+
+
 def _check_cost(terms: tuple, n: int) -> None:
     """Reject, before any contraction, terms with an intermediate that does
     not fit in max(n^2, _MAX_ELEMENTS) values even one row of the cut vertex
     at a time, or whose planned count exceeds MAX_FINITE_FLOPS."""
-    flops = _cost(terms, n, _DIRECT_FLOPS, _MAX_ELEMENTS)
+    flops = _flops(terms, n)
     if flops > MAX_FINITE_FLOPS:
         raise ValidationError(
             f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
@@ -533,12 +689,8 @@ def _symmetrize(k: int, factors: tuple, c: int) -> tuple:
 
 
 def _planned(terms) -> tuple:
-    """The planned count of ``terms`` as coefficients of n^8, n^7, ..., n^0,
-    so that tuples compare by growth in n."""
-    total = [0] * (MAX_PATTERN_VERTICES + 1)
-    for power, count in _work(terms):
-        total[MAX_PATTERN_VERTICES - power] += count
-    return tuple(total)
+    """The planned count of ``terms`` as ``_coefficients``."""
+    return _coefficients(_work(terms))
 
 
 @lru_cache(maxsize=1024)

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import density
 from .core import StepKernel, ValidationError, score_function_of_kernel
 from .density import DigraphPattern, _checked_terms, density_kernel
 
 C4_DIFF_THRESHOLD = 1e-9
+# elementwise operations of find_cyclic_box per ordered block triple: two
+# minima and an argmax
+_SCAN_OPS = 3
 _CIRCULATION = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
@@ -91,6 +95,21 @@ def find_cyclic_box(w: StepKernel) -> CyclicBox | None:
     return None if blocks is None else CyclicBox(blocks, best)
 
 
+def _check_round(n: int) -> None:
+    """Reject a round of ``nonuniqueness_certificate`` on n blocks before it
+    starts: t(C4) under density_kernel's guard, and its planned count plus
+    the box scan's _SCAN_OPS n^3 elementwise operations at most
+    MAX_FINITE_FLOPS."""
+    c4 = DigraphPattern.cycle(4)
+    flops = density._flops(_checked_terms(c4, "hom", 0, n), n)
+    flops += _SCAN_OPS * float(n) ** 3 if n >= 3 else 0.0
+    if flops > density.MAX_FINITE_FLOPS:
+        raise ValidationError(
+            f"cyclic box scan too large (cost guard: {flops:.3g} planned operations "
+            f"with t(C4) on {n} blocks)"
+        )
+
+
 def perturb_family(w: StepKernel, box: CyclicBox, s: float) -> StepKernel:
     """The kernel W_s: cyclic entries of the box raised by s/n, their
     transposes lowered by s/n, everything else untouched.
@@ -153,14 +172,16 @@ def nonuniqueness_certificate(
     root of q'.  Returns None ("transitive-like") when no cyclic box exists
     or t(C4) moves by at most 1e-9.  Optional grid refinement (factor 2 per
     round, off by default) can expose cyclic mass inside diagonal blocks.
-    density_kernel's planned-FLOP guard bounds each round, and refinement
-    to a kernel that would fail it is refused before it is built.
+    Refinement to a kernel that density_kernel's planned-FLOP guard would
+    refuse for t(C4) is refused before it is built, and a round whose t(C4)
+    count and box scan together exceed MAX_FINITE_FLOPS before it starts.
     """
     if refine_rounds < 0:
         raise ValidationError("refine_rounds must be non-negative")
     c4 = DigraphPattern.cycle(4)
     current = w
     for round_idx in range(refine_rounds + 1):
+        _check_round(current.n)
         base = density_kernel(c4, current)
         box = find_cyclic_box(current) if current.n >= 3 else None
         if box is not None:

@@ -546,6 +546,10 @@ class TestMatrixReader:
         got = data["alpha"]
         assert isinstance(got, np.ndarray) == reader_takes(rows, alike)
         expected = oracles.json_matrix(text, "alpha")
+        if isinstance(got, np.ndarray):
+            # bools exactly when every value is +0.0 or 1.0
+            zero_one = np.isin(expected.view(np.uint64), np.array([0.0, 1.0]).view(np.uint64))
+            assert (got.dtype == bool) == zero_one.all()
         got = np.asarray(got, dtype=float)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -584,7 +588,8 @@ class TestMatrixReader:
         for k, v in got.items():
             if isinstance(v, np.ndarray):
                 expected = np.asarray(want[k], dtype=float)
-                assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
+                got = np.asarray(v, dtype=float)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
             else:
                 assert v == want[k]
 
@@ -657,12 +662,13 @@ class TestMatrixReader:
         assert data["alpha"] == json.loads(path.read_text())["alpha"]
         assert best[reader] <= 1.2 * best[declined]
 
-    @pytest.mark.parametrize("n,indent,limit_mib", [(500, None, 5.3), (900, 2, 26.3)])
+    @pytest.mark.parametrize("n,indent,limit_mib", [(500, None, 2.4), (900, 2, 17.1)])
     def test_peak_of_a_0_1_tournament(self, tmp_path, n, indent, limit_mib):
         """The tracemalloc peak of ``_load_json`` on a compact 500-vertex and
         an indented 900-vertex 0/1 tournament (the benchmark's and the CLI's
-        layouts) stays at most that of the previous reader, which encoded
-        the whole text and built an 8-byte key per cell."""
+        layouts) stays at what reading the file's text takes, about twice
+        its length: the bool result and the reader's blocks of rows fit
+        in what the text read leaves free."""
         u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
         payload = {"n": n, "alpha": u + np.tril(1.0 - u.T, -1)}
         path = tmp_path / "t.json"
@@ -678,6 +684,47 @@ class TestMatrixReader:
             tracemalloc.stop()
         assert np.array_equal(got, payload["alpha"])
         assert peak <= limit_mib * 2**20
+
+    @pytest.mark.parametrize("words, dtype", [
+        (("0", "1"), bool), (("0.0", "1.0"), bool), (("0e0", "1E0"), bool),
+        # json reads the integer -0 as 0, and the float -0.0 as itself
+        (("-0", "-0"), bool), (("-0.0", "-0.0"), float), (("-0.0", "-1.0"), float),
+        (("0.0", "0.5"), float), (("0", "2"), float),
+    ])
+    def test_zero_one_words_decode_to_bools(self, words, dtype):
+        """+0.0 and 1.0 in any spelling read as bools, -0.0 as a float that
+        keeps its sign, anything else as float64."""
+        rows = above_floor([[words[(i + j) % 2] for j in range(24)] for i in range(2)])
+        text, _, _ = matrix_document(rows, " ", "")
+        got = load_text(text)["alpha"]
+        assert isinstance(got, np.ndarray) and got.dtype == dtype
+        expected = oracles.json_matrix(text, "alpha")
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                              expected.view(np.uint64))
+
+    def test_bool_decoded_tournament_is_known_as_one(self, tmp_path, monkeypatch):
+        """A 0/1 tournament read as bools is a tournament from its
+        construction: no later call looks at its n^2 cells again."""
+        n = 40
+        u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
+        alpha = (u + np.tril(1.0 - u.T, -1)).tolist()
+        path = write_json(tmp_path, "t.json", {"n": n, "alpha": alpha})
+        assert cli._load_json(path)["alpha"].dtype == bool
+        g = cli._decode(path, GeneralizedTournament)
+        assert vars(g)["is_tournament"] is True
+        assert g.alpha.dtype == np.float64 and not g.alpha.flags.writeable
+        assert np.array_equal(g.alpha, alpha)
+        # the same messages, in the same order, as the float path
+        for bad, message in [(np.eye(n), "diagonal"), (np.ones((n, n)) - np.eye(n), "violates")]:
+            path = write_json(tmp_path, "bad.json", {"n": n, "alpha": bad.tolist()})
+            assert cli._load_json(path)["alpha"].dtype == bool
+            with pytest.raises(cli.UsageError, match=message) as fast:
+                cli._decode(path, GeneralizedTournament)
+            monkeypatch.setattr(cli, "_number_matrix", lambda text, i: None)
+            with pytest.raises(cli.UsageError) as slow:
+                cli._decode(path, GeneralizedTournament)
+            monkeypatch.undo()
+            assert str(fast.value) == str(slow.value)
 
     def test_sample_read_back_matches_json_path(self, tmp_path, monkeypatch):
         w = random_step_kernel(4, seed=6)

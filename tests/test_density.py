@@ -318,6 +318,116 @@ class TestPlanner:
             want = oracles.brute_density_kernel(f, blocks)
             assert abs(density_kernel(f, StepKernel(blocks)) - want) <= 1e-12
 
+    @pytest.mark.parametrize("path", ["planned", "sliced, one row per pass"])
+    def test_repeated_products_match_bruteforce(self, monkeypatch, path):
+        # C4, C6 and the anti-directed C4 make one BLAS product several
+        # times in their hom terms, which run it once; with the tiny-sum
+        # shortcut off every term runs its steps, and the wide terms of inj
+        # and ind run one row of their cut vertex per pass.  One row of C6
+        # ind's 4-index intermediates holds n^3 > n^2 values, so the guard
+        # refuses it there.
+        import tourlim.density
+        from tourlim.density import _chosen, _terms
+
+        monkeypatch.setattr(tourlim.density, "_DIRECT_FLOPS", 0)
+        if path != "planned":
+            monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 0)
+        n = 6
+        rng = np.random.default_rng(16)
+        upper = np.triu(rng.random((n, n)), 1)
+        zero_one = np.triu(upper < 0.5, 1).astype(float)
+        hosts = [zero_one + np.tril(1.0 - zero_one.T, -1), upper + np.tril(1.0 - upper.T, -1)]
+        blocks = hosts[1].copy()
+        np.fill_diagonal(blocks, 0.5)
+        for f in (C4, DigraphPattern.cycle(6), ANTI_C4):
+            (_, k, factors), = _terms(f, "hom", 1, n)
+            assert _chosen(k, factors, n).repeats
+            for alpha in hosts:
+                g = GeneralizedTournament(alpha)
+                for mode in ("hom", "inj", "ind"):
+                    if path != "planned" and (f.k, mode) == (6, "ind"):
+                        with pytest.raises(ValidationError, match="too wide"):
+                            density_finite(f, g, mode)
+                        continue
+                    want = oracles.brute_density_finite(f, alpha, mode)
+                    assert abs(density_finite(f, g, mode) - want) <= 1e-12
+            want = oracles.brute_density_kernel(f, blocks)
+            assert abs(density_kernel(f, StepKernel(blocks)) - want) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_c4_hom_runs_one_cubic_product(self, monkeypatch, c):
+        # one A.A, then the n^2 sum of (A.A) o (A.A)^T: the guard's count is
+        # that of the steps that run
+        import tourlim.density
+        from tourlim.density import _run, _terms, _work
+
+        n = 300
+        terms = _terms(C4, "hom", c, n)
+        work = _work(terms, n)
+        assert [power for power, _ in work].count(3) == 1
+        alpha = random_tournament(n, 11)
+        if not c:
+            np.fill_diagonal(alpha, 0.5)
+
+        def call():
+            if c:
+                return density_finite(C4, GeneralizedTournament(alpha), "hom")
+            return density_kernel(C4, StepKernel(alpha))
+
+        executed = []
+
+        def spy(step, ops):
+            executed.append(step.op)
+            return _run(step, ops)
+
+        monkeypatch.setattr(tourlim.density, "_run", spy)
+        value = call()
+        assert executed.count("dot") == 1
+        assert value == pytest.approx(np.trace(np.linalg.matrix_power(alpha, 4)) / n**4,
+                                      rel=1e-12)
+        count = sum(k * float(n) ** p for p, k in work)
+        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
+        call()
+        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
+        with pytest.raises(ValidationError, match="cost guard"):
+            call()
+
+    def test_c4_hom_peak_memory_holds_one_product(self):
+        # the repeat reuses the one n x n product, so no two are alive at
+        # once
+        import tracemalloc
+
+        n = 1000
+        g = GeneralizedTournament(random_tournament(n, 12))
+        tracemalloc.start()
+        try:
+            density_finite(C4, g, "hom")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
+
+    def test_sliced_passes_reuse_no_product(self, monkeypatch):
+        # a term whose plan keeps a 3-index intermediate and makes one
+        # product twice, once from operands that carry the cut vertex and
+        # once from operands that do not: in a pass over some rows of the
+        # cut the two differ, so each is made as it is
+        import tourlim.density
+        from tourlim.density import _evaluate, _passes, _plan
+
+        k = 6
+        factors = ((0, 1, "e"), (0, 3, "e"), (1, 4, "e"), (1, 5, "e"),
+                   (2, 4, "e"), (2, 5, "e"), (3, 4, "e"), (3, 5, "e"))
+        plan = _plan(k, factors)
+        assert plan.repeats and plan.width == 3
+        n = 7
+        a = random_tournament(n, 13) * 0.8 + 0.1 * (1 - np.eye(n))
+        term = ((1.0, k, factors),)
+        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 2 * n ** 2)
+        assert {len(_passes(plan, i, n)) for i in plan.sliced} == {4}
+        want = oracles.brute_hom_sum(sorted((u, v) for u, v, _ in factors), k, a)
+        assert _evaluate(term, {"e": a}, n) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("n", [1, 7, 50, 300])
     def test_kernel_c3_is_the_degree_identity(self, n):
         w = random_step_kernel(n, seed=n)

@@ -309,11 +309,34 @@ class TestCertificate:
             return refine(self, factor)
 
         monkeypatch.setattr(StepKernel, "refine", recorded)
-        # C4 plans about 1.7e4 FLOPs at 8 and 16 blocks and 1.3e5 at 32
+        # C4 plans 8720 FLOPs at 16 blocks and 67616 at 32, and the box scan
+        # on 16 blocks adds 3 * 16^3 = 12288 operations
         monkeypatch.setattr(density, "MAX_FINITE_FLOPS", 20000)
         with pytest.raises(ValidationError, match="cost guard"):
             nonuniqueness_certificate(transitive_kernel(8), refine_rounds=40)
         assert sizes == [16]
+
+    def test_box_scan_refused_past_the_cost_guard(self, monkeypatch):
+        # a budget of 15000 admits t(C4) on 16 blocks (8720 FLOPs) but not
+        # with the box scan (12288 more): the round on them is refused
+        # before it scans
+        scanned = []
+        scan = perturb.find_cyclic_box
+        monkeypatch.setattr(perturb, "find_cyclic_box", lambda w: scanned.append(w.n) or scan(w))
+        monkeypatch.setattr(density, "MAX_FINITE_FLOPS", 15000)
+        with pytest.raises(ValidationError, match="cyclic box scan too large"):
+            nonuniqueness_certificate(transitive_kernel(8), refine_rounds=2)
+        assert scanned == [8]
+
+    def test_box_scan_bound_admits_no_larger_kernel(self):
+        # t(C4) once planned 4 n^3 + 2 n^2 + n FLOPs, so its guard refused
+        # every round from 2924 blocks; t(C4) with the box scan is refused
+        # from 2715
+        for n in (2715, 2924, 3218, 3683, 3684):
+            with pytest.raises(ValidationError, match="cost guard"):
+                perturb._check_round(n)
+        for n in (1, 2, 3, 2714):
+            perturb._check_round(n)
 
     def test_refinement_exposes_diagonal_cyclic_mass(self):
         # the 0/1 transitive step kernel is transitive-like at native
