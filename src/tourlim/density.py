@@ -51,15 +51,15 @@ evaluate these sums along one path of three steps.
    holds more than max(n^2, 2^24) values: when the widest ones would, the
    plan runs over row ranges of one vertex that all of them carry (a
    slice, after Gray and Kourtis 2021), one pass per range, and the passes
-   are summed; a term that one row does not fit is refused.  Step results
-   with at most one index (a leaf summed out into a vector, a plain sum)
-   are named by what they compute and shared by the terms of one call, or
-   of one fingerprint, and within each pass.  A BLAS product of two n x n
-   operands is named the same way, up to the order of its operands: when
-   a term makes one twice (C4 along the order b, d: A.A both times), the
-   later step is made like the earlier one and reuses its array, which is
-   dropped after its last use; a sliced pass reuses none.  A term in
-   which several vertices would make one such product is also planned
+   are summed; a term that one row does not fit is refused.  Each step is
+   keyed by what it computes, and one memo per call, or per fingerprint,
+   keeps results by key: those with at most one index (a leaf summed out
+   into a vector, a plain sum), for every later term, and each BLAS
+   product of two n x n operands that a term makes more than once (C4
+   along the order b, d: A.A both times), keyed up to the order of its
+   operands, until that term ends.  A sliced pass reads some rows of its
+   factors under the keys of whole ones, so it memoises nothing.  A term
+   in which several vertices would make one such product is also planned
    with those vertices first, and takes that plan when it keeps every
    intermediate to two indices and counts strictly fewer operations, each
    repeated product once: C4 then runs one n^3 product instead of two.
@@ -148,10 +148,9 @@ class _Plan(NamedTuple):
     carries, and ``cut`` a vertex that every intermediate of that many
     indices carries (None if there is none): when those intermediates are
     too large, the ``sliced`` scalars, those whose trees carry ``cut``, are
-    summed over row ranges of ``cut`` one pass at a time.  ``repeats`` maps
-    each BLAS product of two n x n operands that an earlier step, in the
-    order ``_value`` runs them, makes the same way to (that step, whether
-    this is the last such repeat); ``kept`` holds those earlier steps.
+    summed over row ranges of ``cut`` one pass at a time.  ``repeated``
+    holds the keys of the BLAS products of two n x n operands that more
+    than one step makes.
     """
 
     steps: tuple
@@ -160,17 +159,17 @@ class _Plan(NamedTuple):
     width: int
     cut: int | None
     sliced: frozenset
-    repeats: dict
-    kept: frozenset
+    repeated: frozenset
 
 
 class _Step(NamedTuple):
     """One contraction step.  op "dot" is one BLAS product over the operand
     axes ``spec``; op "einsum" runs the subscripts ``spec`` on at most three
-    operands.  ``key`` names the computation up to vertex names: results
-    with at most ``rank`` 1 are shared by key across the terms of a call,
-    and a rank-2 product by key within its term.  The step makes ``count``
-    multiplications and additions per value of the vertices ``over``."""
+    operands.  ``key`` names the computation up to vertex names, and whole
+    passes memoise results by it: those with at most ``rank`` 1 for the
+    terms of a call, a repeated rank-2 product for its term.  The step
+    makes ``count`` multiplications and additions per value of the
+    vertices ``over``."""
 
     op: str
     ids: tuple
@@ -324,31 +323,13 @@ class _Elimination:
     def plan(self, k: int) -> _Plan:
         """The finished plan.  The cut is the least vertex that every output
         of the most indices carries."""
-        factors, steps, first = self.factors, self.steps, len(self.factors)
+        factors, steps = self.factors, self.steps
         width = max(map(len, self.outs))
         cut = min(set.intersection(*(out for out in self.outs if len(out) == width)), default=None)
         carries = [cut in (u, v) for u, v, _ in factors]
         for step in steps:
             carries.append(any(carries[i] for i in step.ids))
-        runs: list = []  # the steps in the order _value runs them
-
-        def visit(i: int) -> None:
-            if i >= first:
-                for j in steps[i - first].ids:
-                    visit(j)
-                runs.append(i)
-
-        for i in self.live:
-            visit(i)
-        made, source = {}, {}
-        for i in runs:
-            step = steps[i - first]
-            if step.op == "dot" and step.rank == 2:
-                if step.key in made:
-                    source[i] = made[step.key]
-                else:
-                    made[step.key] = i
-        last = {j: i for i, j in source.items()}
+        made = Counter(step.key for step in steps if step.op == "dot" and step.rank == 2)
         touched = {x for u, v, _ in factors for x in (u, v)}
         return _Plan(
             steps=tuple(steps),
@@ -357,8 +338,7 @@ class _Elimination:
             width=width,
             cut=cut,
             sliced=frozenset(i for i in self.live if carries[i]),
-            repeats={i: (j, last[j] == i) for i, j in source.items()},
-            kept=frozenset(last),
+            repeated=frozenset(key for key, times in made.items() if times > 1),
         )
 
 
@@ -436,28 +416,22 @@ def _passes(plan: _Plan, i: int, n: int | None) -> list:
     return [None] if rows == n else [slice(a, a + rows) for a in range(0, n, rows)]
 
 
-def _value(plan: _Plan, i: int, leaves: list | tuple, shared: dict, run, kept=None):
+def _value(plan: _Plan, i: int, leaves: list | tuple, memo: dict | None, run):
     """Operand i of ``plan``, made by a step: ``run(step, operands)`` on
     the factors from ``leaves`` and the results of earlier steps, or the
-    result of a step of the same key in ``shared``, which keeps every result
-    with at most one index.  With ``kept`` (a dict, None for no reuse), a
-    step of ``plan.repeats`` returns its earlier step's array from there,
-    dropped at its last use, and the steps of ``plan.kept`` leave theirs.
+    result of a step of the same key in ``memo``, which keeps every result
+    with at most one index and every product of ``plan.repeated``.  A
+    sliced pass, whose leaves are cut to some rows, passes None: its results
+    differ from the whole pass's under the same keys, so none is kept.
     """
     k = len(leaves)
     step = plan.steps[i - k]
-    if step.key in shared:
-        return shared[step.key]
-    if kept is not None and i in plan.repeats:
-        j, last = plan.repeats[i]
-        if j in kept:
-            return kept.pop(j) if last else kept[j]
-    ops = [leaves[j] if j < k else _value(plan, j, leaves, shared, run, kept) for j in step.ids]
+    if memo is not None and step.key in memo:
+        return memo[step.key]
+    ops = [leaves[j] if j < k else _value(plan, j, leaves, memo, run) for j in step.ids]
     out = run(step, ops)
-    if step.rank <= 1:
-        shared[step.key] = out
-    elif kept is not None and i in plan.kept:
-        kept[i] = out
+    if memo is not None and (step.rank <= 1 or step.key in plan.repeated):
+        memo[step.key] = out
     return out
 
 
@@ -475,29 +449,28 @@ def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
     return np.tensordot(a, b, axes=(i, j))
 
 
-def _hom(k: int, factors: tuple, mats: dict, n: int, shared: dict) -> float:
+def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict) -> float:
     """Sum over all of [n]^k of the product of the term's factors, each
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
-    the other terms of the call through ``shared``.  A sliced pass reads
-    only its rows of the cut vertex, shares results within itself and
-    reuses no repeated product."""
+    the other terms of the call through ``memo``.  A sliced pass reads only
+    its rows of the cut vertex and memoises nothing; the term's repeated
+    products leave ``memo`` when it ends."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
     plan = _chosen(k, factors, n)
-    kept = {} if plan.repeats else None
     value = float(n) ** plan.free
     for i in plan.scalars:
         total = 0.0
         for rows in _passes(plan, i, n):
-            whole = rows is None
-            ops = leaves if whole else [
+            ops = leaves if rows is None else [
                 m[rows] if u == plan.cut else m[:, rows] if v == plan.cut else m
                 for m, (u, v, _) in zip(leaves, factors)
             ]
-            total += float(_value(plan, i, ops, shared if whole else {}, _run,
-                                  kept if whole else None))
+            total += float(_value(plan, i, ops, memo if rows is None else None, _run))
         value *= total
+    for key in plan.repeated:
+        memo.pop(key, None)
     return value
 
 
@@ -509,25 +482,26 @@ def _work(terms, n: int | None = None) -> list:
     term lists its elimination plan in one pass.  A repeated product is
     listed once, as it runs."""
     work: list = []
-    shared: dict = {}
+    memo: dict = {}
     for _, k, factors in terms:
         if factors:
-            _count(_chosen(k, factors, n), factors, n, shared, work)
+            _count(_chosen(k, factors, n), factors, n, memo, work)
     return work
 
 
-def _count(plan: _Plan, factors: tuple, n: int | None, shared: dict, work: list) -> None:
+def _count(plan: _Plan, factors: tuple, n: int | None, memo: dict, work: list) -> None:
     """Append to ``work`` the (power, count) of each step of ``plan`` that
-    ``_hom`` runs at n (see ``_work``), sharing results through ``shared``."""
-    kept = {} if plan.repeats else None
+    ``_hom`` runs at n (see ``_work``), sharing results through ``memo``."""
     for i in plan.scalars:
         for rows in _passes(plan, i, n):
             # a pass of r rows runs a step over the cut on r n^(power - 1) values
             r = rows and len(range(n)[rows])
-            _value(plan, i, factors, {} if r else shared, lambda step, _: work.append(
+            _value(plan, i, factors, None if r else memo, lambda step, _: work.append(
                 (len(step.over) - 1, r * step.count) if r and plan.cut in step.over
                 else (len(step.over), step.count)
-            ), None if r else kept)
+            ))
+    for key in plan.repeated:
+        memo.pop(key, None)
 
 
 def _coefficients(work: list) -> tuple:
@@ -576,11 +550,11 @@ def _check_cost(terms: tuple, n: int) -> None:
         )
 
 
-def _evaluate(terms, mats: dict, n: int, shared: dict | None = None) -> float:
-    """The sum of ``terms``; ``shared`` carries keyed step results between
+def _evaluate(terms, mats: dict, n: int, memo: dict | None = None) -> float:
+    """The sum of ``terms``; ``memo`` carries keyed step results between
     calls on the same matrices."""
-    shared = {} if shared is None else shared
-    return sum(coef * _hom(k, factors, mats, n, shared) for coef, k, factors in terms)
+    memo = {} if memo is None else memo
+    return sum(coef * _hom(k, factors, mats, n, memo) for coef, k, factors in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +787,10 @@ def density_finite(
 
 
 def _density_finite(
-    f: DigraphPattern, g: GeneralizedTournament, mode: str, shared: dict
+    f: DigraphPattern, g: GeneralizedTournament, mode: str, memo: dict
 ) -> float:
     """``density_finite(f, g, mode)``, sharing keyed step results through
-    ``shared`` with the other calls on ``g`` that it is passed to."""
+    ``memo`` with the other calls on ``g`` that it is passed to."""
     if f.k > MAX_PATTERN_VERTICES:
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
     if mode not in _MODES:
@@ -828,7 +802,7 @@ def _density_finite(
     mats = {_EDGE: g.alpha}
     if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
         mats[_BLANK] = (1.0 - g.alpha) * (1.0 - g.alpha.T)
-    total = _evaluate(terms, mats, n, shared)
+    total = _evaluate(terms, mats, n, memo)
     return total / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
 
 
@@ -909,8 +883,8 @@ def fingerprint(w: StepKernel, K: int) -> DensityFingerprint:
         raise ValidationError("fingerprint order K must be in 1..5")
     classes = [c for k in range(1, K + 1) for c in _tournament_pattern_classes(k)]
     _check_cost(tuple(t for _, f in classes for t in _terms(f, "hom", 0, w.n)), w.n)
-    shared: dict = {}
+    memo: dict = {}
     return DensityFingerprint(K, {
-        d: _evaluate(_terms(f, "hom", 0, w.n), {_EDGE: w.blocks}, w.n, shared) / float(w.n) ** f.k
+        d: _evaluate(_terms(f, "hom", 0, w.n), {_EDGE: w.blocks}, w.n, memo) / float(w.n) ** f.k
         for d, f in classes
     })

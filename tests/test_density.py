@@ -271,6 +271,10 @@ def test_t8_plain_step_uses_all_eight_letters():
 
 ANTI_C4 = DigraphPattern(4, frozenset({(0, 1), (2, 1), (2, 3), (0, 3)}))
 CYCLE_PATTERNS = (C3, C4, DigraphPattern.cycle(5), ANTI_C4)
+# sliced passes of their terms sum a leaf of a factor that carries the cut
+# vertex and a leaf of one that does not into vectors of one key
+P_A = DigraphPattern(7, {(0, 2), (1, 0), (1, 2), (1, 4), (2, 3), (2, 6), (3, 0), (3, 1), (5, 3)})
+P_B = DigraphPattern(7, {(1, 0), (1, 4), (1, 5), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 6)})
 
 
 def falling(x, k):
@@ -317,6 +321,12 @@ class TestPlanner:
                     assert abs(density_finite(f, g, mode) - want) <= 1e-12
             want = oracles.brute_density_kernel(f, blocks)
             assert abs(density_kernel(f, StepKernel(blocks)) - want) <= 1e-12
+        if path == "sliced, one row per pass":
+            # P_A's hom terms run sliced on finite inputs and kernels alike
+            want = oracles.brute_density_finite(P_A, hosts[1], "hom")
+            assert abs(density_finite(P_A, GeneralizedTournament(hosts[1]), "hom") - want) <= 1e-12
+            want = oracles.brute_density_kernel(P_A, blocks)
+            assert abs(density_kernel(P_A, StepKernel(blocks)) - want) <= 1e-12
 
     @pytest.mark.parametrize("path", ["planned", "sliced, one row per pass"])
     def test_repeated_products_match_bruteforce(self, monkeypatch, path):
@@ -341,7 +351,7 @@ class TestPlanner:
         np.fill_diagonal(blocks, 0.5)
         for f in (C4, DigraphPattern.cycle(6), ANTI_C4):
             (_, k, factors), = _terms(f, "hom", 1, n)
-            assert _chosen(k, factors, n).repeats
+            assert _chosen(k, factors, n).repeated
             for alpha in hosts:
                 g = GeneralizedTournament(alpha)
                 for mode in ("hom", "inj", "ind"):
@@ -419,7 +429,7 @@ class TestPlanner:
         factors = ((0, 1, "e"), (0, 3, "e"), (1, 4, "e"), (1, 5, "e"),
                    (2, 4, "e"), (2, 5, "e"), (3, 4, "e"), (3, 5, "e"))
         plan = _plan(k, factors)
-        assert plan.repeats and plan.width == 3
+        assert plan.repeated and plan.width == 3
         n = 7
         a = random_tournament(n, 13) * 0.8 + 0.1 * (1 - np.eye(n))
         term = ((1.0, k, factors),)
@@ -480,7 +490,8 @@ class TestPlanner:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("f, mode", [(C4, "ind"), (DigraphPattern.cycle(5), "ind"),
-                                         (DigraphPattern.transitive(5), "inj")])
+                                         (DigraphPattern.transitive(5), "inj"),
+                                         (P_A, "hom"), (P_A, "inj"), (P_B, "hom"), (P_B, "inj")])
     def test_ragged_slices_match_the_unsliced_plan(self, monkeypatch, f, mode):
         # 7 rows of the cut vertex per pass at n = 30: four passes of 7 rows
         # and one of 2
@@ -499,17 +510,23 @@ class TestPlanner:
         assert {len(_passes(plan, i, n)) for plan in wide for i in plan.sliced} == {5}
         assert density_finite(f, g, mode) == pytest.approx(whole, rel=1e-12)
 
-    def test_sliced_steps_are_the_counted_steps(self, monkeypatch):
-        # C4 ind at 300 slices its widest term; every step of a term that is
-        # not tiny has at most three operands, and the multiply-adds of the
-        # steps that run, read off their operand shapes, are the guard's count
+    @pytest.mark.parametrize("f, mode, n, sliced", [
+        pytest.param(C4, "ind", 300, True, id="C4-ind-300"),
+        pytest.param(DigraphPattern.cycle(8), "inj", 60, False, id="C8-inj-60"),
+    ])
+    def test_sliced_steps_are_the_counted_steps(self, monkeypatch, f, mode, n, sliced):
+        # C4 ind at 300 slices its widest term.  C8 inj at 60 slices none,
+        # but some of its terms make A.A three times, and the first of them
+        # only feeds a vector that an earlier term memoised: the other two
+        # make it once.  Every step of a term that is not tiny has at most
+        # three operands, and the multiply-adds of the steps that run, read
+        # off their operand shapes, are the guard's count
         import tourlim.density
         from tourlim.density import _passes, _plan, _run, _terms, _work
 
-        n = 300
-        terms = _terms(C4, "ind", 1, n)
-        assert any(len(_passes(_plan(k, f), i, n)) > 1 for _, k, f in terms if f
-                   for i in _plan(k, f).sliced)
+        terms = _terms(f, mode, 1, n)
+        assert sliced == any(len(_passes(_plan(k, ff), i, n)) > 1 for _, k, ff in terms if ff
+                             for i in _plan(k, ff).sliced)
         g = GeneralizedTournament(random_tournament(n, 8))
         executed = []
 
@@ -523,7 +540,7 @@ class TestPlanner:
             return _run(step, ops)
 
         monkeypatch.setattr(tourlim.density, "_run", spy)
-        density_finite(C4, g, "ind")
+        density_finite(f, g, mode)
         assert max(arity for arity, _ in executed) <= 3
         assert sum(flops for _, flops in executed) == sum(c * float(n) ** p for p, c in _work(terms, n))
 
