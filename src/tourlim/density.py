@@ -52,20 +52,23 @@ evaluate these sums along one path of three steps.
    plan runs over row ranges of one vertex that all of them carry (a
    slice, after Gray and Kourtis 2021), one pass per range, and the passes
    are summed; a term that one row does not fit is refused.  Each step is
-   keyed by what it computes, and one memo per call, or per fingerprint,
-   keeps results by key: those with at most one index (a leaf summed out
-   into a vector, a plain sum), for every later term, and each BLAS
-   product of two n x n operands that a term makes more than once (C4
-   along the order b, d: A.A both times), keyed up to the order of its
-   operands, until that term ends.  A sliced pass reads some rows of its
-   factors under the keys of whole ones, so it memoises nothing.  A term
-   in which several vertices would make one such product is also planned
-   with those vertices first, and takes that plan when it keeps every
-   intermediate to two indices and counts strictly fewer operations, each
-   repeated product once: C4 then runs one n^3 product instead of two.
-   The cost guard reads the exact count of multiplications and additions
-   of what runs, each shared or reused step once, and keeps it per list
-   of terms and n.
+   keyed by what it computes.  The patterns of one call (one density, the
+   classes of a fingerprint, the patterns of a ``converge`` repetition)
+   are contracted with one memo, which keeps results by key: those with
+   at most one index (a leaf summed out into a vector, a plain sum), for
+   every later term of every pattern, and each BLAS product of two n x n
+   operands that a term makes more than once (C4 along the order b, d:
+   A.A both times), keyed up to the order of its operands, until that
+   term ends.  A sliced pass reads some rows of its factors under the
+   keys of whole ones, so it memoises nothing.  A term in which several
+   vertices would make one such product is also planned with those
+   vertices first, and takes that plan when it keeps every intermediate
+   to two indices and counts strictly fewer operations, each repeated
+   product once: C4 then runs one n^3 product instead of two.  The cost
+   guard prices the patterns of a call together, before any of them is
+   contracted: it reads the exact count of multiplications and additions
+   of what runs, each shared or reused step once, kept per list of terms
+   and n.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -91,7 +94,8 @@ from .core import (
 
 MAX_PATTERN_VERTICES = 8
 # multiplications and additions of one density_finite, density_kernel or
-# fingerprint call, as counted by the contraction plans
+# fingerprint call, or of one convergence_report repetition, as counted by
+# the contraction plans
 MAX_FINITE_FLOPS = 10**11
 # terms whose plain sum is at most this many multiply-adds run it as one step
 _DIRECT_FLOPS = 2**13
@@ -474,80 +478,62 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict) -> float:
     return value
 
 
-def _work(terms, n: int | None = None) -> list:
-    """(power, count) for each step that ``_evaluate`` runs on ``terms``:
-    count multiplications and additions per each of n^power index values.
-    At a given n, a tiny term lists its plain sum, and a step over the cut
-    vertex in a pass of r rows lists (power - 1, r count); without n, every
-    term lists its elimination plan in one pass.  A repeated product is
-    listed once, as it runs."""
-    work: list = []
+def _work(terms, n: int | None = None) -> tuple:
+    """The multiplications and additions of the steps that ``_evaluate``
+    runs on ``terms``, as the coefficients of n^8, n^7, ..., n^0, so that
+    tuples compare by growth in n.  At a given n, a tiny term counts its
+    plain sum, and a step over the cut vertex in a pass of r rows counts r
+    times per n^(power - 1) values; without n, every term counts its
+    elimination plan in one pass.  A shared or repeated step is counted
+    once, as it runs."""
+    work = [0] * (MAX_PATTERN_VERTICES + 1)
     memo: dict = {}
     for _, k, factors in terms:
         if factors:
             _count(_chosen(k, factors, n), factors, n, memo, work)
-    return work
+    return tuple(work)
 
 
 def _count(plan: _Plan, factors: tuple, n: int | None, memo: dict, work: list) -> None:
-    """Append to ``work`` the (power, count) of each step of ``plan`` that
-    ``_hom`` runs at n (see ``_work``), sharing results through ``memo``."""
+    """Add to ``work`` the count of each step of ``plan`` that ``_hom`` runs
+    at n (see ``_work``), sharing results through ``memo``."""
+    top = MAX_PATTERN_VERTICES
     for i in plan.scalars:
         for rows in _passes(plan, i, n):
             # a pass of r rows runs a step over the cut on r n^(power - 1) values
             r = rows and len(range(n)[rows])
-            _value(plan, i, factors, None if r else memo, lambda step, _: work.append(
-                (len(step.over) - 1, r * step.count) if r and plan.cut in step.over
-                else (len(step.over), step.count)
-            ))
+
+            def add(step, _):
+                if r and plan.cut in step.over:
+                    work[top - len(step.over) + 1] += r * step.count
+                else:
+                    work[top - len(step.over)] += step.count
+
+            _value(plan, i, factors, None if r else memo, add)
     for key in plan.repeated:
         memo.pop(key, None)
 
 
-def _coefficients(work: list) -> tuple:
-    """A ``_work`` list as the coefficients of n^8, n^7, ..., n^0, so that
-    tuples compare by growth in n."""
-    total = [0] * (MAX_PATTERN_VERTICES + 1)
-    for power, count in work:
-        total[MAX_PATTERN_VERTICES - power] += count
-    return tuple(total)
-
-
 def _counted(plan: _Plan, factors: tuple) -> tuple:
-    """The count of ``plan`` alone, in one pass, as ``_coefficients``."""
-    work: list = []
+    """The count of ``plan`` alone, in one pass, as ``_work``."""
+    work = [0] * (MAX_PATTERN_VERTICES + 1)
     _count(plan, factors, None, {}, work)
-    return _coefficients(work)
+    return tuple(work)
 
 
 @lru_cache(maxsize=1024)
-def _cost(terms: tuple, n: int, *limits) -> float:
+def _flops(terms: tuple, n: int) -> float:
     """The planned multiplications and additions of ``terms`` on n x n
-    operands.  ``limits``, the values of _DIRECT_FLOPS and _MAX_ELEMENTS,
-    which decide what runs, only key the cache."""
+    operands.  Raises for a term of which one row of the cut vertex does
+    not fit in max(n^2, _MAX_ELEMENTS) values."""
     for _, k, factors in terms:
         if factors and not _rows(plan := _chosen(k, factors, n), n):
             raise ValidationError(
                 f"density term too wide (cost guard: one row of its {plan.width}-index "
                 f"intermediates exceeds {max(n * n, _MAX_ELEMENTS):.3g} values)"
             )
-    return sum(count * float(n) ** power for power, count in _work(terms, n))
-
-
-def _flops(terms: tuple, n: int) -> float:
-    """The planned count of ``terms`` at n, as the cost guard reads it."""
-    return _cost(terms, n, _DIRECT_FLOPS, _MAX_ELEMENTS)
-
-
-def _check_cost(terms: tuple, n: int) -> None:
-    """Reject, before any contraction, terms with an intermediate that does
-    not fit in max(n^2, _MAX_ELEMENTS) values even one row of the cut vertex
-    at a time, or whose planned count exceeds MAX_FINITE_FLOPS."""
-    flops = _flops(terms, n)
-    if flops > MAX_FINITE_FLOPS:
-        raise ValidationError(
-            f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
-        )
+    top = MAX_PATTERN_VERTICES
+    return sum(count * float(n) ** (top - i) for i, count in enumerate(_work(terms, n)))
 
 
 def _evaluate(terms, mats: dict, n: int, memo: dict | None = None) -> float:
@@ -662,16 +648,11 @@ def _symmetrize(k: int, factors: tuple, c: int) -> tuple:
     return ((1.0, k, factors),)
 
 
-def _planned(terms) -> tuple:
-    """The planned count of ``terms`` as ``_coefficients``."""
-    return _coefficients(_work(terms))
-
-
 @lru_cache(maxsize=1024)
 def _rewrite(k: int, factors: tuple, c: int) -> tuple:
     """hom(F) through the cycle rewrite of its cheapest lone edge, or F
     itself when no rewrite plans strictly fewer operations."""
-    best, best_cost = ((1.0, k, factors),), _planned(((1.0, k, factors),))
+    best, best_cost = ((1.0, k, factors),), _work(((1.0, k, factors),))
     for i, u, v in _lone_edges(factors):
         rest = factors[:i] + factors[i + 1:]
         flipped = tuple(sorted(rest + ((v, u, _EDGE),)))
@@ -682,7 +663,7 @@ def _rewrite(k: int, factors: tuple, c: int) -> tuple:
         for coef, kk, ff in reverse:
             combination[(kk, ff)] -= coef
         terms = _as_terms(combination)
-        if (cost := _planned(terms)) < best_cost:
+        if (cost := _work(terms)) < best_cost:
             best, best_cost = terms, cost
     return best
 
@@ -759,11 +740,39 @@ def _terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
     return _as_terms(out)
 
 
-def _checked_terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
-    """``_terms(f, mode, c, n)`` once ``_check_cost`` admits them."""
-    terms = _terms(f, mode, c, n)
-    _check_cost(terms, n)
-    return terms
+def _priced(patterns, mode: str, c: int, n: int) -> list:
+    """Each pattern's ``_terms`` at n, or None where its inj or ind density
+    is 0 because it has more vertices than n, once the cost guard admits
+    them together: the planned count of all of them, contracted with one
+    memo, at most MAX_FINITE_FLOPS."""
+    if any(f.k > MAX_PATTERN_VERTICES for f in patterns):
+        raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
+    if mode not in _MODES:
+        raise ValidationError("mode must be one of 'hom', 'inj', 'ind'")
+    priced = [None if mode != "hom" and f.k > n else _terms(f, mode, c, n) for f in patterns]
+    flops = _flops(tuple(t for terms in priced if terms for t in terms), n)
+    if flops > MAX_FINITE_FLOPS:
+        raise ValidationError(
+            f"density contraction too large (cost guard: {flops:.3g} planned FLOPs)"
+        )
+    return priced
+
+
+def _densities(patterns, alpha: np.ndarray, mode: str, c: int) -> list:
+    """The ``mode`` densities of ``patterns`` on the n x n factor ``alpha``
+    (c = 1 for a finite input, 0 for a kernel's blocks), priced together by
+    ``_priced`` and contracted with one memo."""
+    n = len(alpha)
+    priced = _priced(patterns, mode, c, n)
+    mats = {_EDGE: alpha}
+    if mode == "ind" and any(len(f.edges) < f.k * (f.k - 1) // 2 for f in patterns):
+        mats[_BLANK] = (1.0 - alpha) * (1.0 - alpha.T)
+    memo: dict = {}
+    return [
+        0.0 if terms is None else _evaluate(terms, mats, n, memo)
+        / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
+        for f, terms in zip(patterns, priced)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -783,38 +792,14 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
-    return _density_finite(f, g, mode, {})
-
-
-def _density_finite(
-    f: DigraphPattern, g: GeneralizedTournament, mode: str, memo: dict
-) -> float:
-    """``density_finite(f, g, mode)``, sharing keyed step results through
-    ``memo`` with the other calls on ``g`` that it is passed to."""
-    if f.k > MAX_PATTERN_VERTICES:
-        raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
-    if mode not in _MODES:
-        raise ValidationError("mode must be one of 'hom', 'inj', 'ind'")
-    n = g.n
-    if mode != "hom" and f.k > n:
-        return 0.0
-    terms = _checked_terms(f, mode, 1, n)
-    mats = {_EDGE: g.alpha}
-    if mode == "ind" and len(f.edges) < f.k * (f.k - 1) // 2:
-        mats[_BLANK] = (1.0 - g.alpha) * (1.0 - g.alpha.T)
-    total = _evaluate(terms, mats, n, memo)
-    return total / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
+    return _densities((f,), g.alpha, mode, 1)[0]
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:
     """t(F, W) for a step kernel: the normalised block-assignment sum.
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs."""
-    n = w.n
-    if f.k > MAX_PATTERN_VERTICES:
-        raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
-    terms = _checked_terms(f, "hom", 0, n)
-    return _evaluate(terms, {_EDGE: w.blocks}, n) / float(n) ** f.k
+    return _densities((f,), w.blocks, "hom", 0)[0]
 
 
 def star_density(w: StepKernel, m: int, n: int) -> float:
@@ -882,9 +867,5 @@ def fingerprint(w: StepKernel, K: int) -> DensityFingerprint:
     if not 1 <= K <= 5:
         raise ValidationError("fingerprint order K must be in 1..5")
     classes = [c for k in range(1, K + 1) for c in _tournament_pattern_classes(k)]
-    _check_cost(tuple(t for _, f in classes for t in _terms(f, "hom", 0, w.n)), w.n)
-    memo: dict = {}
-    return DensityFingerprint(K, {
-        d: _evaluate(_terms(f, "hom", 0, w.n), {_EDGE: w.blocks}, w.n, memo) / float(w.n) ** f.k
-        for d, f in classes
-    })
+    values = _densities([f for _, f in classes], w.blocks, "hom", 0)
+    return DensityFingerprint(K, {d: v for (d, _), v in zip(classes, values)})

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import density
 from .core import StepKernel, ValidationError, score_function_of_kernel
-from .density import DigraphPattern, _checked_terms, density_kernel
+from .density import DigraphPattern, density_kernel
 
 C4_DIFF_THRESHOLD = 1e-9
 # elementwise operations of find_cyclic_box per ordered block triple: two
@@ -100,8 +100,8 @@ def _check_round(n: int) -> None:
     starts: t(C4) under density_kernel's guard, and its planned count plus
     the box scan's _SCAN_OPS n^3 elementwise operations at most
     MAX_FINITE_FLOPS."""
-    c4 = DigraphPattern.cycle(4)
-    flops = density._flops(_checked_terms(c4, "hom", 0, n), n)
+    (terms,) = density._priced((DigraphPattern.cycle(4),), "hom", 0, n)
+    flops = density._flops(terms, n)
     flops += _SCAN_OPS * float(n) ** 3 if n >= 3 else 0.0
     if flops > density.MAX_FINITE_FLOPS:
         raise ValidationError(
@@ -172,16 +172,16 @@ def nonuniqueness_certificate(
     root of q'.  Returns None ("transitive-like") when no cyclic box exists
     or t(C4) moves by at most 1e-9.  Optional grid refinement (factor 2 per
     round, off by default) can expose cyclic mass inside diagonal blocks.
-    Refinement to a kernel that density_kernel's planned-FLOP guard would
-    refuse for t(C4) is refused before it is built, and a round whose t(C4)
-    count and box scan together exceed MAX_FINITE_FLOPS before it starts.
+    A round whose t(C4) count and box scan together exceed
+    MAX_FINITE_FLOPS is refused before it starts, and a round on a
+    refinement before the refinement is built.
     """
     if refine_rounds < 0:
         raise ValidationError("refine_rounds must be non-negative")
     c4 = DigraphPattern.cycle(4)
     current = w
+    _check_round(current.n)
     for round_idx in range(refine_rounds + 1):
-        _check_round(current.n)
         base = density_kernel(c4, current)
         box = find_cyclic_box(current) if current.n >= 3 else None
         if box is not None:
@@ -199,6 +199,6 @@ def nonuniqueness_certificate(
                 moved = float(np.max(np.abs(f1 - f0)))
                 return NonUniquenessCertificate(s0, kernel, base, c4_perturbed, moved)
         if round_idx < refine_rounds:
-            _checked_terms(c4, "hom", 0, 2 * current.n)
+            _check_round(2 * current.n)
             current = current.refine(2)
     return None

@@ -26,7 +26,7 @@ from .core import (
     scores_of_tournament,
     wasserstein1,
 )
-from .density import _checked_terms, _density_finite, density_kernel
+from .density import _densities, _priced, density_kernel
 
 
 @dataclass(frozen=True)
@@ -230,18 +230,19 @@ def convergence_report(
 
     The per-size Wasserstein-1 samples are reported both as summary rows
     (pattern name "degree_w1", exact 0) and raw in ``w1_samples``.
-    Sizes must be distinct.  The matrix budget of the largest size and the
-    cost guard of every density are checked before the first draw.
+    Sizes must be distinct.  The matrix budget of the largest size and, per
+    size, the cost guard of the patterns' densities together, as one
+    repetition contracts them with one memo, are checked before the kernel
+    densities and the first draw.
     """
     if len(set(sizes)) != len(sizes):
         raise ValidationError("sample sizes must be distinct")
     _check_matrix_size(max(sizes, default=0))
+    fs = list(patterns.values())
+    for size in sizes:
+        _priced(fs, "inj", 1, size)
     target = degree_distribution(w)
     exact = {name: density_kernel(f, w) for name, f in patterns.items()}
-    for size in sizes:
-        for f in patterns.values():
-            if f.k <= size:
-                _checked_terms(f, "inj", 1, size)
     rows = []
     w1_samples: dict[int, tuple] = {}
     stats: dict[str, dict[int, list[float]]] = {name: {} for name in patterns}
@@ -249,10 +250,8 @@ def convergence_report(
         w1s = []
         for r in range(cfg.reps):
             g = sample_tournament(w, SampleConfig(size, cfg.seed, 1), rep=(si, r))
-            # the patterns of one sample share their keyed step results
-            shared: dict = {}
-            for name, f in patterns.items():
-                stats[name].setdefault(size, []).append(_density_finite(f, g, "inj", shared))
+            for name, value in zip(patterns, _densities(fs, g.alpha, "inj", 1)):
+                stats[name].setdefault(size, []).append(value)
             w1s.append(wasserstein1(empirical_degree_distribution(g), target))
         w1_samples[size] = tuple(w1s)
     for name in patterns:

@@ -277,6 +277,30 @@ P_A = DigraphPattern(7, {(0, 2), (1, 0), (1, 2), (1, 4), (2, 3), (2, 6), (3, 0),
 P_B = DigraphPattern(7, {(1, 0), (1, 4), (1, 5), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 6)})
 
 
+@pytest.fixture
+def limits(monkeypatch):
+    """Sets density._DIRECT_FLOPS and _MAX_ELEMENTS by keyword, as in
+    ``limits(_DIRECT_FLOPS=0)``.  The terms and counts cached under other
+    limits are cleared on every call and again at teardown, once the
+    defaults are back."""
+    import tourlim.density
+
+    def patch(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(tourlim.density, name, value)
+        tourlim.density._terms.cache_clear()
+        tourlim.density._flops.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    patch()
+
+
+def degree(work):
+    """The highest power of n that a ``_work`` count carries."""
+    return 8 - next(i for i, count in enumerate(work) if count)
+
+
 def falling(x, k):
     return math.prod(x - i for i in range(k))
 
@@ -292,17 +316,15 @@ def einsum_dims(spec, ops):
 class TestPlanner:
     @pytest.mark.parametrize("path", ["as sized", "planned", "sliced, one row per pass"])
     @pytest.mark.parametrize("n", [4, 6])
-    def test_cycles_match_bruteforce(self, monkeypatch, path, n):
+    def test_cycles_match_bruteforce(self, limits, path, n):
         # with the tiny-sum shortcut off, every term runs its planned steps,
         # one row of the cut vertex per pass when its plan holds more than
         # n^2 values; C5 ind keeps a 4-index intermediate, of which one row
         # holds n^3 > n^2 values, so at n = 6 the guard refuses it
-        import tourlim.density
-
         if path != "as sized":
-            monkeypatch.setattr(tourlim.density, "_DIRECT_FLOPS", 0)
+            limits(_DIRECT_FLOPS=0)
         if path == "sliced, one row per pass":
-            monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 0)
+            limits(_MAX_ELEMENTS=0)
         rng = np.random.default_rng(n)
         upper = np.triu(rng.random((n, n)), 1)
         zero_one = np.triu(upper < 0.5, 1).astype(float)
@@ -328,20 +350,42 @@ class TestPlanner:
             want = oracles.brute_density_kernel(P_A, blocks)
             assert abs(density_kernel(P_A, StepKernel(blocks)) - want) <= 1e-12
 
+    def test_forced_paths_run_their_own_terms(self, limits, monkeypatch):
+        # at n = 6 the 10 terms of C5 inj are tiny and run as plain sums;
+        # with the shortcut off each takes its cycle rewrite, 23 terms in
+        # all, also right after a call that ran the 10
+        import tourlim.density
+        from tourlim.density import _hom
+
+        evaluated = []
+
+        def spy(k, factors, *args):
+            evaluated.append(factors)
+            return _hom(k, factors, *args)
+
+        monkeypatch.setattr(tourlim.density, "_hom", spy)
+        C5 = DigraphPattern.cycle(5)
+        alpha = random_tournament(6, 6) * 0.8 + 0.1 * (1 - np.eye(6))
+        want = oracles.brute_density_finite(C5, alpha, "inj")
+        for path, terms in [({}, 10), ({"_DIRECT_FLOPS": 0}, 23), ({"_MAX_ELEMENTS": 0}, 23)]:
+            limits(**path)
+            evaluated.clear()
+            assert abs(density_finite(C5, GeneralizedTournament(alpha), "inj") - want) <= 1e-12
+            assert len(evaluated) == terms
+
     @pytest.mark.parametrize("path", ["planned", "sliced, one row per pass"])
-    def test_repeated_products_match_bruteforce(self, monkeypatch, path):
+    def test_repeated_products_match_bruteforce(self, limits, path):
         # C4, C6 and the anti-directed C4 make one BLAS product several
         # times in their hom terms, which run it once; with the tiny-sum
         # shortcut off every term runs its steps, and the wide terms of inj
         # and ind run one row of their cut vertex per pass.  One row of C6
         # ind's 4-index intermediates holds n^3 > n^2 values, so the guard
         # refuses it there.
-        import tourlim.density
         from tourlim.density import _chosen, _terms
 
-        monkeypatch.setattr(tourlim.density, "_DIRECT_FLOPS", 0)
+        limits(_DIRECT_FLOPS=0)
         if path != "planned":
-            monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 0)
+            limits(_MAX_ELEMENTS=0)
         n = 6
         rng = np.random.default_rng(16)
         upper = np.triu(rng.random((n, n)), 1)
@@ -369,12 +413,12 @@ class TestPlanner:
         # one A.A, then the n^2 sum of (A.A) o (A.A)^T: the guard's count is
         # that of the steps that run
         import tourlim.density
-        from tourlim.density import _run, _terms, _work
+        from tourlim.density import _flops, _run, _terms, _work
 
         n = 300
         terms = _terms(C4, "hom", c, n)
-        work = _work(terms, n)
-        assert [power for power, _ in work].count(3) == 1
+        # one n^3 step of a multiplication and an addition per value
+        assert _work(terms, n)[:6] == (0, 0, 0, 0, 0, 2)
         alpha = random_tournament(n, 11)
         if not c:
             np.fill_diagonal(alpha, 0.5)
@@ -395,7 +439,7 @@ class TestPlanner:
         assert executed.count("dot") == 1
         assert value == pytest.approx(np.trace(np.linalg.matrix_power(alpha, 4)) / n**4,
                                       rel=1e-12)
-        count = sum(k * float(n) ** p for p, k in work)
+        count = _flops(terms, n)
         monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
         call()
         monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
@@ -417,12 +461,11 @@ class TestPlanner:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * n * n
 
-    def test_sliced_passes_reuse_no_product(self, monkeypatch):
+    def test_sliced_passes_reuse_no_product(self, limits):
         # a term whose plan keeps a 3-index intermediate and makes one
         # product twice, once from operands that carry the cut vertex and
         # once from operands that do not: in a pass over some rows of the
         # cut the two differ, so each is made as it is
-        import tourlim.density
         from tourlim.density import _evaluate, _passes, _plan
 
         k = 6
@@ -433,7 +476,7 @@ class TestPlanner:
         n = 7
         a = random_tournament(n, 13) * 0.8 + 0.1 * (1 - np.eye(n))
         term = ((1.0, k, factors),)
-        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 2 * n ** 2)
+        limits(_MAX_ELEMENTS=2 * n ** 2)
         assert {len(_passes(plan, i, n)) for i in plan.sliced} == {4}
         want = oracles.brute_hom_sum(sorted((u, v) for u, v, _ in factors), k, a)
         assert _evaluate(term, {"e": a}, n) == pytest.approx(want, rel=1e-12)
@@ -447,24 +490,25 @@ class TestPlanner:
         from tourlim.density import _terms, _work
 
         for c in (0, 1):
-            assert max(power for power, _ in _work(_terms(C3, "hom", c, 1000))) == 2
+            assert degree(_work(_terms(C3, "hom", c, 1000))) == 2
 
     def test_disconnected_term_contracts_its_components_apart(self):
         from tourlim.density import _plan, _work
 
         paths = ((0, 1, "e"), (1, 2, "e"), (3, 4, "e"), (5, 4, "e"))
         assert len(_plan(6, paths).scalars) == 2
-        assert max(power for power, _ in _work([(1.0, 6, paths)])) == 2
-        # two equal components share their steps
+        assert degree(_work([(1.0, 6, paths)])) == 2
+        # two equal components share their steps: one n^2 sum and one n sum
         two_edges = (1.0, 4, ((0, 1, "e"), (2, 3, "e")))
-        assert sorted(_work([two_edges])) == [(1, 1), (2, 1)]
+        assert _work([two_edges]) == (0,) * 6 + (1, 1, 0)
 
     def test_guard_reads_the_planned_count(self, monkeypatch):
         import tourlim.density
         from tourlim.density import _terms, _work
 
         g = GeneralizedTournament(random_tournament(200, 1))
-        count = sum(c * 200.0**p for p, c in _work(_terms(C4, "inj", 1, 200), 200))
+        work = _work(_terms(C4, "inj", 1, 200), 200)
+        count = sum(c * 200.0 ** (8 - i) for i, c in enumerate(work))
         monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
         density_finite(C4, g, "inj")
         monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
@@ -473,12 +517,12 @@ class TestPlanner:
 
     def test_guard_counts_once_per_terms_and_size(self, monkeypatch):
         import tourlim.density
-        from tourlim.density import _cost, _terms, _work
+        from tourlim.density import _flops, _terms, _work
 
         n = 123
         g = GeneralizedTournament(random_tournament(n, 4))
         _terms(C4, "inj", 1, n)
-        _cost.cache_clear()
+        _flops.cache_clear()
         calls = []
 
         def spy(*args):
@@ -492,10 +536,9 @@ class TestPlanner:
     @pytest.mark.parametrize("f, mode", [(C4, "ind"), (DigraphPattern.cycle(5), "ind"),
                                          (DigraphPattern.transitive(5), "inj"),
                                          (P_A, "hom"), (P_A, "inj"), (P_B, "hom"), (P_B, "inj")])
-    def test_ragged_slices_match_the_unsliced_plan(self, monkeypatch, f, mode):
+    def test_ragged_slices_match_the_unsliced_plan(self, limits, f, mode):
         # 7 rows of the cut vertex per pass at n = 30: four passes of 7 rows
         # and one of 2
-        import tourlim.density
         from tourlim.density import _passes, _plan, _terms
 
         n = 30
@@ -503,9 +546,9 @@ class TestPlanner:
         plans = [_plan(k, factors) for _, k, factors in _terms(f, mode, 1, n) if factors]
         width = max(plan.width for plan in plans)
         assert width >= 3
-        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", n**width)
+        limits(_MAX_ELEMENTS=n**width)
         whole = density_finite(f, g, mode)
-        monkeypatch.setattr(tourlim.density, "_MAX_ELEMENTS", 7 * n ** (width - 1))
+        limits(_MAX_ELEMENTS=7 * n ** (width - 1))
         wide = [plan for plan in plans if plan.width == width]
         assert {len(_passes(plan, i, n)) for plan in wide for i in plan.sliced} == {5}
         assert density_finite(f, g, mode) == pytest.approx(whole, rel=1e-12)
@@ -522,7 +565,7 @@ class TestPlanner:
         # three operands, and the multiply-adds of the steps that run, read
         # off their operand shapes, are the guard's count
         import tourlim.density
-        from tourlim.density import _passes, _plan, _run, _terms, _work
+        from tourlim.density import _flops, _passes, _plan, _run, _terms
 
         terms = _terms(f, mode, 1, n)
         assert sliced == any(len(_passes(_plan(k, ff), i, n)) > 1 for _, k, ff in terms if ff
@@ -542,7 +585,7 @@ class TestPlanner:
         monkeypatch.setattr(tourlim.density, "_run", spy)
         density_finite(f, g, mode)
         assert max(arity for arity, _ in executed) <= 3
-        assert sum(flops for _, flops in executed) == sum(c * float(n) ** p for p, c in _work(terms, n))
+        assert sum(flops for _, flops in executed) == _flops(terms, n)
 
     def test_the_largest_parent_sizes_fit_the_ceiling(self, monkeypatch):
         # plan only: steps return zero-stride stand-ins of their output shape

@@ -309,12 +309,13 @@ class TestCertificate:
             return refine(self, factor)
 
         monkeypatch.setattr(StepKernel, "refine", recorded)
-        # C4 plans 8720 FLOPs at 16 blocks and 67616 at 32, and the box scan
-        # on 16 blocks adds 3 * 16^3 = 12288 operations
+        # C4 plans 8720 FLOPs at 16 blocks, and the box scan on 16 blocks
+        # adds 3 * 16^3 = 12288 operations: the round on the refinement into
+        # 16 blocks is refused before the refinement is built
         monkeypatch.setattr(density, "MAX_FINITE_FLOPS", 20000)
         with pytest.raises(ValidationError, match="cost guard"):
             nonuniqueness_certificate(transitive_kernel(8), refine_rounds=40)
-        assert sizes == [16]
+        assert sizes == []
 
     def test_box_scan_refused_past_the_cost_guard(self, monkeypatch):
         # a budget of 15000 admits t(C4) on 16 blocks (8720 FLOPs) but not

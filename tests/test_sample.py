@@ -167,6 +167,25 @@ class TestSampleMemoryGuard:
             )
         assert calls == []
 
+    def test_convergence_report_prices_a_repetition_s_patterns_together(self, monkeypatch):
+        # at 259 vertices C8 inj plans 9.86e10 FLOPs and C7 inj 3.92e9, each
+        # within MAX_FINITE_FLOPS, but a repetition contracts both with one
+        # memo: 1.02e11; at 250 both together plan 8.9e10.  The call is
+        # refused before any kernel density or draw
+        import tourlim.sample
+        from tourlim.density import _priced
+
+        calls = []
+        for name in ("sample_tournament", "density_kernel"):
+            monkeypatch.setattr(tourlim.sample, name, lambda *args, **kw: calls.append(args))
+        patterns = {"C8": DigraphPattern.cycle(8), "C7": DigraphPattern.cycle(7)}
+        for f in patterns.values():
+            _priced([f], "inj", 1, 259)
+        _priced(list(patterns.values()), "inj", 1, 250)
+        with pytest.raises(ValidationError, match="cost guard"):
+            convergence_report(HALF3, patterns, [250, 259], SampleConfig(1))
+        assert calls == []
+
     def test_sample_tournament_peak_is_below_1_5_results(self):
         g, peak = traced_peak(
             lambda: sample_tournament(random_step_kernel(5, seed=3), SampleConfig(2000, 1))
@@ -349,16 +368,13 @@ class TestConvergenceReport:
             assert [v.hex() for v in got[key]] == [v.hex() for v in values], key
 
     def test_shared_dict_serves_every_mode_bit_for_bit(self):
-        from tourlim.density import _density_finite
+        from tourlim.density import _densities
 
         g = GeneralizedTournament(random_step_kernel(40, seed=3).blocks - np.eye(40) / 2)
-        shared: dict = {}
-        for spec in ("S1,1", "C3", "C4", "T4", "S0,2"):
-            f = DigraphPattern.from_spec(spec)
-            for mode in ("hom", "inj", "ind"):
-                want = density_finite(f, g, mode)
-                assert _density_finite(f, g, mode, shared).hex() == want.hex()
-        assert shared
+        patterns = [DigraphPattern.from_spec(s) for s in ("S1,1", "C3", "C4", "T4", "S0,2")]
+        for mode in ("hom", "inj", "ind"):
+            want = [density_finite(f, g, mode).hex() for f in patterns]
+            assert [v.hex() for v in _densities(patterns, g.alpha, mode, 1)] == want
 
     def test_empirical_density_close_to_exact(self):
         patterns = {"S0,1": DigraphPattern.star(0, 1)}
