@@ -53,7 +53,7 @@ def _load_json(path: str) -> dict:
 
 class _MatrixDecoder(json.JSONDecoder):
     """json's decoder, except that a value of the top-level object that
-    ``_number_matrix`` reads comes back as its bool or float64 array.
+    ``_number_matrix`` reads, a 0/1 matrix, comes back as its bool array.
     json's own object scanner walks that object; every other value, and
     everything inside them, is json's own, errors included."""
 
@@ -87,10 +87,8 @@ _IN_GAP[list(b"[], \t\n\r")] = True
 _BLOCK_BYTES = 1 << 16
 """About how many bytes of matrix text ``_number_matrix`` reads at a time."""
 _INVALID = 255
-"""The code of a cell that is none of the words of ``_number_matrix``.  The
-words differ in at most two byte positions, each one of the 15 bytes
-``0-9 + - . e E``, so there are at most 225 of them and no word has this
-code."""
+"""The code of a cell that is neither word of ``_number_matrix``, whose
+words have the codes 0 and 1."""
 _MIN_CELLS = 512
 """The fewest cells ``_number_matrix`` reads; json reads smaller matrices.
 The reader's fixed cost, about 25 numpy calls, came to 40-120 us on
@@ -101,20 +99,17 @@ about 24 x 24 cells."""
 def _number_matrix(text: str, i: int):
     """``(a, end)`` when ``text[i:end]`` is a JSON array of n >= 1 arrays of
     m >= 1 numbers each, n m >= _MIN_CELLS of them, laid out alike, whose
-    cells are all words of its first and last row, and those rows pass
-    ``_row_words``; ``a`` then holds exactly the values of
-    ``np.asarray(json.loads(text[i:end]), dtype=float)``, as a bool array
-    when each of them is +0.0 or 1.0 and as float64 otherwise.  None for
-    any other value, which json then reads.
+    cells are all words of its first and last row: at most two words, of
+    one width, that json reads as +0.0 or 1.0 and that differ in at most
+    one byte position.  ``a`` is then the n x m bool array of those values.
+    None for any other value, which json then reads.
 
     Laid out alike means that the rows start at one stride, the cells of a
     row at another, and every byte equals the first row's byte, or the
-    first separator's, except at the at most two byte positions per cell
-    at which the words of the first and last row differ.  Those bytes are
-    read through a strided view and looked up in a byte table made from
-    these words, which are checked against json's number grammar and
-    converted as json converts them; a cell that is none of them reads as
-    ``_INVALID`` and declines the matrix.
+    first separator's, except at the byte position of each cell at which
+    the words differ.  That byte is read through a strided view and looked
+    up in a byte table made from the words; a cell that is neither word
+    reads as ``_INVALID`` and declines the matrix.
     """
     head = _FIRST_ROW.match(text, i)
     if head is None or (first := _row_words(head[2])) is None:
@@ -134,75 +129,52 @@ def _number_matrix(text: str, i: int):
         return None
     words = sorted(first[1] | final[1])
     m, width = first[0], len(words[0])
-    spelled = ",".join(words).encode("ascii", "replace")
-    if final[0] != m or any(len(w) != width for w in words) or not _NUMBERS.fullmatch(spelled):
+    if (final[0] != m or len(words) > 2 or any(len(w) != width for w in words)
+            or not _NUMBERS.fullmatch(",".join(words).encode("ascii", "replace"))):
         return None
-    table = np.frombuffer(spelled.replace(b",", b""), np.uint8).reshape(len(words), width)
-    varying = np.flatnonzero((table != table[0]).any(axis=0)) if len(words) > 1 else [0]
+    # json reads the integer spelling -0 as the int 0, so as +0.0
+    values = [0.0 if w == "-0" else float(w) for w in words]
+    if not all(v == 1.0 or v == 0.0 and math.copysign(1.0, v) > 0 for v in values):
+        return None
+    varying = [j for j in range(width) if words[0][j] != words[-1][j]] or [0]
     row = np.frombuffer(head[1].encode(), np.uint8)
     gap = _IN_GAP[row]
     # a cell starts where a gap byte is followed by a word byte
     cell_starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1
     periods = cell_starts[1:] - cell_starts[:-1]
     period = periods[0] if m > 1 else width
-    if len(varying) > 2 or (periods != period).any():
+    if len(varying) > 1 or (periods != period).any():
         return None
-    # json reads the integer spelling -0 as the int 0, so as 0.0
-    values = [0.0 if w == "-0" else float(w) for w in words]
-    # when every word reads as +0.0 or 1.0, a cell's code is its bool value;
-    # else it indexes ``values``
-    binary = all(v == 1.0 or v == 0.0 and math.copysign(1.0, v) > 0 for v in values)
-    # with two varying positions, a cell's key is its second byte plus 256
-    # times the slot of its first byte, 0 for a byte that no word has there
-    firsts = sorted(set(table[:, varying[0]].tolist())) if len(varying) == 2 else []
-    slots = np.zeros(256, np.intp)
-    slots[firsts] = range(256, 256 * (len(firsts) + 1), 256)
-    codes = np.full(256 * (len(firsts) + 1), _INVALID, np.uint8)
-    codes[_key(table, varying, slots)] = values if binary else range(len(words))
-    values = np.array(values)
+    at = varying[0]
+    codes = np.full(256, _INVALID, np.uint8)
+    codes[[ord(w[at]) for w in words]] = values
     varies = np.zeros(rowlen, bool)
-    for j in varying:
-        varies[cell_starts + j] = True
-    out = np.empty((n, m), bool if binary else float)
+    varies[cell_starts + at] = True
+    out = np.empty((n, m), bool)
     step = max(1, _BLOCK_BYTES // stride)
-    block_codes = out.view(np.uint8) if binary else np.empty((min(step, n), m), np.uint8)
     for r in range(0, n, step):
-        k, at = min(step, n - r), start + r * stride
-        block = text[at:at + (k - 1) * stride + rowlen].encode("ascii", "replace")
+        k, begin = min(step, n - r), start + r * stride
+        block = text[begin:begin + (k - 1) * stride + rowlen].encode("ascii", "replace")
         rows = np.ndarray((k, rowlen), np.uint8, block, 0, (stride, 1))
         if not ((rows == row) | varies).all():
             return None
-        cells = np.ndarray((k, m, width), np.uint8, block, cell_starts[0], (stride, period, 1))
-        got = block_codes[r:r + k] if binary else block_codes[:k]
-        np.take(codes, _key(cells, varying, slots), out=got, mode="clip")
+        cells = np.ndarray((k, m), np.uint8, block, cell_starts[0] + at, (stride, period))
+        got = out[r:r + k].view(np.uint8)
+        np.take(codes, cells, out=got, mode="clip")
         if got.max() == _INVALID:
             return None
-        if not binary:
-            np.take(values, got, out=out[r:r + k], mode="clip")
     return out, tail.end()
 
 
 def _row_words(row: str):
     """``(m, words)`` for the text inside a row's brackets when it holds m
-    words of one width from 1 to 8 bytes that repeat: ``words``, the set
-    of distinct ones, has at most two, or half of m.  Else None: only the
-    words of the first and the last row are looked up, so a row of mostly
-    distinct words (fixed-precision reals) would make a table that does
-    not pay."""
+    words of one width, at most two distinct ones: the set ``words``.  Else
+    None."""
     words = row.split(",")
     distinct = {w.strip(" \t\n\r") for w in set(words)}
-    widths = {len(w) for w in distinct}
-    if len(widths) != 1 or len(distinct) > max(2, len(words) // 2):
+    if len(distinct) > 2 or len({len(w) for w in distinct}) != 1:
         return None
-    return (len(words), distinct) if 1 <= widths.pop() <= 8 else None
-
-
-def _key(cells: np.ndarray, varying, slots: np.ndarray) -> np.ndarray:
-    """Per word along the last axis of the uint8 array ``cells``, its index
-    into the table of ``_number_matrix`` from its bytes at the one or two
-    positions ``varying``."""
-    key = cells[..., varying[-1]]
-    return slots[cells[..., varying[0]]] + key if len(varying) == 2 else key
+    return len(words), distinct
 
 
 def _decode(path: str, cls):
@@ -236,7 +208,9 @@ fewer pages and took 5.8 instead of 7.8 ms on a 2-vCPU Xeon."""
 def _json_text(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
     except that ``payload``, or a value in its str-keyed dicts, may be a
-    2-D float64 array where that call would take its ``tolist()``."""
+    2-D float64 array where that call would take its ``tolist()``, or a
+    2-D bool array where it would take the ``tolist()`` of its float64
+    values: a bool matrix is written as 0.0 and 1.0."""
     return b"".join(_json_chunks(payload)).decode("ascii")
 
 
@@ -253,8 +227,9 @@ def _encode(x, indent: str):
     bytes chunks.
 
     Dicts with str keys recurse, so arrays may sit in their values.  A
-    float64 matrix goes through ``_matrix_chunks``, because json's indented
-    encoder is pure Python and calls ``floatstr`` once per entry.  Anything
+    float64 or bool matrix goes through ``_matrix_chunks``, because json's
+    indented encoder is pure Python and calls ``floatstr`` once per entry.
+    A bool matrix is written as its float64 values.  Anything
     else is json's own text with ``indent`` put after every newline, which
     is safe because json escapes newlines inside strings.
     """
@@ -268,33 +243,27 @@ def _encode(x, indent: str):
             yield from _encode(x[k], inner)
             opener = ",\n"
         yield f"\n{indent}}}".encode()
-    elif isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+    elif isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype in (np.float64, bool):
         yield from _matrix_chunks(x, indent) if x.size else _encode(x.tolist(), indent)
     else:
         yield json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent).encode()
 
 
 def _bit_table(a: np.ndarray) -> tuple:
-    """The distinct uint64 bit patterns of the float64 cells of ``a`` and
-    a function from a slice of rows to the index of each of their cells'
-    pattern.  Two patterns (every 0/1 matrix) need no sort and no n x n
-    array: the cells are compared with them _CHUNK_BYTES / 8 at a time,
-    here and again as their rows are written."""
-    bits = a.view(np.uint64)
-    lo, hi = bits.min(), bits.max()
-    step = max(1, _CHUNK_BYTES // 8 // bits.shape[1])
-    blocks = (bits[r:r + step] for r in range(0, len(bits), step))
-    if lo == hi or all(np.count_nonzero(b == hi) + np.count_nonzero(b == lo) == b.size
-                       for b in blocks):
-        return np.array([lo, hi]), lambda rows: (bits[rows] == hi).view(np.uint8)
-    keys, inv = np.unique(bits, return_inverse=True)
+    """The float64 values of the cells of ``a``, one per distinct bit
+    pattern, and a function from a slice of rows to the index of each of
+    their cells' value.  A bool matrix needs no sort and no n x n array:
+    its values are 0.0 and 1.0, indexed by its own uint8 view."""
+    if a.dtype == bool:
+        return np.array([0.0, 1.0]), lambda rows: a[rows].view(np.uint8)
+    keys, inv = np.unique(a.view(np.uint64), return_inverse=True)
     inv = inv.reshape(a.shape)
-    return keys, lambda rows: inv[rows]
+    return keys.view(np.float64), lambda rows: inv[rows]
 
 
 def _matrix_chunks(a: np.ndarray, indent: str):
-    """A non-empty float64 matrix as json writes its ``tolist()``, in
-    blocks of whole rows.
+    """A non-empty float64 or bool matrix as json writes the ``tolist()``
+    of its float64 values, in blocks of whole rows.
 
     Each distinct bit pattern is written once with json's own float text
     (so -0.0, NaN and Infinity come out as json writes them), and the
@@ -303,9 +272,9 @@ def _matrix_chunks(a: np.ndarray, indent: str):
     one join of its words.  Either way a block holds about
     ``_CHUNK_BYTES`` and ends with the ",\n" before the next row.
     """
-    keys, index = _bit_table(a)
+    values, index = _bit_table(a)
     # json's text of a list of floats is their texts joined by ", "
-    words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    words = json.dumps(values.tolist())[1:-1].split(", ")
     rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
     yield b"[\n"
     yield from rows(words, index, a.shape, indent + "  ", indent + "    ")
@@ -409,6 +378,15 @@ def _parse_pattern(spec: str) -> DigraphPattern:
 # and validation is done before they return, only the formatting is left
 
 
+def _tournament_chunks(g: GeneralizedTournament):
+    """The chunks of ``{"n": g.n, "alpha": g.alpha}``, the alpha of a 0/1
+    tournament handed to the encoder as bools.  Bools write -0.0 as 0.0,
+    but no handler's tournament holds -0.0: the peel writes 1.0 - x with x
+    in {0, 1}, and the samplers cast bools."""
+    alpha = g.alpha == 1.0 if g.is_tournament else g.alpha
+    return _json_chunks({"n": g.n, "alpha": alpha})
+
+
 def _cmd_check_score_seq(args):
     seq = _decode(args.input, ScoreSequence)
     if args.eplett:
@@ -430,13 +408,13 @@ def _cmd_check_score_fn(args):
 def _cmd_realize(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_scores(seq, args.tolerance)
-    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
+    return _tournament_chunks(g), 0
 
 
 def _cmd_realize_selfconverse(args):
     seq = _decode(args.input, ScoreSequence)
     g = realize.realize_self_converse(seq, args.tolerance)
-    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
+    return _tournament_chunks(g), 0
 
 
 def _cmd_discretize(args):
@@ -481,7 +459,7 @@ def _cmd_sample(args):
     w = _decode(args.input, StepKernel)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_tournament(w, cfg)
-    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
+    return _tournament_chunks(g), 0
 
 
 def _cmd_sample_selfconverse(args):
@@ -489,7 +467,7 @@ def _cmd_sample_selfconverse(args):
     sigma = _parse_sigma(args.sigma, w.n)
     cfg = sample.SampleConfig(args.size, _seed(args), 1)
     g = sample.sample_self_converse(w, sigma, cfg)
-    return _json_chunks({"n": g.n, "alpha": g.alpha}), 0
+    return _tournament_chunks(g), 0
 
 
 def _cmd_converge(args):

@@ -43,9 +43,10 @@ class ValidityReport:
 
 def _exact(values, tol: float) -> tuple:
     """``values`` and ``tol`` as Python ints over one power of two:
-    x = X / 2**e for each of them, with e >= 1 so that 1/2 is an int too."""
-    if not math.isfinite(tol):
-        raise ValidationError("tolerance must be finite")
+    x = X / 2**e for each of them, with e >= 1 so that 1/2 is an int too.
+    A negative tolerance would fail equalities that hold exactly."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ValidationError("tolerance must be finite and non-negative")
     mant, exp = np.frexp(np.append(np.asarray(values, dtype=float), tol))
     mant = (mant * 2.0**53).astype(np.int64)  # exact: 53 significant bits
     exp = np.where(mant != 0, exp - 53, 0)

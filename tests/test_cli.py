@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import os
@@ -129,6 +128,13 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["report"]["witness"]["check"] == "landau-prefix"
+
+    @pytest.mark.parametrize("cmd", ["check-score-seq", "realize"])
+    def test_negative_tolerance_exits_1_with_the_error(self, tmp_path, capsys, cmd):
+        path = write_json(tmp_path, "seq.json", {"values": [1, 1, 1], "kind": "real"})
+        assert main([cmd, "--input", path, "--tolerance", "-1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "tolerance must be finite and non-negative"}
 
     @pytest.mark.parametrize("cmd,payload,field", [
         ("density", {"alpha": [[0, 10**400], [0, 0]]}, "alpha"),
@@ -321,11 +327,11 @@ class TestCommands:
 
 def json_reference(payload) -> str:
     """What the CLI promises to write: json's own text for the payload
-    with every array replaced by its ``tolist()``."""
+    with every array replaced by the ``tolist()`` of its float64 values."""
 
     def as_lists(x):
         if isinstance(x, np.ndarray):
-            return x.tolist()
+            return x.astype(float).tolist()
         if isinstance(x, dict):
             return {k: as_lists(v) for k, v in x.items()}
         return x
@@ -351,7 +357,8 @@ plain = st.recursive(
     max_leaves=12,
 )
 matrix_shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
-# at most two bit patterns, which the encoder tells apart without a sort
+# at most two bit patterns: float64 matrices that still take the sort, as
+# every float64 matrix does; only bool matrices skip it
 few_patterns = st.lists(
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1.0]),
     min_size=1, max_size=2,
@@ -359,6 +366,7 @@ few_patterns = st.lists(
 float_matrices = (
     arrays(np.float64, matrix_shapes, elements=st.floats() | special_floats)
     | few_patterns
+    | arrays(bool, matrix_shapes)
 )
 payloads = st.recursive(
     plain | float_matrices,
@@ -377,6 +385,9 @@ class TestJsonText:
     @example({"alpha": np.full((2, 3), math.nan)})
     @example({"alpha": np.array([[math.inf, -math.inf, math.inf]])})
     @example({"alpha": np.full((3, 1), 0.5)})
+    @example({"alpha": np.zeros((0, 0), bool), "e": np.zeros((2, 0), bool)})
+    @example({"alpha": np.ones((1, 1), bool), "n": 1})
+    @example({"alpha": np.array([[False, True], [False, False]]), "n": 2})
     def test_matches_json_dumps(self, payload):
         assert _json_text(payload) == json_reference(payload)
 
@@ -399,8 +410,9 @@ class TestJsonText:
     def test_matrix_across_chunks(self, monkeypatch, chunk_bytes):
         monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(7)
-        for a in (rng.random((30, 17)) < 0.5, rng.integers(0, 9, (30, 17)) / 8):
-            payload = {"alpha": a.astype(float), "z": 1}
+        zero_one = rng.random((30, 17)) < 0.5
+        for a in (zero_one, zero_one.astype(float), rng.integers(0, 9, (30, 17)) / 8):
+            payload = {"alpha": a, "z": 1}
             chunks = list(cli._json_chunks(payload))
             assert len(chunks) > 5
             assert b"".join(chunks) == json_reference(payload).encode()
@@ -433,6 +445,7 @@ SPELLING_POOLS = [
     ["12345678", "-1234567", "1.25e-07"],
     ["12345678901234567890", "10000000000000000000"],
     ["0", "-0", "1", "-0.0", "1E+0", "5e-1", "0.50", "12345678901234567890"],
+    ["1E0", "0E0", "0e0", "-0", "1.0"],
 ]
 LAYOUTS = [("", ""), (" ", ""), ("  ", "\n"), ("\t", "\n"), ("  ", "\r\n")]
 
@@ -474,20 +487,20 @@ def matrix_documents(draw):
 def reader_takes(rows, alike) -> bool:
     """Whether ``cli._number_matrix`` reads these rows rather than json:
     at least ``cli._MIN_CELLS`` cells, rows laid out alike, the words of the
-    first and last row of one width up to 8 and repeating (at most two
-    distinct, or half the row), every cell one of those words, and those
-    words differing in at most two byte positions."""
+    first and last row at most two, of one width, that json reads as +0.0
+    or 1.0 and that differ in at most one byte position, and every cell
+    one of those words."""
     ends = set(rows[0]) | set(rows[-1])
-    widths = {len(w) for w in ends}
-    if len(rows) * len(rows[0]) < cli._MIN_CELLS:
+    if len(rows) * len(rows[0]) < cli._MIN_CELLS or not alike:
         return False
-    if not alike or len(widths) != 1 or widths.pop() > 8:
-        return False
-    if any(len(set(row)) > max(2, len(row) // 2) for row in (rows[0], rows[-1])):
+    if len(ends) > 2 or len({len(w) for w in ends}) != 1:
         return False
     if any(w not in ends for row in rows for w in row):
         return False
-    return sum(len(set(col)) > 1 for col in zip(*ends)) <= 2
+    values = [json.loads(w) for w in ends]
+    if not all(v == 1 or v == 0 and math.copysign(1.0, v) > 0 for v in values):
+        return False
+    return sum(len(set(col)) > 1 for col in zip(*ends)) <= 1
 
 
 def load_text(text: str) -> dict:
@@ -545,11 +558,8 @@ class TestMatrixReader:
         data, want = load_text(text), json.loads(text)
         got = data["alpha"]
         assert isinstance(got, np.ndarray) == reader_takes(rows, alike)
+        assert not isinstance(got, np.ndarray) or got.dtype == bool
         expected = oracles.json_matrix(text, "alpha")
-        if isinstance(got, np.ndarray):
-            # bools exactly when every value is +0.0 or 1.0
-            zero_one = np.isin(expected.view(np.uint64), np.array([0.0, 1.0]).view(np.uint64))
-            assert (got.dtype == bool) == zero_one.all()
         got = np.asarray(got, dtype=float)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -569,7 +579,8 @@ class TestMatrixReader:
     def test_floor_sends_small_matrices_to_json(self, rows):
         text, rows, _ = matrix_document(rows, " ", "")
         got = load_text(text)["alpha"]
-        taken = len(rows) * len(rows[0]) >= cli._MIN_CELLS
+        zero_one = {w for row in rows for w in row} <= {"0", "1"}
+        taken = zero_one and len(rows) * len(rows[0]) >= cli._MIN_CELLS
         assert isinstance(got, np.ndarray) == taken == reader_takes(rows, True)
         expected = oracles.json_matrix(text, "alpha")
         got = np.asarray(got, dtype=float)
@@ -606,6 +617,12 @@ class TestMatrixReader:
         "[[1 0, 11], [00, 11]]",
         "[[0, 1], [0, 0],]",
         "[[0, 1], [0, 0]",
+        # words that json reads as other values than +0.0 and 1.0
+        "[[0.5, 0.0], [0.0, 0.5]]",
+        "[[0, 2], [2, 0]]",
+        "[[-0.0, 1.0], [1.0, -0.0]]",
+        # +0.0 and 1.0 spelled with words that differ in two byte positions
+        "[[0e0, 1E0], [1E0, 0e0]]",
         "[[0.100000, 0.200000, 0.300000], [0.400000, 0.500000, 0.600000]]",
         "[[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.125, 0.25, 0.0]]",
         "[[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.1, 0.2, 0.3]]",
@@ -636,31 +653,31 @@ class TestMatrixReader:
         monkeypatch.setattr(cli, "_MatrixDecoder", json.JSONDecoder)
         assert (main(argv), capsys.readouterr()) == got
 
-    def test_declined_matrix_costs_what_json_costs(self, tmp_path, monkeypatch):
+    def test_declined_matrix_costs_what_json_costs(self):
         """0/1 first and last rows with reals between them: the reader must
-        decline before it converts more words than those rows hold."""
+        decline after reading about one block of text beyond those rows,
+        not the whole matrix.  Counted as the characters it slices from the
+        text, which no load on the machine changes."""
         rng = np.random.default_rng(4)
         a = rng.random((500, 500))
         a[[0, -1]] = a[[0, -1]] < 0.5
         text = ", ".join("[" + ", ".join(f"{x:.6f}" for x in row) + "]" for row in a)
-        path = tmp_path / "mixed.json"
-        path.write_text('{"n": 500, "alpha": [' + text + "]}")
-        reader, declined = cli._number_matrix, lambda text, i: None
-        best = {reader: math.inf, declined: math.inf}
-        # json's 250,000 floats would make the collector's passes, which
-        # fall on the same calls each round, part of one side's time
-        gc.disable()
-        try:
-            for _ in range(5):
-                for fn in best:
-                    monkeypatch.setattr(cli, "_number_matrix", fn)
-                    start = time.perf_counter()
-                    data = cli._load_json(str(path))
-                    best[fn] = min(best[fn], time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert data["alpha"] == json.loads(path.read_text())["alpha"]
-        assert best[reader] <= 1.2 * best[declined]
+        text = '{"n": 500, "alpha": [' + text + "]}"
+        sliced = []
+
+        class Counted(str):
+            def __getitem__(self, key):
+                got = super().__getitem__(key)
+                sliced.append(len(got))
+                return got
+
+        i = text.index("[[")
+        assert cli._number_matrix(Counted(text), i) is None
+        row = text.index("]", i) - i
+        # the last row, one character per row for where the rows start and
+        # for each of the separator's two characters, and one block of rows
+        assert sum(sliced) <= row + 3 * len(a) + cli._BLOCK_BYTES + row
+        assert load_text(text)["alpha"] == json.loads(text)["alpha"]
 
     @pytest.mark.parametrize("n,indent,limit_mib", [(500, None, 2.4), (900, 2, 17.1)])
     def test_peak_of_a_0_1_tournament(self, tmp_path, n, indent, limit_mib):
@@ -686,18 +703,22 @@ class TestMatrixReader:
         assert peak <= limit_mib * 2**20
 
     @pytest.mark.parametrize("words, dtype", [
-        (("0", "1"), bool), (("0.0", "1.0"), bool), (("0e0", "1E0"), bool),
+        (("0", "1"), bool), (("0.0", "1.0"), bool), (("0e0", "1E0"), float),
         # json reads the integer -0 as 0, and the float -0.0 as itself
         (("-0", "-0"), bool), (("-0.0", "-0.0"), float), (("-0.0", "-1.0"), float),
         (("0.0", "0.5"), float), (("0", "2"), float),
     ])
     def test_zero_one_words_decode_to_bools(self, words, dtype):
-        """+0.0 and 1.0 in any spelling read as bools, -0.0 as a float that
-        keeps its sign, anything else as float64."""
+        """+0.0 and 1.0 spelled by words that differ in at most one byte
+        position read as bools; anything else, -0.0 and the spellings 0e0
+        and 1E0 included, is json's list, which the CLI reads as float64."""
         rows = above_floor([[words[(i + j) % 2] for j in range(24)] for i in range(2)])
         text, _, _ = matrix_document(rows, " ", "")
         got = load_text(text)["alpha"]
-        assert isinstance(got, np.ndarray) and got.dtype == dtype
+        if dtype is bool:
+            assert isinstance(got, np.ndarray) and got.dtype == bool
+        else:
+            assert got == json.loads(text)["alpha"]
         expected = oracles.json_matrix(text, "alpha")
         assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
                               expected.view(np.uint64))
@@ -727,19 +748,25 @@ class TestMatrixReader:
             assert str(fast.value) == str(slow.value)
 
     def test_sample_read_back_matches_json_path(self, tmp_path, monkeypatch):
-        w = random_step_kernel(4, seed=6)
-        path = write_json(tmp_path, "w.json", w.to_json_dict())
-        sampled = str(tmp_path / "s.json")
-        assert main(["sample", "--input", path, "--size", "300", "--seed", "2",
-                     "--output", sampled]) == 0
-        assert isinstance(cli._load_json(sampled)["alpha"], np.ndarray)
+        """A sample, which the reader reads as bools, and a self-converse
+        realization with values 0, 1/2 and 1, which it declines, give the
+        same outputs with the reader on and off."""
+        w = write_json(tmp_path, "w.json", random_step_kernel(4, seed=6).to_json_dict())
+        seq = write_json(tmp_path, "seq.json", {"values": [12] * 25, "kind": "integer"})
+        made = {}
+        for argv, bools in [(["sample", "--input", w, "--size", "300", "--seed", "2"], True),
+                            (["realize-selfconverse", "--input", seq], False)]:
+            made[argv[0]] = str(tmp_path / f"{argv[0]}.json")
+            assert main([*argv, "--output", made[argv[0]]]) == 0
+            assert isinstance(cli._load_json(made[argv[0]])["alpha"], np.ndarray) == bools
         calls = [["density", "--pattern", "C3", "--mode", "inj"], ["degree-dist"]]
 
         def outputs():
             out = tmp_path / "out"
-            for argv in calls:
-                assert main([argv[0], "--input", sampled, *argv[1:], "--output", str(out)]) == 0
-                yield out.read_bytes()
+            for path in made.values():
+                for argv in calls:
+                    assert main([argv[0], "--input", path, *argv[1:], "--output", str(out)]) == 0
+                    yield out.read_bytes()
 
         fast = list(outputs())
         monkeypatch.setattr(cli, "_number_matrix", lambda text, i: None)

@@ -59,6 +59,14 @@ class TestLandau:
         assert check_landau(s).valid
         assert check_landau(ScoreSequence([0.4, 0.4, 2.2], "real")).valid is False
 
+    def test_negative_tolerance_rejected(self):
+        # at -1 the total 3.0 of [1, 1, 1] would miss its bound 3.0
+        with pytest.raises(ValidationError, match="non-negative"):
+            check_landau(ScoreSequence([1.0, 1.0, 1.0], "real"), -1.0)
+        assert check_landau(ScoreSequence([1.0, 1.0, 1.0], "real"), 0.0).valid
+        # integer data is checked at tolerance 0 whatever is passed
+        assert check_landau(iseq(1, 1, 1), -1.0).valid
+
     @given(generalized_tournaments(max_n=8))
     def test_necessity_on_actual_scores(self, g):
         assert check_landau(scores_of_tournament(g)).valid
@@ -103,6 +111,11 @@ class TestEplett:
                 paired = all(d[i] + d[n - 1 - i] == n - 1 for i in range(n))
                 expected = check_landau(s).valid and paired
                 assert check_eplett(s).valid == expected
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            check_eplett(ScoreSequence([0.5, 1.0, 1.5], "real"), -1e-9)
+        assert check_eplett(ScoreSequence([0.5, 1.0, 1.5], "real"), 0.0).valid
 
 
 class TestConditionI:
@@ -172,6 +185,12 @@ class TestConditionI:
         assert check_condition_I(f).valid
         assert np.all(prefix >= r / 2 - 1e-12)
 
+    def test_negative_tolerance_rejected(self):
+        # at -1e-9 the integral 0.5 would miss its required 0.5
+        with pytest.raises(ValidationError, match="non-negative"):
+            check_condition_I(ScoreFunction([0.5, 0.5]), -1e-9)
+        assert check_condition_I(ScoreFunction([0.5, 0.5]), 0.0).valid
+
 
 class TestConditionII:
     def test_examples(self):
@@ -192,6 +211,11 @@ class TestConditionII:
         w = StepKernel([[0.5, 0.0, 1.0], [1.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
         sample_self_converse(w, np.array([0, 2, 1]), SampleConfig(6))
         assert check_condition_II(score_function_of_kernel(w)).valid
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            check_condition_II(ScoreFunction([0.25, 0.5, 0.75]), -1e-9)
+        assert check_condition_II(ScoreFunction([0.25, 0.5, 0.75]), 0.0).valid
 
 
 class TestDecomposition:
