@@ -249,35 +249,41 @@ def _encode(x, indent: str):
         yield json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + indent).encode()
 
 
-def _bit_table(a: np.ndarray) -> tuple:
-    """The float64 values of the cells of ``a``, one per distinct bit
-    pattern, and a function from a slice of rows to the index of each of
-    their cells' value.  A bool matrix needs no sort and no n x n array:
-    its values are 0.0 and 1.0, indexed by its own uint8 view."""
-    if a.dtype == bool:
-        return np.array([0.0, 1.0]), lambda rows: a[rows].view(np.uint8)
-    keys, inv = np.unique(a.view(np.uint64), return_inverse=True)
-    inv = inv.reshape(a.shape)
-    return keys.view(np.float64), lambda rows: inv[rows]
+_WIDEST_WORD = 24
+"""The longest text json gives a float64, as in -2.2250738585072014e-308."""
 
 
 def _matrix_chunks(a: np.ndarray, indent: str):
     """A non-empty float64 or bool matrix as json writes the ``tolist()``
     of its float64 values, in blocks of whole rows.
 
-    Each distinct bit pattern is written once with json's own float text
-    (so -0.0, NaN and Infinity come out as json writes them), and the
-    cells index that table.  When all the texts have one length, as for
-    every 0/1 matrix, the rows are built as bytes; otherwise each row is
-    one join of its words.  Either way a block holds about
-    ``_CHUNK_BYTES`` and ends with the ",\n" before the next row.
+    A bool matrix's cells index the words 0.0 and 1.0 through their own
+    uint8 view.  A float64 matrix is written a block of rows at a time,
+    each distinct bit pattern of the block once with json's own float
+    text (so -0.0, NaN and Infinity come out as json writes them), so
+    only one block's texts are alive at once.  When a block's texts have
+    one length, as for every 0/1 matrix, its rows are built as bytes;
+    otherwise each row is one join of its words.  Either way a chunk
+    holds whole rows, about ``_CHUNK_BYTES`` of them.
     """
-    values, index = _bit_table(a)
-    # json's text of a list of floats is their texts joined by ", "
-    words = json.dumps(values.tolist())[1:-1].split(", ")
-    rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
+    row_in, cell_in = indent + "  ", indent + "    "
     yield b"[\n"
-    yield from rows(words, index, a.shape, indent + "  ", indent + "    ")
+    if a.dtype == bool:
+        yield from _fixed_width_rows(["0.0", "1.0"], lambda rows: a[rows].view(np.uint8),
+                                     a.shape, row_in, cell_in)
+    else:
+        n, m = a.shape
+        step = max(1, _CHUNK_BYTES // (m * (_WIDEST_WORD + len(cell_in) + 2)))
+        for i in range(0, n, step):
+            block = a[i:i + step]
+            keys, inv = np.unique(block.view(np.uint64), return_inverse=True)
+            # json's text of a list of floats is their texts joined by ", "
+            words = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+            rows = _fixed_width_rows if len(set(map(len, words))) == 1 else _joined_rows
+            if i:
+                yield b",\n"
+            yield from rows(words, inv.reshape(block.shape).__getitem__, block.shape,
+                            row_in, cell_in)
     yield f"\n{indent}]".encode()
 
 
@@ -312,17 +318,11 @@ def _fixed_width_rows(words: list, index, shape: tuple, row_in: str, cell_in: st
 
 
 def _joined_rows(words: list, index, shape: tuple, row_in: str, cell_in: str):
-    """Rows of words of mixed lengths, each row one ``sep.join``."""
+    """Rows of words of mixed lengths, each row one ``sep.join``, as one
+    chunk: ``_matrix_chunks`` hands over one block of rows at a time."""
     sep = ",\n" + cell_in
-    n, m = shape
-    step = max(1, _CHUNK_BYTES // (m * (max(map(len, words)) + len(sep))))
-    words = np.array(words, dtype=object)
-    for i in range(0, n, step):
-        text = ",\n".join(
-            f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]"
-            for row in words[index(slice(i, i + step))].tolist()
-        )
-        yield (text + ",\n" if i + step < n else text).encode()
+    rows = np.array(words, dtype=object)[index(slice(None))].tolist()
+    yield ",\n".join(f"{row_in}[\n{cell_in}{sep.join(row)}\n{row_in}]" for row in rows).encode()
 
 
 def _emit(chunks, output: str | None):

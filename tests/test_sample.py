@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +30,7 @@ from tourlim import (
     wasserstein1,
     witness_permutation,
 )
+from tourlim import sample
 from tourlim.sample import _DRAW_BLOCK
 
 # sizes at the draw-block boundaries: below B + 1 one block of rows, and
@@ -375,6 +379,75 @@ class TestConvergenceReport:
         for mode in ("hom", "inj", "ind"):
             want = [density_finite(f, g, mode).hex() for f in patterns]
             assert [v.hex() for v in _densities(patterns, g.alpha, mode, 1)] == want
+
+    @pytest.mark.parametrize("w, specs", [
+        (HALF1, ("S0,1", "S1,1", "C3")),
+        (random_step_kernel(8, seed=4), ("C3", "C4")),
+    ])
+    def test_report_is_the_same_on_one_worker_and_on_two(self, monkeypatch, w, specs):
+        patterns = {spec: DigraphPattern.from_spec(spec) for spec in specs}
+        sizes = [sample._PARALLEL_FROM - 40, sample._PARALLEL_FROM + 4]
+        cfg = SampleConfig(1, seed=9, reps=5)
+        reports = [convergence_report(w, patterns, sizes, cfg)]
+        for workers in (1, 2):
+            monkeypatch.setattr(sample, "_workers", lambda size, reps: workers)
+            reports.append(convergence_report(w, patterns, sizes, cfg))
+        csv, w1 = reports[0].to_csv(), reports[0].w1_samples
+        for r in reports[1:]:
+            assert r.to_csv() == csv
+            assert {k: [x.hex() for x in v] for k, v in r.w1_samples.items()} == {
+                k: [x.hex() for x in v] for k, v in w1.items()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_exception_in_a_repetition_is_raised_unchanged(self, monkeypatch, workers):
+        size, cfg = sample._PARALLEL_FROM, SampleConfig(1, seed=2, reps=6)
+        third = sample_tournament(HALF1, SampleConfig(size, cfg.seed, 1), rep=(0, 3)).alpha
+        error = ArithmeticError("rep 3")
+        densities = sample._densities
+
+        def failing(fs, alpha, mode, c):
+            if np.array_equal(alpha, third):
+                raise error
+            return densities(fs, alpha, mode, c)
+
+        monkeypatch.setattr(sample, "_densities", failing)
+        monkeypatch.setattr(sample, "_workers", lambda size, reps: workers)
+        with pytest.raises(ArithmeticError) as info:
+            convergence_report(HALF1, {"C3": DigraphPattern.cycle(3)}, [size], cfg)
+        assert info.value is error
+
+    def test_worker_count_follows_affinity_repetitions_and_matrix_budget(self, monkeypatch):
+        start = sample._PARALLEL_FROM
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert sample._workers(start - 1, 12) == 1
+        assert sample._workers(start, 12) == 8
+        assert sample._workers(start, 3) == 3
+        # two n x n float64 matrices fit in 2 GiB up to n = 11585; nothing
+        # of that size is allocated
+        assert sample._workers(11585, 12) == 2
+        assert sample._workers(11586, 12) == 1
+        # a process pinned to one CPU runs serially
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert sample._workers(start, 12) == 1
+        # without an affinity call, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sample._workers(start, 12) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sample._workers(start, 12) == 1
+
+    def test_serial_sizes_do_not_import_the_thread_pool(self):
+        # concurrent.futures takes milliseconds to import; small calls,
+        # as the CLI's tail calls, must not pay for it
+        code = (
+            "import sys; import tourlim.cli; "
+            "from tourlim import DigraphPattern, SampleConfig, StepKernel, convergence_report; "
+            "convergence_report(StepKernel([[0.5]]), {'C3': DigraphPattern.cycle(3)}, [8, 16], "
+            "SampleConfig(1, seed=1, reps=4)); "
+            "sys.exit('concurrent.futures' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
     def test_empirical_density_close_to_exact(self):
         patterns = {"S0,1": DigraphPattern.star(0, 1)}
