@@ -563,11 +563,17 @@ def wasserstein1(mu: DegreeDistribution, nu: DegreeDistribution) -> float:
     Computed as the area between the two CDF step functions, by merging
     their breakpoints.
     """
+    return _w1(mu.positions, mu.weights, nu.positions, nu.weights)
+
+
+def _w1(p_mu: np.ndarray, w_mu: np.ndarray, p_nu: np.ndarray, w_nu: np.ndarray) -> float:
+    """wasserstein1 of the atomic laws with sorted distinct positions p and
+    weights w, unchecked."""
     # the breakpoints are only compared and subtracted, so the sign of a zero is moot
-    xs = _sorted_distinct(np.concatenate((mu.positions, nu.positions)))
+    xs = _sorted_distinct(np.concatenate((p_mu, p_nu)))
     # one CDF lookup per side; before the first atom it reads the leading 0
     f_mu, f_nu = (
-        np.concatenate(([0.0], np.cumsum(d.weights)))[np.searchsorted(d.positions, xs, "right")]
-        for d in (mu, nu)
+        np.concatenate(([0.0], np.cumsum(w)))[np.searchsorted(p, xs, "right")]
+        for p, w in ((p_mu, w_mu), (p_nu, w_nu))
     )
     return float(np.sum(np.abs(f_mu[:-1] - f_nu[:-1]) * np.diff(xs)))

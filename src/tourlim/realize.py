@@ -5,13 +5,15 @@ constructive proof of Landau's theorem and of Moon's extension to
 generalised tournaments.  Each step settles every game of the peeled vertex
 against the vertices still left: on integer scores it loses to the
 vertices with the largest residual scores, on real scores the losses are
-spread by water-filling.  Both kinds run in the same loop in O(n^2 log n)
-numpy work; integer input comes back as a 0/1 tournament.
+spread by water-filling.  Both kinds run in the same loop; a step with k
+vertices left makes a fixed number of numpy calls, O(k log k) work, and
+O(log k) interpreter work.  Integer input comes back as a 0/1 tournament.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -30,58 +32,98 @@ from .core import (
 )
 
 
-def _water_fill(r: np.ndarray, total: float) -> np.ndarray:
-    """clip(r - t, 0, 1) with the level t set so that its sum is total.
+def _water_fill(r: np.ndarray, total: float, x: np.ndarray) -> None:
+    """Write clip(r - t, 0, 1) into the zeros ``x``, with the level t set
+    so that its sum is total.
 
-    Prefix sums only locate the bracket of t among the levels r and r - 1;
-    t is then solved on the partially clipped entries with exactly rounded
-    sums, and the residue of the final sum goes to the entry with the most
-    room on both sides.
+    The sum filled(t) falls as t rises through the distinct levels of r
+    and r - 1, in pieces linear between them.  The bracket of t among the
+    levels is found by a binary search over them, O(log k) evaluations of
+    filled from bisections in sorted r and its prefix sums; t is then
+    solved on the partially clipped entries with an exactly rounded sum,
+    and the residue of the final sum goes to the entry with the most room
+    on both sides.  A step makes a fixed number of numpy calls, O(k log k)
+    work in all.
+
+    The search probes the levels in the order of numpy's searchsorted over
+    the whole vector filled, and each probe evaluates filled with the same
+    float operations in the same order, so it returns the same bracket as
+    the vector search, even where rounding makes filled rise by an ulp
+    (``tests/oracles.reference_peel`` is that vector search).
     """
     k = len(r)
     if total <= 0:
-        return np.zeros(k)
+        return
     if total >= k:
-        return np.ones(k)
+        x[:] = 1.0
+        return
     a = np.sort(r)
     # r holds no -0.0 (scores are stored as max(v, 0.0)): np.unique's levels
-    levels = _sorted_distinct(np.concatenate((a - 1.0, a)))
-    prefix = np.concatenate(([0.0], np.cumsum(a)))
-    lo = np.searchsorted(a, levels, side="right")
-    hi = np.searchsorted(a, levels + 1.0, side="left")
-    filled = (k - hi) + (prefix[hi] - prefix[lo]) - (hi - lo) * levels
-    j = int(np.searchsorted(-filled, -total, side="right")) - 1
+    levels = _sorted_distinct(np.concatenate((a - 1.0, a))).tolist()
+    prefix = [0.0, *a.cumsum().tolist()]
+    a = a.tolist()
+
+    def unfilled(i: int) -> float:
+        """-filled(levels[i]), ascending as the search expects."""
+        level = levels[i]
+        lo = bisect_right(a, level)
+        hi = bisect_left(a, level + 1.0)
+        return -((k - hi) + (prefix[hi] - prefix[lo]) - (hi - lo) * level)
+
+    j = bisect_right(range(len(levels)), -total, key=unfilled) - 1
     j = min(max(j, 0), len(levels) - 2)
     mid = (levels[j] + levels[j + 1]) / 2.0
-    part = (r > mid) & (r < mid + 1.0)
+    # the partially clipped entries, mid < r < mid + 1, are a[lo:hi]
+    lo = bisect_right(a, mid)
+    hi = bisect_left(a, mid + 1.0)
     t = levels[j]
-    if part.any():
-        full = np.count_nonzero(r >= mid + 1.0)
-        t = (math.fsum(r[part].tolist()) + full - total) / np.count_nonzero(part)
-    x = np.clip(r - t, 0.0, 1.0)
-    i = int(np.argmax(np.minimum(x, 1.0 - x)))
+    if hi > lo:
+        t = (math.fsum(a[lo:hi]) + (k - hi) - total) / (hi - lo)
+    np.subtract(r, t, out=x).clip(0.0, 1.0, out=x)
+    i = int(np.minimum(x, 1.0 - x).argmax())
     x[i] = min(max(x[i] + (total - math.fsum(x.tolist())), 0.0), 1.0)
-    return x
+
+
+_MIRROR_ROWS = 64
+
+
+def _mirror(alpha: np.ndarray) -> None:
+    """Turn each step's x, held right of the diagonal in the row of its
+    vertex, into alpha in place: x below the diagonal, 1 - x above it.
+
+    Runs over blocks of _MIRROR_ROWS rows from the last, so the x that a
+    block copies below its diagonal, from the rows above it, is
+    complemented only later; no temporary exceeds _MIRROR_ROWS rows."""
+    n = len(alpha)
+    below = np.tri(min(n, _MIRROR_ROWS), k=-1, dtype=bool)
+    for i in range((n - 1) // _MIRROR_ROWS * _MIRROR_ROWS, -1, -_MIRROR_ROWS):
+        j = min(i + _MIRROR_ROWS, n)
+        alpha[i:j, :i] = alpha[:i, i:j].T
+        block, lower = alpha[i:j, i:j], below[:j - i, :j - i]
+        np.copyto(block, block.T, where=lower)
+        np.subtract(1.0, block, out=block, where=lower.T)
+        np.subtract(1.0, alpha[i:j, j:], out=alpha[i:j, j:])
 
 
 def _peel(d: np.ndarray, integer: bool) -> np.ndarray:
     """The peel of realize_scores on scores d, without checks."""
     n = len(d)
     r = d.astype(float)
+    scores = d.tolist()
     alpha = np.zeros((n, n))
     for v in range(n - 1):
         k = n - 1 - v
-        r_v = d[v] - math.fsum(alpha[v, :v].tolist())
-        losses = min(max(k - r_v, 0.0), float(k))
-        rest = r[v + 1:]
+        rest, x = r[v + 1:], alpha[v, v + 1:]
         if integer:
-            x = np.zeros(k)
-            x[np.argsort(rest, kind="stable")[k - int(losses):]] = 1.0
+            # integer residuals are exact
+            losses = min(max(k - r.item(v), 0.0), float(k))
+            x[rest.argsort(kind="stable")[k - int(losses):]] = 1.0
         else:
-            x = _water_fill(rest, losses)
-        alpha[v + 1:, v] = x
-        alpha[v, v + 1:] = 1.0 - x
+            # the settled games of v, x of earlier steps, are column v
+            r_v = scores[v] - math.fsum(alpha[:v, v].tolist())
+            _water_fill(rest, min(max(k - r_v, 0.0), float(k)), x)
         rest -= x
+    _mirror(alpha)
     return alpha
 
 
@@ -107,12 +149,13 @@ def realize_scores(s: ScoreSequence, tol: float = DEFAULT_TOL) -> GeneralizedTou
     puts t at the smallest decremented residual; the peel order is free.
 
     Row sums are checked before returning; integer rows must match
-    exactly.  r_v is recomputed from s_v and the settled games of v by an
-    exactly rounded sum, so rounding moves a real row by under 64 n eps
-    (eps = 2^-52).  Input that check_landau accepts only within tol gets
-    L clamped to [0, m - 1]; over 10^5 random inputs at the Landau
-    boundary no row missed by more than twice the input's infeasibility
-    and all rows together by at most three times it, so 3 tol is allowed.
+    exactly, and integer residuals are exact.  A real r_v is recomputed
+    from s_v and the settled games of v by an exactly rounded sum, so
+    rounding moves a real row by under 64 n eps (eps = 2^-52).  Input that
+    check_landau accepts only within tol gets L clamped to [0, m - 1];
+    over 10^5 random inputs at the Landau boundary no row missed by more
+    than twice the input's infeasibility and all rows together by at most
+    three times it, so 3 tol is allowed.
     """
     _check_matrix_size(s.n)
     report = check_landau(s, tol)

@@ -33,9 +33,9 @@ from .core import (
     StepKernel,
     ValidationError,
     _check_matrix_size,
+    _w1,
     degree_distribution,
     scores_of_tournament,
-    wasserstein1,
 )
 from .density import _densities, _priced, density_kernel
 
@@ -258,9 +258,20 @@ def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
     """The injective densities of ``fs`` and the degree distribution's
     Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
-    return _densities(fs, g.alpha, "inj", 1), wasserstein1(
-        empirical_degree_distribution(g), target
-    )
+    return _densities(fs, g.alpha, "inj", 1), _score_w1(g.alpha, target)
+
+
+def _score_w1(alpha: np.ndarray, target: DegreeDistribution) -> float:
+    """``wasserstein1(empirical_degree_distribution(g), target)`` for the
+    0/1 matrix ``alpha`` of a tournament g, from its integer scores without
+    building the distribution: its atoms are the distinct scores over n,
+    and an atom of c scores weighs the c-th partial sum of 1/n, the sum
+    that DegreeDistribution's merge of c equal atoms adds up."""
+    n = len(alpha)
+    counts = np.bincount(alpha.sum(axis=1).astype(np.int64), minlength=n)
+    seen = np.flatnonzero(counts)
+    weights = np.cumsum(np.full(n, 1.0 / n))[counts[seen] - 1]
+    return _w1(seen / n, weights, target.positions, target.weights)
 
 
 def convergence_report(

@@ -1,10 +1,10 @@
 """Brute-force reference implementations that expected test values are
 computed against.  Most of them enumerate: maps, tournaments, relabelings,
 quantile grids; the score conditions are evaluated in exact rationals, the
-realizer is checked against a max-flow construction, the self-converse
-average against its pair-by-pair loop and the samplers against their
-pair-by-pair scatters.  Deliberately independent of the library's own
-algorithms."""
+realizer is checked against a max-flow construction and its peel against
+the whole-vector peel it replaced, the self-converse average against its
+pair-by-pair loop and the samplers against their pair-by-pair scatters.
+Deliberately independent of the library's own algorithms."""
 
 from __future__ import annotations
 
@@ -204,6 +204,59 @@ def symmetrize_by_orbits(a: np.ndarray) -> np.ndarray:
             out[i, j], out[j, i] = v, 1.0 - v
             out[p, q], out[q, p] = v, 1.0 - v
     return out
+
+
+def _reference_water_fill(r: np.ndarray, total: float) -> np.ndarray:
+    """clip(r - t, 0, 1) summing to total, with the bracket of t found by
+    evaluating the filled sum at every level of r and r - 1 at once and
+    numpy's searchsorted over that whole vector."""
+    k = len(r)
+    if total <= 0:
+        return np.zeros(k)
+    if total >= k:
+        return np.ones(k)
+    a = np.sort(r)
+    levels = np.unique(np.concatenate((a - 1.0, a)))
+    prefix = np.concatenate(([0.0], np.cumsum(a)))
+    lo = np.searchsorted(a, levels, side="right")
+    hi = np.searchsorted(a, levels + 1.0, side="left")
+    filled = (k - hi) + (prefix[hi] - prefix[lo]) - (hi - lo) * levels
+    j = int(np.searchsorted(-filled, -total, side="right")) - 1
+    j = min(max(j, 0), len(levels) - 2)
+    mid = (levels[j] + levels[j + 1]) / 2.0
+    part = (r > mid) & (r < mid + 1.0)
+    t = levels[j]
+    if part.any():
+        full = np.count_nonzero(r >= mid + 1.0)
+        t = (math.fsum(r[part].tolist()) + full - total) / np.count_nonzero(part)
+    x = np.clip(r - t, 0.0, 1.0)
+    i = int(np.argmax(np.minimum(x, 1.0 - x)))
+    x[i] = min(max(x[i] + (total - math.fsum(x.tolist())), 0.0), 1.0)
+    return x
+
+
+def reference_peel(d: np.ndarray, integer: bool) -> np.ndarray:
+    """The realizer's peel of scores d, one vertex at a time, with whole
+    vector operations per step: integer scores put the losses on the
+    largest residuals (ties to the later vertex), real ones water-fill;
+    r_v is s_v less the exactly rounded sum of its settled games."""
+    n = len(d)
+    r = d.astype(float)
+    alpha = np.zeros((n, n))
+    for v in range(n - 1):
+        k = n - 1 - v
+        r_v = d[v] - math.fsum(alpha[v, :v].tolist())
+        losses = min(max(k - r_v, 0.0), float(k))
+        rest = r[v + 1:]
+        if integer:
+            x = np.zeros(k)
+            x[np.argsort(rest, kind="stable")[k - int(losses):]] = 1.0
+        else:
+            x = _reference_water_fill(rest, losses)
+        alpha[v + 1:, v] = x
+        alpha[v, v + 1:] = 1.0 - x
+        rest -= x
+    return alpha
 
 
 def sample_by_pair_scatter(w, cfg, rep=0) -> np.ndarray:

@@ -928,6 +928,21 @@ class TestOutputInPlace:
         assert main(self.args(half3, 60) + ["--output", str(reused)]) == 0
         assert reused.read_bytes() == fresh.read_bytes()
 
+    def test_a_900_vertex_sample_cut_to_125(self, half3, tmp_path):
+        # a 125-vertex sample over a 900-vertex one leaves the bytes of a
+        # fresh write, and of --output /dev/stdout, a pipe, in a new process
+        out, fresh = tmp_path / "s.json", tmp_path / "s125.json"
+        args = ["sample", "--input", half3, "--seed", "1", "--size"]
+        assert main(args + ["900", "--output", str(out)]) == 0
+        assert main(args + ["125", "--output", str(out)]) == 0
+        assert main(args + ["125", "--output", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourlim.cli", *args, "125", "--output", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True)
+        assert proc.stdout == out.read_bytes()
+
     def test_devnull_is_not_cut(self, half3):
         # ftruncate on a character device fails (EINVAL), so a cut would raise
         assert main(self.args(half3, 40) + ["--output", os.devnull]) == 0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -25,6 +25,7 @@ from tourlim import (
     step_kernel_from_tournament,
     symmetrize_self_converse,
 )
+from tourlim.realize import _MIRROR_ROWS as _B
 from tourlim.realize import _cell_sums, _peel
 
 
@@ -47,6 +48,35 @@ def random_generalized(rng, n, values=None):
 
 def exact_row_sums(alpha):
     return np.array([math.fsum(row) for row in alpha])
+
+
+PEEL_ENTRIES = {
+    "integer": [0.0, 1.0],
+    "dyadic": [0.0, 0.25, 0.5, 0.75, 1.0],
+    "thirds": [0.0, 1 / 3, 2 / 3, 1.0],
+    "tenths": [0.1, 0.3, 0.7],  # no 0 or 1: rounding in nearly every sum
+    "uniform": None,
+    "regular": [0.5],  # every residual tied at every step
+    "halves": [0.5, 0.5, 0.5, 0.0, 1.0],
+    "within-tol": None,
+}
+
+
+@st.composite
+def peel_inputs(draw, max_n=60):
+    """(kind, scores): row sums of a random generalised tournament whose
+    upper entries are drawn from PEEL_ENTRIES[kind], sorted, reversed or
+    permuted.  "within-tol" scores are real ones with the largest moved by
+    at most 5e-10, so their total misses n(n-1)/2 within the default tol."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(sorted(PEEL_ENTRIES)))
+    order = draw(st.sampled_from(["sorted", "reversed", "permuted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = exact_row_sums(random_generalized(rng, n, PEEL_ENTRIES[kind]))
+    if kind == "within-tol":
+        d[np.argmax(d)] += rng.uniform(1e-10, 5e-10)
+    d = np.sort(d) if order != "permuted" else rng.permutation(d)
+    return kind, d[::-1].copy() if order == "reversed" else d
 
 
 def eplett_valid_multisets(n):
@@ -156,6 +186,29 @@ class TestRealizeScores:
         alpha = realize_scores(s).alpha
         assert alpha.min() >= 0.0 and alpha.max() <= 1.0
         assert np.max(np.abs(exact_row_sums(alpha) - values)) <= 1e-9
+
+    @given(peel_inputs())
+    # an input on which evaluating filled in another order moves one entry
+    @example(("tenths", np.array([
+        9.2, 8.2, 11.799999999999999, 9.0, 9.0, 8.799999999999999, 10.0, 9.8, 10.6, 12.2,
+        12.799999999999999, 11.2, 12.2, 10.2, 12.4, 14.6, 14.4, 13.4, 12.4, 14.2, 14.4,
+        14.4, 14.8, 16.4, 13.6])))
+    @settings(max_examples=300, deadline=None)
+    def test_peel_is_the_reference_bit_for_bit(self, case):
+        kind, d = case
+        if kind == "within-tol":
+            s = ScoreSequence(d, "real")
+            assert check_landau(s).valid and not check_landau(s, 0.0).valid
+        integer = kind == "integer"
+        assert _peel(d, integer).tobytes() == oracles.reference_peel(d, integer).tobytes()
+
+    @pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 8])
+    def test_peel_is_the_reference_across_mirror_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for kind in ("integer", "thirds", "uniform"):
+            d = exact_row_sums(random_generalized(rng, n, PEEL_ENTRIES[kind]))[rng.permutation(n)]
+            integer = kind == "integer"
+            assert _peel(d, integer).tobytes() == oracles.reference_peel(d, integer).tobytes()
 
     def test_scale_n2000(self):
         rng = np.random.default_rng(2000)
@@ -404,6 +457,24 @@ class TestSelfConverse:
             order = np.argsort(scores, kind="stable")
             ref = oracles.symmetrize_by_orbits(g.alpha[np.ix_(order, order)])
             assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("kind", ["integer", "real"])
+    def test_realize_peak_is_below_2_2_results(self, kind):
+        # the result and GeneralizedTournament's checked copy of it; the peel
+        # itself holds one n x n matrix and temporaries of a block of rows
+        n = 1001
+        if kind == "integer":
+            d = np.full(n, n // 2)
+        else:
+            d = exact_row_sums(random_generalized(np.random.default_rng(1001), n))
+        s = ScoreSequence(d, kind)
+        tracemalloc.start()
+        try:
+            g = realize_scores(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * g.alpha.nbytes
 
     def test_symmetrize_peak_is_below_3_5_results(self):
         n = 1001

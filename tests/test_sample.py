@@ -319,6 +319,19 @@ class TestEmpiricalDegreeDistribution:
         d = empirical_degree_distribution(g)
         assert d.mean() == pytest.approx((41 - 1) / (2 * 41), abs=1e-12)
 
+    def test_converge_w1_from_scores_is_wasserstein1_exactly(self):
+        # converge's distance from integer scores, against the distance of
+        # the checked empirical distribution, on sizes whose atoms merge
+        # many equal scores (1/n partial sums) and few
+        kernels = [HALF1, HALF3, transitive_kernel(4), random_step_kernel(7, seed=3)]
+        for w in kernels:
+            target = degree_distribution(w)
+            for size in (1, 2, 3, 10, 49, 300):
+                for seed in range(3):
+                    g = sample_tournament(w, SampleConfig(size, seed))
+                    want = wasserstein1(empirical_degree_distribution(g), target)
+                    assert sample._score_w1(g.alpha, target) == want, (size, seed)
+
 
 class TestConvergenceReport:
     def test_report_shape_and_exact_column(self):
