@@ -39,9 +39,11 @@ class UsageError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read input file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"malformed input in {path}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text, cls=_MatrixDecoder)
     except json.JSONDecodeError as exc:
@@ -189,6 +191,9 @@ def _decode(path: str, cls):
             raise UsageError(f"invalid input in {path}: field {required} required")
         cls = found[0]
     try:
+        if cls is GeneralizedTournament:
+            # the reader's arrays are its own: handed over, not copied
+            return cls._of_json(data, cls._handed)
         return cls.from_json_dict(data)
     except ValidationError as exc:
         raise UsageError(f"invalid input in {path}: {exc}") from exc
@@ -380,11 +385,11 @@ def _parse_pattern(spec: str) -> DigraphPattern:
 
 def _tournament_chunks(g: GeneralizedTournament):
     """The chunks of ``{"n": g.n, "alpha": g.alpha}``, the alpha of a 0/1
-    tournament handed to the encoder as bools.  Bools write -0.0 as 0.0,
-    but no handler's tournament holds -0.0: the peel writes 1.0 - x with x
-    in {0, 1}, and the samplers cast bools."""
-    alpha = g.alpha == 1.0 if g.is_tournament else g.alpha
-    return _json_chunks({"n": g.n, "alpha": alpha})
+    tournament handed to the encoder as its bools.  Bools write -0.0 as
+    0.0, but no handler's tournament holds -0.0: the integer realizer and
+    the samplers hand over bools, and the self-converse average writes
+    sums of nonnegative entries and 1.0 - x with x in [0, 1]."""
+    return _json_chunks({"n": g.n, "alpha": g._entries()})
 
 
 def _cmd_check_score_seq(args):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -69,15 +69,17 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _owned_unit(x, a: np.ndarray, lo: float, hi: float, name: str) -> np.ndarray:
+def _owned_unit(x, a: np.ndarray, lo: float, hi: float, name: str,
+                handed: bool = False) -> np.ndarray:
     """``a``, the float array of ``x`` with range ``[lo, hi]``, clipped to
-    [0, 1] in an array that ``x`` does not share: ``a`` itself when the
-    conversion made it, else a copy."""
+    [0, 1] in an array that the caller of ``x`` does not share: ``a``
+    itself when the conversion made it or ``x`` is handed over, else a
+    copy."""
     # tolerate rounding-level excursions, reject anything larger
     if lo < -TOL or hi > 1 + TOL:
         raise ValidationError(f"field '{name}' has entries outside [0, 1]")
     converted = a is not x and a.base is None and isinstance(x, (list, tuple, np.ndarray))
-    if not converted:
+    if not (converted or handed):
         a = a.copy()
     # clipping leaves entries in [0, 1] as they are, -0.0 included
     if lo < 0.0 or hi > 1.0:
@@ -128,28 +130,29 @@ def _skew_error(name: str) -> ValidationError:
     return ValidationError(f"field '{name}' violates {name}(i,j) + {name}(j,i) = 1")
 
 
-def _skew_matrix(x, name: str, diagonal: float) -> np.ndarray:
-    """``x`` as a new frozen square matrix in [0, 1] with ``diagonal`` on its
-    diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL.
+def _skew_matrix(x, name: str, diagonal: float, handed: bool = False) -> np.ndarray:
+    """``x`` as a frozen square matrix in [0, 1] with ``diagonal`` on its
+    diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL; a new one
+    unless ``handed``, when ``x`` is an array that its caller hands over and
+    no longer touches.
 
     A square non-empty bool array with ``diagonal`` 0 is checked as bools,
-    a(i, j) xor a(j, i) off the diagonal, and converted once; the errors
-    and their order are those of the float path that every other input
-    takes."""
+    a(i, j) xor a(j, i) off the diagonal, and kept as bools; the errors and
+    their order are those of the float path that every other input takes."""
     if (diagonal == 0.0 and isinstance(x, np.ndarray) and x.dtype == bool
             and x.ndim == 2 and 0 < len(x) == x.shape[1]):
         if x.diagonal().any():
             raise _diagonal_error(name, diagonal)
         if not all(s.all() for s in _mirrored_tiles(x, np.not_equal, True)):
             raise _skew_error(name)
-        return _freeze(np.asarray(x, dtype=float))
+        return _freeze(x if handed else x.copy())
     a, lo, hi = _float_array(x, name, ndim=2)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError(f"field '{name}' must be square")
     if np.any(np.abs(np.diag(a) - diagonal) > TOL):
         raise _diagonal_error(name, diagonal)
-    a = _owned_unit(x, a, lo, hi, name)
+    a = _owned_unit(x, a, lo, hi, name, handed)
     np.fill_diagonal(a, diagonal)
     if not _is_skew(a):
         raise _skew_error(name)
@@ -246,22 +249,54 @@ class ScoreFunction:
         return cls(d["cells"])
 
 
-@dataclass(frozen=True, eq=False)
 class GeneralizedTournament:
     """An n x n skew matrix alpha with alpha(i,j) + alpha(j,i) = 1 off the
-    zero diagonal.  Entries in {0, 1} make it an ordinary tournament."""
+    zero diagonal.  Entries in {0, 1} make it an ordinary tournament.
 
-    alpha: np.ndarray
+    Immutable, like the dataclasses of this module.  A 0/1 matrix given as
+    bools is checked and kept as a frozen copy of those bools, and the
+    encoder, ``scores_of_tournament`` and the samplers' degree data read
+    them.  ``alpha``, the frozen float64 matrix, is then built on first use
+    and kept; two threads that build it at once each build it, with equal
+    values, and later reads see one of the two.  Any other input is stored
+    as ``alpha`` at construction.  The constructor never freezes, keeps or
+    aliases the caller's array.
+    """
 
-    def __post_init__(self):
-        bools = isinstance(self.alpha, np.ndarray) and self.alpha.dtype == bool
-        object.__setattr__(self, "alpha", _skew_matrix(self.alpha, "alpha", 0.0))
-        if bools:
-            object.__setattr__(self, "is_tournament", True)
+    def __init__(self, alpha):
+        self._hold(_skew_matrix(alpha, "alpha", 0.0))
+
+    @classmethod
+    def _handed(cls, alpha: np.ndarray) -> "GeneralizedTournament":
+        """``cls(alpha)`` for an array that the caller made and hands over:
+        checked and frozen in place, not copied."""
+        g = cls.__new__(cls)
+        g._hold(_skew_matrix(alpha, "alpha", 0.0, handed=True))
+        return g
+
+    def _hold(self, a: np.ndarray) -> None:
+        if a.dtype == bool:
+            self.__dict__.update(_bools=a, is_tournament=True)
+        else:
+            self.__dict__["_alpha"] = a
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
+
+    @property
+    def alpha(self) -> np.ndarray:
+        alpha = self.__dict__.get("_alpha")
+        if alpha is None:
+            alpha = self.__dict__["_alpha"] = _freeze(self._bools.astype(float))
+        return alpha
 
     @property
     def n(self) -> int:
-        return self.alpha.shape[0]
+        bools = self.__dict__.get("_bools")
+        return len(self.alpha if bools is None else bools)
 
     @cached_property
     def is_tournament(self) -> bool:
@@ -270,14 +305,28 @@ class GeneralizedTournament:
         # the diagonal is exactly 0.0 after construction
         return bool(((self.alpha == 0.0) | (self.alpha == 1.0)).all())
 
+    def _entries(self) -> np.ndarray:
+        """The matrix as a reader that needs no float64 arithmetic takes
+        it: the bools of a tournament, those kept from bool input or else
+        made from alpha, and alpha itself otherwise."""
+        bools = self.__dict__.get("_bools")
+        if bools is not None:
+            return bools
+        return self.alpha == 1.0 if self.is_tournament else self.alpha
+
     def to_json_dict(self) -> dict:
         return {"n": self.n, "alpha": self.alpha.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneralizedTournament":
+        return cls._of_json(d, cls)
+
+    @classmethod
+    def _of_json(cls, d: dict, make) -> "GeneralizedTournament":
+        """``from_json_dict(d)``, the tournament made by ``make(d["alpha"])``."""
         if not isinstance(d, dict) or "alpha" not in d:
             raise ValidationError("field 'alpha' is missing")
-        g = cls(d["alpha"])
+        g = make(d["alpha"])
         if "n" in d and d["n"] != g.n:
             raise ValidationError("field 'n' does not match the alpha matrix")
         return g
@@ -492,10 +541,10 @@ def step_kernel_from_tournament(g: GeneralizedTournament) -> StepKernel:
 
 
 def scores_of_tournament(g: GeneralizedTournament) -> ScoreSequence:
-    """Row sums of alpha.  Integer kind when g is an ordinary tournament."""
+    """Row sums of alpha.  Integer kind when g is an ordinary tournament,
+    counted on its bools."""
     if g.is_tournament:
-        vals = np.sum(g.alpha, axis=1).astype(np.int64)
-        return ScoreSequence(vals, "integer")
+        return ScoreSequence(g._entries().sum(axis=1), "integer")
     vals = np.array([math.fsum(row) for row in g.alpha.tolist()])
     return ScoreSequence(vals, "real")
 

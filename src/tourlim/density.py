@@ -12,7 +12,14 @@ evaluate these sums along one path of three steps.
    lattice.  A partition that merges the two endpoints of a pattern edge
    puts that edge on the diagonal of alpha, which is zero, so the term is
    exactly 0 and is dropped; a merged blank pair lands on the diagonal of
-   the blank factor, which is one.
+   the blank factor, which is one.  On a 0/1 tournament
+   A(x, y) A(y, x) = 0 for every x and y, x = y included, so a term with
+   an edge both ways, u -> v and v -> u, sums products that are each
+   exactly 0.  Its value is exactly 0.0, since every factor is
+   nonnegative and every partial sum an integer, and such terms are left
+   out, both among the quotients and among the terms of step 2: the sum
+   loses only summands of 0.0 and is the same to the bit.  Kernels and
+   generalised tournaments keep every term.
 
 2. Skew identity.  Kernels satisfy M + M^T = J and finite inputs
    A + A^T = J - I, i.e. A(x, y) + A(y, x) = 1 - c [x = y] with c = 0 for
@@ -726,30 +733,42 @@ def _expansion(f: DigraphPattern, mode: str, c: int) -> tuple:
     return _as_terms(out)
 
 
+def _two_way(factors: tuple) -> bool:
+    """Whether the term has an edge both ways between some two vertices."""
+    edges = {(u, v) for u, v, kind in factors if kind == _EDGE}
+    return any((v, u) in edges for u, v in edges)
+
+
 @lru_cache(maxsize=1024)
-def _terms(f: DigraphPattern, mode: str, c: int, n: int) -> tuple:
+def _terms(f: DigraphPattern, mode: str, c: int, n: int, zero_one: bool = False) -> tuple:
     """The terms that are contracted for ``f`` at n: the expansion, with
-    every term too large for the plain sum taking its cycle rewrite."""
+    every term too large for the plain sum taking its cycle rewrite.  On a
+    0/1 tournament (``zero_one``) the terms with an edge both ways are
+    exactly 0 and are left out, before and after the rewrite."""
     out = Counter()
     for coef, k, factors in _expansion(f, mode, c):
+        if zero_one and _two_way(factors):
+            continue
         if factors and not _tiny(k, factors, n):
             for sub, kk, ff in _rewrite(k, factors, c):
                 out[(kk, ff)] += coef * sub
         else:
             out[(k, factors)] += coef
-    return _as_terms(out)
+    return tuple(term for term in _as_terms(out) if not (zero_one and _two_way(term[2])))
 
 
-def _priced(patterns, mode: str, c: int, n: int) -> list:
-    """Each pattern's ``_terms`` at n, or None where its inj or ind density
-    is 0 because it has more vertices than n, once the cost guard admits
-    them together: the planned count of all of them, contracted with one
-    memo, at most MAX_FINITE_FLOPS."""
+def _priced(patterns, mode: str, c: int, n: int, zero_one: bool = False) -> list:
+    """Each pattern's ``_terms`` at n (on a 0/1 tournament when
+    ``zero_one``), or None where its inj or ind density is 0 because it has
+    more vertices than n, once the cost guard admits them together: the
+    planned count of all of them, contracted with one memo, at most
+    MAX_FINITE_FLOPS."""
     if any(f.k > MAX_PATTERN_VERTICES for f in patterns):
         raise ValidationError(f"pattern too large (k > {MAX_PATTERN_VERTICES})")
     if mode not in _MODES:
         raise ValidationError("mode must be one of 'hom', 'inj', 'ind'")
-    priced = [None if mode != "hom" and f.k > n else _terms(f, mode, c, n) for f in patterns]
+    priced = [None if mode != "hom" and f.k > n else _terms(f, mode, c, n, zero_one)
+              for f in patterns]
     flops = _flops(tuple(t for terms in priced if terms for t in terms), n)
     if flops > MAX_FINITE_FLOPS:
         raise ValidationError(
@@ -758,12 +777,13 @@ def _priced(patterns, mode: str, c: int, n: int) -> list:
     return priced
 
 
-def _densities(patterns, alpha: np.ndarray, mode: str, c: int) -> list:
+def _densities(patterns, alpha: np.ndarray, mode: str, c: int, zero_one: bool = False) -> list:
     """The ``mode`` densities of ``patterns`` on the n x n factor ``alpha``
-    (c = 1 for a finite input, 0 for a kernel's blocks), priced together by
-    ``_priced`` and contracted with one memo."""
+    (c = 1 for a finite input, 0 for a kernel's blocks; ``zero_one`` when it
+    is a 0/1 tournament), priced together by ``_priced`` and contracted
+    with one memo."""
     n = len(alpha)
-    priced = _priced(patterns, mode, c, n)
+    priced = _priced(patterns, mode, c, n, zero_one)
     mats = {_EDGE: alpha}
     if mode == "ind" and any(len(f.edges) < f.k * (f.k - 1) // 2 for f in patterns):
         mats[_BLANK] = (1.0 - alpha) * (1.0 - alpha.T)
@@ -792,7 +812,7 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
-    return _densities((f,), g.alpha, mode, 1)[0]
+    return _densities((f,), g.alpha, mode, 1, g.is_tournament)[0]
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:

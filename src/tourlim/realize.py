@@ -170,7 +170,8 @@ def realize_scores(s: ScoreSequence, tol: float = DEFAULT_TOL) -> GeneralizedTou
             "internal consistency error: realized row sums miss the scores "
             f"by {miss:.3g} > {bound:.3g}"
         )
-    return GeneralizedTournament(alpha)
+    # the peel's matrix is its own; integer scores give a 0/1 one
+    return GeneralizedTournament._handed(alpha == 1.0 if s.kind == "integer" else alpha)
 
 
 def _cell_sums(f: ScoreFunction, n: int) -> np.ndarray:
@@ -253,7 +254,8 @@ def symmetrize_self_converse(
         raise ValidationError("scores do not satisfy the Eplett pairing", report)
     n = g.n
     order = np.argsort(np.asarray(scores.values, dtype=float), kind="stable")
-    a = g.alpha[np.ix_(order, order)]
+    # a tournament's bools convert exactly in the arithmetic below
+    a = g._entries()[np.ix_(order, order)]
     v = (a + 1.0 - a[::-1, ::-1]) / 2.0
     del a
     # the orbit {(i, j), (rho(j), rho(i))} of upper pairs takes v at its

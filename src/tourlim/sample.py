@@ -125,7 +125,7 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     cells = _cells_of(rng.random(cfg.n), w.n)
     wins = np.empty((cfg.n, cfg.n), bool)
     _draw_pairs(rng, w.blocks, cells, cells, wins, flip=True)
-    return GeneralizedTournament(wins)
+    return GeneralizedTournament._handed(wins)
 
 
 def witness_permutation(n: int) -> np.ndarray:
@@ -149,7 +149,7 @@ def _reversed_by(a: np.ndarray, perm: np.ndarray) -> bool:
 
 def is_selfconverse_under(g: GeneralizedTournament, perm: np.ndarray) -> bool:
     """Exact check that relabelling by perm reverses every orientation."""
-    return _reversed_by(g.alpha, np.asarray(perm))
+    return _reversed_by(g._entries(), np.asarray(perm))
 
 
 def sample_self_converse(
@@ -189,10 +189,9 @@ def sample_self_converse(
     # cross block is its own transpose)
     out[m:, m:] = out[:m, :m].T
     np.logical_not(out[:m, m:], out=out[m:, :m])
-    # the witness is checked on the bools, which convert exactly
     if not _reversed_by(out, witness_permutation(m)):
         raise RuntimeError("sampled tournament is not self-converse under the witness")
-    return GeneralizedTournament(out)
+    return GeneralizedTournament._handed(out)
 
 
 def empirical_degree_distribution(g: GeneralizedTournament) -> DegreeDistribution:
@@ -258,17 +257,17 @@ def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
     """The injective densities of ``fs`` and the degree distribution's
     Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
-    return _densities(fs, g.alpha, "inj", 1), _score_w1(g.alpha, target)
+    return _densities(fs, g.alpha, "inj", 1, True), _score_w1(g._entries(), target)
 
 
-def _score_w1(alpha: np.ndarray, target: DegreeDistribution) -> float:
+def _score_w1(wins: np.ndarray, target: DegreeDistribution) -> float:
     """``wasserstein1(empirical_degree_distribution(g), target)`` for the
-    0/1 matrix ``alpha`` of a tournament g, from its integer scores without
+    bool matrix ``wins`` of a tournament g, from its integer scores without
     building the distribution: its atoms are the distinct scores over n,
     and an atom of c scores weighs the c-th partial sum of 1/n, the sum
     that DegreeDistribution's merge of c equal atoms adds up."""
-    n = len(alpha)
-    counts = np.bincount(alpha.sum(axis=1).astype(np.int64), minlength=n)
+    n = len(wins)
+    counts = np.bincount(wins.sum(axis=1), minlength=n)
     seen = np.flatnonzero(counts)
     weights = np.cumsum(np.full(n, 1.0 / n))[counts[seen] - 1]
     return _w1(seen / n, weights, target.positions, target.weights)
@@ -300,7 +299,8 @@ def convergence_report(
     _check_matrix_size(max(sizes, default=0))
     fs = list(patterns.values())
     for size in sizes:
-        _priced(fs, "inj", 1, size)
+        # every sample is a 0/1 tournament
+        _priced(fs, "inj", 1, size, True)
     target = degree_distribution(w)
     exact = {name: density_kernel(f, w) for name, f in patterns.items()}
     results = {}

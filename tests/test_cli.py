@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from tourlim import (
+    DigraphPattern,
     GeneralizedTournament,
     ScoreFunction,
     ScoreSequence,
@@ -68,6 +69,15 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["check-score-seq", "--input", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["degree-dist"], ["check-score-seq"],
+                                      ["density", "--pattern", "C3"], ["sample", "--size", "2"]])
+    def test_input_that_is_not_utf8_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": 1, "alpha": [[0\xff]]}')
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not UTF-8" in captured.err
 
     def test_missing_field_named_in_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "seq.json", {"kind": "integer"})
@@ -296,6 +306,15 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "pattern,n,mean,stderr,exact"
         assert len(lines) == 1 + 2 * 2 + 2  # patterns x sizes + degree_w1 rows
+
+    def test_converge_prices_the_patterns_of_a_repetition_together(self, half3, tmp_path):
+        # on the 0/1 samples, C8 inj and C7 inj at 700 vertices each fit
+        # the cost guard alone, but a repetition contracts both: 1.11e11
+        # planned FLOPs.  The refusal is exit 1 with the error as output
+        out = tmp_path / "converge700.json"
+        assert main(["converge", "--input", half3, "--pattern", "C8", "--pattern", "C7",
+                     "--sizes", "700", "--output", str(out)]) == 1
+        assert "cost guard" in json.loads(out.read_text())["error"]
 
     def test_converge_repeated_sizes_are_a_usage_error(self, half3, capsys):
         assert main(["converge", "--input", half3, "--pattern", "C3",
@@ -991,3 +1010,69 @@ class TestOutputInPlace:
         assert main(["realize", "--input", seq, "--output", str(fresh)]) == 0
         assert main(["realize", "--input", seq, "--output", seq]) == 0
         assert Path(seq).read_bytes() == fresh.read_bytes()
+
+
+def test_the_cli_reads_its_own_0_1_output_back_and_c4_hom_is_exact(half3, tmp_path):
+    """A 900-vertex sample, read back from its indented output, and a
+    1500-vertex 0/1 tournament written compactly, each through density and
+    degree-dist; C4 hom runs one A.A, and on a 0/1 matrix every partial sum
+    is an integer below 2^53, so it equals tr(A^4) / n^4 exactly."""
+    sampled = tmp_path / "sample900.json"
+    assert main(["sample", "--input", half3, "--size", "900", "--seed", "1",
+                 "--output", str(sampled)]) == 0
+    n = 1500
+    u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
+    a = u + np.tril(1.0 - u.T, -1)
+    compact = write_json(tmp_path, "tournament1500.json", {"n": n, "alpha": a.tolist()})
+    out = tmp_path / "out"
+    for path in (str(sampled), compact):
+        assert cli._load_json(path)["alpha"].dtype == bool
+        g = GeneralizedTournament.from_json_dict(json.loads(Path(path).read_text()))
+        assert main(["density", "--input", path, "--pattern", "C3", "--mode", "inj",
+                     "--output", str(out)]) == 0
+        want = density.density_finite(DigraphPattern.cycle(3), g, "inj")
+        assert json.loads(out.read_text())["density"] == want
+        assert main(["degree-dist", "--input", path, "--output", str(out)]) == 0
+        assert out.read_text() == sample.empirical_degree_distribution(g).to_csv()
+    assert main(["density", "--input", compact, "--pattern", "C4", "--mode", "hom",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["density"] == np.trace(np.linalg.matrix_power(a, 4)) / n**4
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_converge_writes_the_same_bytes_on_one_cpu_as_on_all(half3, tmp_path):
+    # from 256 vertices a size's repetitions run on one thread per CPU the
+    # process may use; the child pinned to one CPU runs them serially
+    argv = ["converge", "--input", half3, "--pattern", "C3", "--pattern", "C4",
+            "--sizes", "300,500", "--reps", "6", "--seed", "1"]
+    one, every = tmp_path / "one_cpu.csv", tmp_path / "all_cpus.csv"
+    script = ("import os, sys\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "from tourlim import sample\n"
+              "from tourlim.cli import main\n"
+              "assert sample._workers(500, 6) == 1\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", script, *argv, "--output", str(one)],
+                   env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert main([*argv, "--output", str(every)]) == 0
+    assert one.read_bytes() == every.read_bytes()
+
+
+def test_0_1_tournaments_never_build_float64(half3, tmp_path, monkeypatch):
+    """sample, sample-selfconverse, integer realize and degree-dist on a 0/1
+    input read and write the bools, and never build the float64 alpha."""
+    built = []
+    alpha = GeneralizedTournament.alpha
+    monkeypatch.setattr(GeneralizedTournament, "alpha",
+                        property(lambda g: built.append(g.n) or alpha.fget(g)))
+    sampled, out = tmp_path / "sample.json", str(tmp_path / "out")
+    seq = write_json(tmp_path, "seq.json", {"values": [40] * 81, "kind": "integer"})
+    for argv in (["sample", "--input", half3, "--size", "60", "--output", str(sampled)],
+                 ["sample-selfconverse", "--input", half3, "--size", "30", "--output", out],
+                 ["realize", "--input", seq, "--output", out],
+                 ["degree-dist", "--input", str(sampled), "--output", out]):
+        assert main(argv) == 0
+    assert built == []
+    assert main(["density", "--input", str(sampled), "--pattern", "C3", "--output", out]) == 0
+    assert built == [60]

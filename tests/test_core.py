@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -147,7 +148,8 @@ class TestTypes:
         assert peak < 2 * a.nbytes
 
     def test_constructor_memory_on_bool_input_is_below_1_5_results(self):
-        # the float conversion is the constructor's own and is kept
+        # the constructor keeps a copy of the bools and builds no float64
+        # matrix: its peak is below 1.5 times the bools, alpha's is later
         n = 900
         upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.5, 1)
         b = upper | np.tril(~upper.T, -1)
@@ -157,8 +159,8 @@ class TestTypes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 1.5 * b.nbytes
         assert np.array_equal(g.alpha, b)
-        assert peak <= 1.5 * g.alpha.nbytes
 
     def test_constructors_keep_their_own_copy(self):
         a = np.array([[0.0, 1.0 + TOL / 2], [-TOL / 2, 0.0]])
@@ -289,6 +291,42 @@ class TestBoolInput:
         for x in (b, b.astype(float)):
             with pytest.raises(ValidationError, match="0.5 on the diagonal"):
                 StepKernel(x)
+
+    def test_alpha_is_built_once_frozen_and_equal_to_the_input(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        b = _random_bool_tournament(300, 4)
+        g = GeneralizedTournament(b)
+        assert g.n == 300 and g.is_tournament and "_alpha" not in vars(g)
+        # the bools are the constructor's frozen copy, not the caller's array
+        kept = g._entries()
+        assert kept.dtype == bool and not kept.flags.writeable
+        assert not np.shares_memory(kept, b) and b.flags.writeable
+        alpha = g.alpha
+        assert alpha.dtype == np.float64 and not alpha.flags.writeable
+        assert np.array_equal(alpha, b) and g.alpha is alpha
+        # threads that build it at once get equal arrays, one of them kept
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = GeneralizedTournament(b)
+                with ThreadPoolExecutor(8) as pool:
+                    built = [f.result(timeout=10) for f in [pool.submit(lambda: g.alpha)
+                                                             for _ in range(8)]]
+                assert all(np.array_equal(a, b) and not a.flags.writeable for a in built)
+                assert any(g.alpha is a for a in built)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tournaments_are_immutable(self):
+        g = GeneralizedTournament(_random_bool_tournament(4, 1))
+        for name in ("alpha", "n", "is_tournament", "_bools", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g.n == 4 and g.is_tournament
 
     def test_generalised_and_float_0_1_inputs_are_unchanged(self):
         assert not HALF2.is_tournament

@@ -1,4 +1,5 @@
 import math
+import struct
 import time
 
 import numpy as np
@@ -503,17 +504,22 @@ class TestPlanner:
         assert _work([two_edges]) == (0,) * 6 + (1, 1, 0)
 
     def test_guard_reads_the_planned_count(self, monkeypatch):
+        # a 0/1 tournament plans the terms without an edge both ways, a
+        # generalised one every term
         import tourlim.density
         from tourlim.density import _terms, _work
 
-        g = GeneralizedTournament(random_tournament(200, 1))
-        work = _work(_terms(C4, "inj", 1, 200), 200)
-        count = sum(c * 200.0 ** (8 - i) for i, c in enumerate(work))
-        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
-        density_finite(C4, g, "inj")
-        monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
-        with pytest.raises(ValidationError, match="cost guard"):
+        a = random_tournament(200, 1)
+        for x, zero_one in ((a, True), (0.8 * a + 0.1 * (1 - np.eye(200)), False)):
+            g = GeneralizedTournament(x)
+            assert g.is_tournament == zero_one
+            work = _work(_terms(C4, "inj", 1, 200, zero_one), 200)
+            count = sum(c * 200.0 ** (8 - i) for i, c in enumerate(work))
+            monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count)
             density_finite(C4, g, "inj")
+            monkeypatch.setattr(tourlim.density, "MAX_FINITE_FLOPS", count - 1)
+            with pytest.raises(ValidationError, match="cost guard"):
+                density_finite(C4, g, "inj")
 
     def test_guard_counts_once_per_terms_and_size(self, monkeypatch):
         import tourlim.density
@@ -553,24 +559,30 @@ class TestPlanner:
         assert {len(_passes(plan, i, n)) for plan in wide for i in plan.sliced} == {5}
         assert density_finite(f, g, mode) == pytest.approx(whole, rel=1e-12)
 
-    @pytest.mark.parametrize("f, mode, n, sliced", [
-        pytest.param(C4, "ind", 300, True, id="C4-ind-300"),
-        pytest.param(DigraphPattern.cycle(8), "inj", 60, False, id="C8-inj-60"),
+    @pytest.mark.parametrize("f, mode, n, sliced, zero_one", [
+        pytest.param(C4, "ind", 300, True, True, id="C4-ind-300"),
+        pytest.param(DigraphPattern.cycle(8), "inj", 60, False, True, id="C8-inj-60"),
+        pytest.param(C4, "ind", 300, True, False, id="C4-ind-300-generalised"),
+        pytest.param(DigraphPattern.cycle(8), "inj", 60, False, False,
+                     id="C8-inj-60-generalised"),
     ])
-    def test_sliced_steps_are_the_counted_steps(self, monkeypatch, f, mode, n, sliced):
+    def test_sliced_steps_are_the_counted_steps(self, monkeypatch, f, mode, n, sliced, zero_one):
         # C4 ind at 300 slices its widest term.  C8 inj at 60 slices none,
         # but some of its terms make A.A three times, and the first of them
         # only feeds a vector that an earlier term memoised: the other two
         # make it once.  Every step of a term that is not tiny has at most
         # three operands, and the multiply-adds of the steps that run, read
-        # off their operand shapes, are the guard's count
+        # off their operand shapes, are the guard's count: on a 0/1
+        # tournament that of the terms without an edge both ways, on a
+        # generalised one that of every term
         import tourlim.density
         from tourlim.density import _flops, _passes, _plan, _run, _terms
 
-        terms = _terms(f, mode, 1, n)
+        terms = _terms(f, mode, 1, n, zero_one)
         assert sliced == any(len(_passes(_plan(k, ff), i, n)) > 1 for _, k, ff in terms if ff
                              for i in _plan(k, ff).sliced)
-        g = GeneralizedTournament(random_tournament(n, 8))
+        a = random_tournament(n, 8)
+        g = GeneralizedTournament(a if zero_one else 0.8 * a + 0.1 * (1 - np.eye(n)))
         executed = []
 
         def spy(step, ops):
@@ -660,6 +672,92 @@ class TestPlanner:
         s = a.sum(axis=1)
         want = sum(falling(x, 3) * falling(n - 1 - x, 3) for x in s) / falling(n, 7)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+SMALL_CLASSES = [f for k in range(1, 6) for f in tournament_classes(k)]
+LONG_CYCLES = [DigraphPattern.cycle(k) for k in (6, 7, 8)]
+S11 = DigraphPattern.star(1, 1)
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestZeroOneTournaments:
+    """On a 0/1 tournament A(x, y) A(y, x) = 0 for every x and y, so the
+    terms with an edge both ways are exactly 0 and are left out."""
+
+    @pytest.mark.parametrize("seed, as_bools", [(0, False), (1, True)])
+    def test_small_classes_and_long_cycles_match_bruteforce(self, seed, as_bools):
+        # hom of the long cycles at 4 vertices, inj and ind at 8
+        hosts = {}
+        for n in (4, 6, 8):
+            a = random_tournament(n, seed * 10 + n)
+            hosts[n] = (a, GeneralizedTournament(a > 0.5 if as_bools else a))
+        for f in SMALL_CLASSES + LONG_CYCLES:
+            for mode in ("hom", "inj", "ind"):
+                a, g = hosts[6 if f.k <= 5 else 4 if mode == "hom" else 8]
+                want = oracles.brute_density_finite(f, a, mode)
+                assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n, patterns", [
+        pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
+        pytest.param(200, [C3, C4, S11, DigraphPattern.transitive(4), DigraphPattern.cycle(5),
+                           DigraphPattern.cycle(6)], id="200"),
+        pytest.param(500, [C3, C4, S11], id="500"),
+    ])
+    def test_equal_bit_for_bit_to_every_term(self, n, patterns):
+        from tourlim.density import _densities, _terms
+
+        assert len(_terms(DigraphPattern.cycle(8), "inj", 1, 30, True)) < len(
+            _terms(DigraphPattern.cycle(8), "inj", 1, 30))
+        g = GeneralizedTournament(random_tournament(n, n) > 0.5)
+        compared = 0
+        for f in patterns:
+            for mode in ("hom", "inj", "ind"):
+                try:
+                    every = _densities((f,), g.alpha, mode, 1)[0]
+                except ValidationError:
+                    continue  # every term together is refused
+                assert float_bits(density_finite(f, g, mode)) == float_bits(every)
+                compared += 1
+        assert compared >= 2 * len(patterns)
+
+    def test_kernels_and_generalised_inputs_plan_every_term(self, monkeypatch):
+        import tourlim.density
+
+        seen = []
+        priced = tourlim.density._priced
+
+        def spy(patterns, mode, c, n, zero_one=False):
+            seen.append(zero_one)
+            return priced(patterns, mode, c, n, zero_one)
+
+        monkeypatch.setattr(tourlim.density, "_priced", spy)
+        a = random_tournament(40, 3)
+        w = random_step_kernel(5, seed=1)
+        density_kernel(C4, w)
+        fingerprint(w, 3)
+        density_finite(C4, GeneralizedTournament(0.8 * a + 0.1 * (1 - np.eye(40))), "inj")
+        assert seen == [False] * 3
+        density_finite(C4, GeneralizedTournament(a), "inj")
+        density_finite(C4, GeneralizedTournament(a > 0.5), "inj")
+        assert seen == [False] * 3 + [True] * 2
+
+    def test_admissions_move_only_for_0_1_tournaments(self):
+        # C8 inj plans 9.86e10 FLOPs at 259 vertices and C7 inj 3.92e9 with
+        # every term, 1.02e11 together; on a 0/1 tournament the two plan
+        # 5.65e9 together, and 1.11e11 at 700
+        from tourlim.density import _priced
+
+        C7, C8 = DigraphPattern.cycle(7), DigraphPattern.cycle(8)
+        _priced([C8], "inj", 1, 259)
+        _priced([C7], "inj", 1, 259)
+        with pytest.raises(ValidationError, match="cost guard"):
+            _priced([C8, C7], "inj", 1, 259)
+        _priced([C8, C7], "inj", 1, 259, True)
+        with pytest.raises(ValidationError, match="cost guard"):
+            _priced([C8, C7], "inj", 1, 700, True)
 
 
 class TestStarDensity:

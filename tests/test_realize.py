@@ -460,8 +460,8 @@ class TestSelfConverse:
 
     @pytest.mark.parametrize("kind", ["integer", "real"])
     def test_realize_peak_is_below_2_2_results(self, kind):
-        # the result and GeneralizedTournament's checked copy of it; the peel
-        # itself holds one n x n matrix and temporaries of a block of rows
+        # the peel holds one n x n matrix and temporaries of a block of
+        # rows, and hands it over uncopied (integer scores as its bools)
         n = 1001
         if kind == "integer":
             d = np.full(n, n // 2)

@@ -172,10 +172,10 @@ class TestSampleMemoryGuard:
         assert calls == []
 
     def test_convergence_report_prices_a_repetition_s_patterns_together(self, monkeypatch):
-        # at 259 vertices C8 inj plans 9.86e10 FLOPs and C7 inj 3.92e9, each
-        # within MAX_FINITE_FLOPS, but a repetition contracts both with one
-        # memo: 1.02e11; at 250 both together plan 8.9e10.  The call is
-        # refused before any kernel density or draw
+        # on 0/1 tournaments at 700 vertices C8 inj plans 8.79e10 FLOPs and
+        # C7 inj 2.68e10, each within MAX_FINITE_FLOPS, but a repetition
+        # contracts both with one memo: 1.11e11; at 650 both together plan
+        # 8.91e10.  The call is refused before any kernel density or draw
         import tourlim.sample
         from tourlim.density import _priced
 
@@ -184,10 +184,10 @@ class TestSampleMemoryGuard:
             monkeypatch.setattr(tourlim.sample, name, lambda *args, **kw: calls.append(args))
         patterns = {"C8": DigraphPattern.cycle(8), "C7": DigraphPattern.cycle(7)}
         for f in patterns.values():
-            _priced([f], "inj", 1, 259)
-        _priced(list(patterns.values()), "inj", 1, 250)
+            _priced([f], "inj", 1, 700, True)
+        _priced(list(patterns.values()), "inj", 1, 650, True)
         with pytest.raises(ValidationError, match="cost guard"):
-            convergence_report(HALF3, patterns, [250, 259], SampleConfig(1))
+            convergence_report(HALF3, patterns, [650, 700], SampleConfig(1))
         assert calls == []
 
     def test_sample_tournament_peak_is_below_1_5_results(self):
@@ -330,7 +330,7 @@ class TestEmpiricalDegreeDistribution:
                 for seed in range(3):
                     g = sample_tournament(w, SampleConfig(size, seed))
                     want = wasserstein1(empirical_degree_distribution(g), target)
-                    assert sample._score_w1(g.alpha, target) == want, (size, seed)
+                    assert sample._score_w1(g._entries(), target) == want, (size, seed)
 
 
 class TestConvergenceReport:
@@ -418,10 +418,10 @@ class TestConvergenceReport:
         error = ArithmeticError("rep 3")
         densities = sample._densities
 
-        def failing(fs, alpha, mode, c):
+        def failing(fs, alpha, *args):
             if np.array_equal(alpha, third):
                 raise error
-            return densities(fs, alpha, mode, c)
+            return densities(fs, alpha, *args)
 
         monkeypatch.setattr(sample, "_densities", failing)
         monkeypatch.setattr(sample, "_workers", lambda size, reps: workers)
