@@ -191,9 +191,6 @@ def _decode(path: str, cls):
             raise UsageError(f"invalid input in {path}: field {required} required")
         cls = found[0]
     try:
-        if cls is GeneralizedTournament:
-            # the reader's arrays are its own: handed over, not copied
-            return cls._of_json(data, cls._handed)
         return cls.from_json_dict(data)
     except ValidationError as exc:
         raise UsageError(f"invalid input in {path}: {exc}") from exc

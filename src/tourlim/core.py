@@ -260,7 +260,8 @@ class GeneralizedTournament:
     and kept; two threads that build it at once each build it, with equal
     values, and later reads see one of the two.  Any other input is stored
     as ``alpha`` at construction.  The constructor never freezes, keeps or
-    aliases the caller's array.
+    aliases the caller's array; ``_handed``, for the samplers and the
+    realizer, keeps and freezes the array it is given.
     """
 
     def __init__(self, alpha):
@@ -319,14 +320,9 @@ class GeneralizedTournament:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneralizedTournament":
-        return cls._of_json(d, cls)
-
-    @classmethod
-    def _of_json(cls, d: dict, make) -> "GeneralizedTournament":
-        """``from_json_dict(d)``, the tournament made by ``make(d["alpha"])``."""
         if not isinstance(d, dict) or "alpha" not in d:
             raise ValidationError("field 'alpha' is missing")
-        g = make(d["alpha"])
+        g = cls(d["alpha"])
         if "n" in d and d["n"] != g.n:
             raise ValidationError("field 'n' does not match the alpha matrix")
         return g

@@ -37,6 +37,15 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def cli_within_60s(*argv) -> subprocess.CompletedProcess:
+    """``tourlim`` run on ``argv`` in a new process, which must end within
+    60 s."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "tourlim.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          timeout=60)
+
+
 @pytest.fixture
 def half3(tmp_path):
     return write_json(tmp_path, "half3.json", {"n": 3, "blocks": [[0.5] * 3] * 3})
@@ -307,14 +316,15 @@ class TestCommands:
         assert lines[0] == "pattern,n,mean,stderr,exact"
         assert len(lines) == 1 + 2 * 2 + 2  # patterns x sizes + degree_w1 rows
 
-    def test_converge_prices_the_patterns_of_a_repetition_together(self, half3, tmp_path):
+    def test_converge_prices_the_patterns_of_a_repetition_together(self, half3):
         # on the 0/1 samples, C8 inj and C7 inj at 700 vertices each fit
         # the cost guard alone, but a repetition contracts both: 1.11e11
-        # planned FLOPs.  The refusal is exit 1 with the error as output
-        out = tmp_path / "converge700.json"
-        assert main(["converge", "--input", half3, "--pattern", "C8", "--pattern", "C7",
-                     "--sizes", "700", "--output", str(out)]) == 1
-        assert "cost guard" in json.loads(out.read_text())["error"]
+        # planned FLOPs.  The refusal is exit 1 with the error as output,
+        # within 60 s
+        proc = cli_within_60s("converge", "--input", half3, "--pattern", "C8",
+                              "--pattern", "C7", "--sizes", "700")
+        assert proc.returncode == 1
+        assert "cost guard" in json.loads(proc.stdout)["error"]
 
     def test_converge_repeated_sizes_are_a_usage_error(self, half3, capsys):
         assert main(["converge", "--input", half3, "--pattern", "C3",
@@ -1015,28 +1025,29 @@ class TestOutputInPlace:
 def test_the_cli_reads_its_own_0_1_output_back_and_c4_hom_is_exact(half3, tmp_path):
     """A 900-vertex sample, read back from its indented output, and a
     1500-vertex 0/1 tournament written compactly, each through density and
-    degree-dist; C4 hom runs one A.A, and on a 0/1 matrix every partial sum
-    is an integer below 2^53, so it equals tr(A^4) / n^4 exactly."""
+    degree-dist, each command within 60 s; C4 hom runs one A.A, and on a
+    0/1 matrix every partial sum is an integer below 2^53, so it equals
+    tr(A^4) / n^4 exactly."""
     sampled = tmp_path / "sample900.json"
-    assert main(["sample", "--input", half3, "--size", "900", "--seed", "1",
-                 "--output", str(sampled)]) == 0
+    assert cli_within_60s("sample", "--input", half3, "--size", "900", "--seed", "1",
+                          "--output", str(sampled)).returncode == 0
     n = 1500
     u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
     a = u + np.tril(1.0 - u.T, -1)
     compact = write_json(tmp_path, "tournament1500.json", {"n": n, "alpha": a.tolist()})
-    out = tmp_path / "out"
     for path in (str(sampled), compact):
         assert cli._load_json(path)["alpha"].dtype == bool
         g = GeneralizedTournament.from_json_dict(json.loads(Path(path).read_text()))
-        assert main(["density", "--input", path, "--pattern", "C3", "--mode", "inj",
-                     "--output", str(out)]) == 0
+        proc = cli_within_60s("density", "--input", path, "--pattern", "C3", "--mode", "inj")
+        assert proc.returncode == 0
         want = density.density_finite(DigraphPattern.cycle(3), g, "inj")
-        assert json.loads(out.read_text())["density"] == want
-        assert main(["degree-dist", "--input", path, "--output", str(out)]) == 0
-        assert out.read_text() == sample.empirical_degree_distribution(g).to_csv()
-    assert main(["density", "--input", compact, "--pattern", "C4", "--mode", "hom",
-                 "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["density"] == np.trace(np.linalg.matrix_power(a, 4)) / n**4
+        assert json.loads(proc.stdout)["density"] == want
+        proc = cli_within_60s("degree-dist", "--input", path)
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == sample.empirical_degree_distribution(g).to_csv()
+    proc = cli_within_60s("density", "--input", compact, "--pattern", "C4", "--mode", "hom")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["density"] == np.trace(np.linalg.matrix_power(a, 4)) / n**4
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
