@@ -11,12 +11,12 @@ import argparse
 import functools
 import json
 import math
+import mmap
 import os
 import re
 import stat
 import sys
 from json.decoder import JSONObject
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class UsageError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read input file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -51,6 +51,22 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"malformed JSON in {path}: expected an object")
     return data
+
+
+def _read_text(path: str) -> str:
+    """``Path(path).read_text(encoding="utf-8")``, errors included, with the
+    text held once: a regular, non-empty file is decoded straight from a
+    read-only map of it, closed before this returns, rather than from a
+    bytes copy.  Other files (FIFOs, devices, empty files) are read."""
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size:
+            with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as m:
+                text = str(m, "utf-8")
+        else:
+            text = f.read().decode("utf-8")
+    # the universal newlines of text mode
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class _MatrixDecoder(json.JSONDecoder):

@@ -77,6 +77,20 @@ evaluate these sums along one path of three steps.
    of what runs, each shared or reused step once, kept per list of terms
    and n.
 
+Arithmetic.  Kernels, generalised tournaments and calls in which n^k
+exceeds 2^53 for some pattern run every step in float64.  On a 0/1
+tournament with n^k <= 2^53 for every pattern of the call, the factors are
+the tournament's bools (a float input is cast to float32 once), and every
+value a step makes is an integer: a sum, over the e vertices that its
+subtree sums (recorded per step when it is planned), of products of 0s and
+1s, so at most n^e.  A step runs in float32 when n^e <= 2^24 and in
+float64 otherwise, up to 2^53.  Every partial sum is a nonnegative integer
+no larger than the result, so both are exact, and so is the float64
+evaluation: each density is the same to the bit.  A BLAS product or an
+einsum over three or more vertices reads a float32 copy of the bools, made
+at most once per call, and once it exists every later step reads it; until
+then a step over two vertices reads the bools.
+
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
 
@@ -108,6 +122,8 @@ MAX_FINITE_FLOPS = 10**11
 _DIRECT_FLOPS = 2**13
 # no intermediate holds more than max(n^2, _MAX_ELEMENTS) values
 _MAX_ELEMENTS = 2**24
+# the integers that float32 and float64 hold exactly, with all below them
+_SINGLE, _DOUBLE = 2**24, 2**53
 _LETTERS = "abcdefgh"
 _MODES = ("hom", "inj", "ind")
 # factor kinds: a pattern edge (alpha or M) and a blank pair (induced mode)
@@ -161,7 +177,9 @@ class _Plan(NamedTuple):
     too large, the ``sliced`` scalars, those whose trees carry ``cut``, are
     summed over row ranges of ``cut`` one pass at a time.  ``repeated``
     holds the keys of the BLAS products of two n x n operands that more
-    than one step makes.
+    than one step makes.  ``widened`` holds the factors that a BLAS product
+    or an einsum over three or more vertices reads, which exact arithmetic
+    (see ``_hom``) gives them in float32.
     """
 
     steps: tuple
@@ -171,6 +189,7 @@ class _Plan(NamedTuple):
     cut: int | None
     sliced: frozenset
     repeated: frozenset
+    widened: frozenset
 
 
 class _Step(NamedTuple):
@@ -180,7 +199,9 @@ class _Step(NamedTuple):
     passes memoise results by it: those with at most ``rank`` 1 for the
     terms of a call, a repeated rank-2 product for its term.  The step
     makes ``count`` multiplications and additions per value of the
-    vertices ``over``."""
+    vertices ``over``, and its subtree sums ``summed`` vertices.  ``dtype``
+    is the precision that ``_typed`` sets; None runs the step as numpy
+    promotes its operands, float64 on float64 factors."""
 
     op: str
     ids: tuple
@@ -189,6 +210,8 @@ class _Step(NamedTuple):
     over: tuple
     count: int
     rank: int
+    summed: int
+    dtype: object = None
 
 
 def _indices(vertices) -> str:
@@ -270,6 +293,7 @@ class _Elimination:
         self.factors = factors
         self.live = {i: (u, v) for i, (u, v, _) in enumerate(factors)}
         self.keys = {i: kind for i, (_, _, kind) in enumerate(factors)}
+        self.summed = dict.fromkeys(self.live, 0)
         self.steps: list = []
         self.outs: list = []
 
@@ -282,7 +306,9 @@ class _Elimination:
         new = len(self.factors) + len(self.steps)
         keys[new] = (op, _renamed(spec) if op == "einsum" else spec, *(keys[i] for i in ids))
         over = tuple(sorted(set().union(*(live[i] for i in ids))))
-        self.steps.append(_Step(op, ids, spec, keys[new], over, count, len(out)))
+        # a vertex is summed once, by the step that drops it from every operand
+        summed = self.summed[new] = sum(self.summed[i] for i in ids) + len(over) - len(out)
+        self.steps.append(_Step(op, ids, spec, keys[new], over, count, len(out), summed))
         for i in ids:
             del live[i]
         live[new] = out
@@ -350,6 +376,8 @@ class _Elimination:
             cut=cut,
             sliced=frozenset(i for i in self.live if carries[i]),
             repeated=frozenset(key for key, times in made.items() if times > 1),
+            widened=frozenset(i for step in steps if step.op == "dot" or len(step.over) > 2
+                              for i in step.ids if i < len(factors)),
         )
 
 
@@ -405,10 +433,24 @@ def _tiny(k: int, factors: tuple, n: int) -> bool:
     return n ** len(step.over) * step.count <= _DIRECT_FLOPS
 
 
-def _chosen(k: int, factors: tuple, n: int | None) -> _Plan:
+def _chosen(k: int, factors: tuple, n: int | None, exact: bool = False) -> _Plan:
     """The plan the term runs at n: its plain sum when that is tiny, else
-    its elimination plan; without n, its elimination plan."""
-    return _plan(k, factors, n is not None and _tiny(k, factors, n))
+    its elimination plan; without n, its elimination plan.  ``exact`` gives
+    it the precisions of ``_typed``."""
+    plain = n is not None and _tiny(k, factors, n)
+    return _typed(k, factors, plain, n) if exact else _plan(k, factors, plain)
+
+
+@lru_cache(maxsize=4096)
+def _typed(k: int, factors: tuple, plain: bool, n: int) -> _Plan:
+    """``_plan(k, factors, plain)`` with the precision of each step at n on
+    a 0/1 tournament, whose step values are integers of at most n^summed:
+    float32 when that is at most 2^24, else float64."""
+    plan = _plan(k, factors, plain)
+    return plan._replace(steps=tuple(
+        step._replace(dtype=np.float32 if n ** step.summed <= _SINGLE else np.float64)
+        for step in plan.steps
+    ))
 
 
 def _rows(plan: _Plan, n: int) -> int:
@@ -447,9 +489,14 @@ def _value(plan: _Plan, i: int, leaves: list | tuple, memo: dict | None, run):
 
 
 def _run(step: _Step, ops: list) -> np.ndarray:
+    """The result of ``step`` on ``ops``, in ``step.dtype`` when it has one."""
     if step.op == "dot":
+        if step.dtype is np.float64:
+            ops = [op.astype(np.float64, copy=False) for op in ops]
         return _dot(ops[0], step.spec[0], ops[1], step.spec[1])
-    return np.einsum(step.spec, *ops)
+    if step.dtype is None:
+        return np.einsum(step.spec, *ops)
+    return np.einsum(step.spec, *ops, dtype=step.dtype)
 
 
 def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
@@ -460,16 +507,26 @@ def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
     return np.tensordot(a, b, axes=(i, j))
 
 
-def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict) -> float:
+def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict, exact: bool = False) -> float:
     """Sum over all of [n]^k of the product of the term's factors, each
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
     the other terms of the call through ``memo``.  A sliced pass reads only
     its rows of the cut vertex and memoises nothing; the term's repeated
-    products leave ``memo`` when it ends."""
+    products leave ``memo`` when it ends.  ``exact`` runs the steps in the
+    precisions of ``_typed``: a ``widened`` factor of a bool kind makes its
+    float32 copy, which ``mats`` keeps under (kind, float32), and every
+    factor of a kind that has one reads it."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
-    plan = _chosen(k, factors, n)
+    plan = _chosen(k, factors, n, exact)
+    if exact and leaves[0].dtype == bool:
+        for i, (_, _, kind) in enumerate(factors):
+            single = mats.get((kind, np.float32))
+            if single is None and i in plan.widened:
+                single = mats[kind, np.float32] = leaves[i].astype(np.float32)
+            if single is not None:
+                leaves[i] = single
     value = float(n) ** plan.free
     for i in plan.scalars:
         total = 0.0
@@ -543,11 +600,11 @@ def _flops(terms: tuple, n: int) -> float:
     return sum(count * float(n) ** (top - i) for i, count in enumerate(_work(terms, n)))
 
 
-def _evaluate(terms, mats: dict, n: int, memo: dict | None = None) -> float:
+def _evaluate(terms, mats: dict, n: int, memo: dict | None = None, exact: bool = False) -> float:
     """The sum of ``terms``; ``memo`` carries keyed step results between
-    calls on the same matrices."""
+    calls on the same matrices, and ``exact`` is ``_hom``'s."""
     memo = {} if memo is None else memo
-    return sum(coef * _hom(k, factors, mats, n, memo) for coef, k, factors in terms)
+    return sum(coef * _hom(k, factors, mats, n, memo, exact) for coef, k, factors in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +837,23 @@ def _priced(patterns, mode: str, c: int, n: int, zero_one: bool = False) -> list
 def _densities(patterns, alpha: np.ndarray, mode: str, c: int, zero_one: bool = False) -> list:
     """The ``mode`` densities of ``patterns`` on the n x n factor ``alpha``
     (c = 1 for a finite input, 0 for a kernel's blocks; ``zero_one`` when it
-    is a 0/1 tournament), priced together by ``_priced`` and contracted
-    with one memo."""
+    is a 0/1 tournament, which may then be given as bools), priced together
+    by ``_priced`` and contracted with one memo.  A 0/1 tournament on which
+    n^k is at most 2^53 for every pattern is contracted exactly: its bools,
+    or its values cast to float32, in the precisions of ``_typed``."""
     n = len(alpha)
     priced = _priced(patterns, mode, c, n, zero_one)
+    exact = zero_one and all(n ** f.k <= _DOUBLE for f in patterns)
+    if exact and alpha.dtype != bool:
+        alpha = alpha.astype(np.float32, copy=False)
+    elif not exact:
+        alpha = alpha.astype(float, copy=False)
     mats = {_EDGE: alpha}
     if mode == "ind" and any(len(f.edges) < f.k * (f.k - 1) // 2 for f in patterns):
-        mats[_BLANK] = (1.0 - alpha) * (1.0 - alpha.T)
+        mats[_BLANK] = ~alpha & ~alpha.T if alpha.dtype == bool else (1.0 - alpha) * (1.0 - alpha.T)
     memo: dict = {}
     return [
-        0.0 if terms is None else _evaluate(terms, mats, n, memo)
+        0.0 if terms is None else _evaluate(terms, mats, n, memo, exact)
         / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
         for f, terms in zip(patterns, priced)
     ]
@@ -812,7 +876,7 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
-    return _densities((f,), g.alpha, mode, 1, g.is_tournament)[0]
+    return _densities((f,), g._held(), mode, 1, g.is_tournament)[0]
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:

@@ -233,9 +233,11 @@ _PARALLEL_FROM = 256
 """The smallest sample size whose repetitions run concurrently.  Below it
 the threads mostly wait for the interpreter lock, which each repetition
 holds between its numpy calls: on a 2-vCPU VM, 12 repetitions of S0,1,
-S1,1 and C3 on two threads took 1.7x the serial time at n = 100 and
-1.2x at n = 200, about the same at n = 225-300, and 0.7-0.8x at n = 500
-(medians of paired runs, which vary with the host's load)."""
+S1,1 and C3 on two threads took 2.2x the serial time at n = 100, 1.1x at
+n = 200 (faster in 2 of 10 pairs), 0.85x at n = 256 and 300 (9 and 8 of
+10) and 0.75x at n = 500 (8 of 10), with the densities of 0/1 samples
+contracted exactly from their bools (medians of 10 alternating pairs,
+which vary with the host's load)."""
 
 
 def _workers(size: int, reps: int) -> int:
@@ -257,7 +259,8 @@ def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
     """The injective densities of ``fs`` and the degree distribution's
     Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
-    return _densities(fs, g.alpha, "inj", 1, True), _score_w1(g._entries(), target)
+    wins = g._entries()
+    return _densities(fs, wins, "inj", 1, True), _score_w1(wins, target)
 
 
 def _score_w1(wins: np.ndarray, target: DegreeDistribution) -> float:

@@ -37,13 +37,13 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
-def cli_within_60s(*argv) -> subprocess.CompletedProcess:
-    """``tourlim`` run on ``argv`` in a new process, which must end within
-    60 s."""
+def cli_within_60s(*argv, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+    """``tourlim`` run on ``argv`` in a new process, with ``stdin`` piped to
+    it, which must end within 60 s."""
     src = str(Path(cli.__file__).parents[1])
     return subprocess.run([sys.executable, "-m", "tourlim.cli", *argv],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          timeout=60)
+                          input=stdin, timeout=60)
 
 
 @pytest.fixture
@@ -823,6 +823,85 @@ class TestMatrixReader:
         assert list(outputs()) == fast
 
 
+class TestInputText:
+    """An input is read as ``Path.read_text(encoding="utf-8")`` reads it: a
+    regular, non-empty file through a read-only map, closed before the
+    reader returns, and anything else through read."""
+
+    @pytest.fixture
+    def sampled(self, half3, tmp_path):
+        path = tmp_path / "sample.json"
+        assert main(["sample", "--input", half3, "--size", "60", "--seed", "1",
+                     "--output", str(path)]) == 0
+        return path
+
+    def test_crlf_and_lone_cr_give_the_bytes_of_lf(self, sampled, tmp_path, capsysbinary):
+        text = sampled.read_bytes()
+        outputs = {}
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "copy.json"
+            path.write_bytes(text.replace(b"\n", newline))
+            assert cli._read_text(str(path)) == path.read_text(encoding="utf-8")
+            assert cli._load_json(str(path))["alpha"].dtype == bool
+            for argv in (["density", "--pattern", "C3", "--mode", "inj"], ["degree-dist"]):
+                assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+                outputs.setdefault(argv[0], []).append(capsysbinary.readouterr().out)
+        for got in outputs.values():
+            assert got[0] and got == [got[0]] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_and_piped_stdin_decode(self, sampled, tmp_path, capsysbinary):
+        import threading
+
+        assert main(["degree-dist", "--input", str(sampled)]) == 0
+        want = capsysbinary.readouterr().out
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(sampled.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert main(["degree-dist", "--input", str(fifo)]) == 0
+        finally:
+            writer.join(timeout=60)
+        assert capsysbinary.readouterr().out == want
+        proc = cli_within_60s("degree-dist", "--input", "/dev/stdin", stdin=sampled.read_bytes())
+        assert proc.returncode == 0 and proc.stdout == want
+
+    def test_empty_and_non_utf8_files_exit_2_with_the_messages_of_read_text(self, tmp_path,
+                                                                           capsys):
+        for name, data in [("empty.json", b""), ("latin1.json", '{"\xe9": 1}'.encode("latin-1")),
+                           ("cut.json", b'{"n": "\xe2\x82')]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            try:
+                json.loads(path.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                want = f"malformed input in {path}: not UTF-8 text ({exc})"
+            except json.JSONDecodeError as exc:
+                want = f"malformed JSON in {path}: {exc}"
+            assert main(["degree-dist", "--input", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {want}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_the_map_is_closed_before_the_reader_returns(self, sampled, monkeypatch):
+        import mmap
+
+        name = os.path.realpath(sampled)
+        mapped = []
+        real = mmap.mmap
+
+        def spy(*args, **kwargs):
+            m = real(*args, **kwargs)
+            mapped.append(name in Path("/proc/self/maps").read_text())
+            return m
+
+        monkeypatch.setattr(mmap, "mmap", spy)
+        assert cli._load_json(str(sampled))["alpha"].dtype == bool
+        assert mapped == [True]
+        assert name not in Path("/proc/self/maps").read_text()
+
+
 class TestMatrixOutputsMatchSchema:
     """The matrix subcommands hand arrays to the encoder; their bytes must
     stay those of ``to_json_dict`` for the object the library returns."""
@@ -1070,9 +1149,25 @@ def test_converge_writes_the_same_bytes_on_one_cpu_as_on_all(half3, tmp_path):
     assert one.read_bytes() == every.read_bytes()
 
 
+def test_samples_over_many_draw_blocks_and_skew_tiles(half3):
+    """converge at 3000 vertices, whose C3 steps run in float32 on values up
+    to 3000^2 = 9e6, and a 1500-vertex self-converse sample, each within
+    60 s."""
+    proc = cli_within_60s("converge", "--input", half3, "--pattern", "C3", "--sizes", "3000",
+                          "--reps", "2", "--seed", "1")
+    assert proc.returncode == 0
+    rows = [line.split(",") for line in proc.stdout.decode().splitlines()]
+    assert [row[:2] for row in rows] == [["pattern", "n"], ["C3", "3000"], ["degree_w1", "3000"]]
+    assert abs(float(rows[1][2]) - 0.125) < 1e-3
+    proc = cli_within_60s("sample-selfconverse", "--input", half3, "--size", "1500",
+                          "--sigma", "reverse", "--seed", "1", "--output", "/dev/null")
+    assert proc.returncode == 0
+
+
 def test_0_1_tournaments_never_build_float64(half3, tmp_path, monkeypatch):
-    """sample, sample-selfconverse, integer realize and degree-dist on a 0/1
-    input read and write the bools, and never build the float64 alpha."""
+    """sample, sample-selfconverse, integer realize, degree-dist, density
+    and converge on a 0/1 input read and write or contract the bools, and
+    never build the float64 alpha."""
     built = []
     alpha = GeneralizedTournament.alpha
     monkeypatch.setattr(GeneralizedTournament, "alpha",
@@ -1086,4 +1181,6 @@ def test_0_1_tournaments_never_build_float64(half3, tmp_path, monkeypatch):
         assert main(argv) == 0
     assert built == []
     assert main(["density", "--input", str(sampled), "--pattern", "C3", "--output", out]) == 0
-    assert built == [60]
+    assert main(["converge", "--input", half3, "--pattern", "C3", "--pattern", "C4",
+                 "--sizes", "30,300", "--reps", "2", "--output", out]) == 0
+    assert built == []

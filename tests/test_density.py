@@ -683,13 +683,24 @@ def float_bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def in_float64(monkeypatch, f, g, mode) -> float:
+    """``density_finite(f, g, mode)`` with every step in float64, as on a
+    call of more than 2^53 values."""
+    import tourlim.density
+
+    with monkeypatch.context() as m:
+        m.setattr(tourlim.density, "_DOUBLE", 0)
+        return density_finite(f, g, mode)
+
+
 class TestZeroOneTournaments:
     """On a 0/1 tournament A(x, y) A(y, x) = 0 for every x and y, so the
     terms with an edge both ways are exactly 0 and are left out."""
 
     @pytest.mark.parametrize("seed, as_bools", [(0, False), (1, True)])
-    def test_small_classes_and_long_cycles_match_bruteforce(self, seed, as_bools):
-        # hom of the long cycles at 4 vertices, inj and ind at 8
+    def test_small_classes_and_long_cycles_match_bruteforce(self, monkeypatch, seed, as_bools):
+        # hom of the long cycles at 4 vertices, inj and ind at 8; the exact
+        # arithmetic equals the float64 evaluation to the bit
         hosts = {}
         for n in (4, 6, 8):
             a = random_tournament(n, seed * 10 + n)
@@ -698,7 +709,9 @@ class TestZeroOneTournaments:
             for mode in ("hom", "inj", "ind"):
                 a, g = hosts[6 if f.k <= 5 else 4 if mode == "hom" else 8]
                 want = oracles.brute_density_finite(f, a, mode)
-                assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+                got = density_finite(f, g, mode)
+                assert got == pytest.approx(want, abs=1e-12)
+                assert float_bits(got) == float_bits(in_float64(monkeypatch, f, g, mode))
 
     @pytest.mark.parametrize("n, patterns", [
         pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
@@ -758,6 +771,92 @@ class TestZeroOneTournaments:
         _priced([C8, C7], "inj", 1, 259, True)
         with pytest.raises(ValidationError, match="cost guard"):
             _priced([C8, C7], "inj", 1, 700, True)
+
+
+class TestExactArithmetic:
+    """A 0/1 tournament on which n^k <= 2^53 for every pattern of the call
+    contracts its bools: a step whose subtree sums e vertices has integer
+    values of at most n^e and runs in float32 when n^e <= 2^24, else in
+    float64.  Both are exact, so every density equals the float64
+    evaluation to the bit."""
+
+    @staticmethod
+    def precisions(patterns, n, summed) -> set:
+        """The precisions of the steps of ``summed`` vertices at n."""
+        from tourlim.density import _chosen, _terms
+
+        return {step.dtype for f in patterns for mode in ("hom", "inj", "ind")
+                for _, k, factors in _terms(f, mode, 1, n, True) if factors
+                for step in _chosen(k, factors, n, True).steps if step.summed == summed}
+
+    @pytest.mark.parametrize("n, patterns", [
+        pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
+        # 256^3 = 2^24: the steps of three summed vertices are float32 at
+        # 256 and float64 at 257
+        pytest.param(256, SMALL_CLASSES[:8] + [C4, S11], id="256"),
+        pytest.param(257, SMALL_CLASSES[:8] + [C4, S11], id="257"),
+    ])
+    def test_bools_equal_the_float64_path_bit_for_bit(self, monkeypatch, n, patterns):
+        assert max(f.k for f in SMALL_CLASSES[:8]) == 4
+        if n > 30:
+            assert self.precisions(patterns, n, 3) == {np.float32 if n == 256 else np.float64}
+        g = GeneralizedTournament(random_tournament(n, n) > 0.5)
+        compared = 0
+        for f in patterns:
+            for mode in ("hom", "inj", "ind"):
+                try:
+                    want = in_float64(monkeypatch, f, g, mode)
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        density_finite(f, g, mode)
+                    continue
+                assert float_bits(density_finite(f, g, mode)) == float_bits(want), (f, mode)
+                compared += 1
+        assert compared >= 2 * len(patterns)
+
+    @pytest.mark.parametrize("n", [98, 99])
+    def test_c8_takes_the_exact_path_up_to_2_53(self, monkeypatch, n):
+        # 98^8 < 2^53 < 99^8: at 98 the steps read bools and float32, at 99
+        # every operand is float64
+        import tourlim.density
+        from tourlim.density import _run
+
+        C8 = DigraphPattern.cycle(8)
+        g = GeneralizedTournament(random_tournament(n, n) > 0.5)
+        for mode in ("hom", "inj", "ind"):
+            try:
+                want = in_float64(monkeypatch, C8, g, mode)
+            except ValidationError:
+                continue  # one row of C8 ind's widest terms exceeds 2^24 values
+            seen = set()
+
+            def spy(step, ops):
+                seen.update(op.dtype for op in ops)
+                return _run(step, ops)
+
+            with monkeypatch.context() as m:
+                m.setattr(tourlim.density, "_run", spy)
+                got = density_finite(C8, g, mode)
+            assert float_bits(got) == float_bits(want), mode
+            assert (seen == {np.dtype(np.float64)}) == (n == 99), (mode, seen)
+
+    def test_c4_inj_product_at_500_runs_on_float32(self, monkeypatch):
+        # the one A.A product of C4 inj reads the float32 copy of the bools
+        import tourlim.density
+        from tourlim.density import _run
+
+        products = []
+
+        def spy(step, ops):
+            if step.op == "dot":
+                products.append([op.dtype for op in ops])
+            return _run(step, ops)
+
+        monkeypatch.setattr(tourlim.density, "_run", spy)
+        g = GeneralizedTournament(random_tournament(500, 5) > 0.5)
+        got = density_finite(C4, g, "inj")
+        assert products == [[np.float32, np.float32]]
+        assert float_bits(got) == float_bits(in_float64(monkeypatch, C4, g, "inj"))
 
 
 class TestStarDensity:
