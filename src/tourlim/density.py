@@ -79,17 +79,14 @@ evaluate these sums along one path of three steps.
 
 Arithmetic.  Kernels, generalised tournaments and calls in which n^k
 exceeds 2^53 for some pattern run every step in float64.  On a 0/1
-tournament with n^k <= 2^53 for every pattern of the call, the factors are
-the tournament's bools (a float input is cast to float32 once), and every
-value a step makes is an integer: a sum, over the e vertices that its
-subtree sums (recorded per step when it is planned), of products of 0s and
-1s, so at most n^e.  A step runs in float32 when n^e <= 2^24 and in
-float64 otherwise, up to 2^53.  Every partial sum is a nonnegative integer
-no larger than the result, so both are exact, and so is the float64
-evaluation: each density is the same to the bit.  A BLAS product or an
-einsum over three or more vertices reads a float32 copy of the bools, made
-at most once per call, and once it exists every later step reads it; until
-then a step over two vertices reads the bools.
+tournament with n^k <= 2^53 for every pattern of the call, the matrix,
+bools or floats, is cast to float32 once per call, and every value a step
+makes is an integer: a sum, over the e vertices that its subtree sums
+(recorded per step when it is planned), of products of 0s and 1s, so at
+most n^e.  A step runs in float32 when n^e <= 2^24 and in float64
+otherwise, up to 2^53.  Every partial sum is a nonnegative integer no
+larger than the result, so both are exact, and so is the float64
+evaluation: each density is the same to the bit.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -177,9 +174,7 @@ class _Plan(NamedTuple):
     too large, the ``sliced`` scalars, those whose trees carry ``cut``, are
     summed over row ranges of ``cut`` one pass at a time.  ``repeated``
     holds the keys of the BLAS products of two n x n operands that more
-    than one step makes.  ``widened`` holds the factors that a BLAS product
-    or an einsum over three or more vertices reads, which exact arithmetic
-    (see ``_hom``) gives them in float32.
+    than one step makes.
     """
 
     steps: tuple
@@ -189,7 +184,6 @@ class _Plan(NamedTuple):
     cut: int | None
     sliced: frozenset
     repeated: frozenset
-    widened: frozenset
 
 
 class _Step(NamedTuple):
@@ -200,8 +194,8 @@ class _Step(NamedTuple):
     terms of a call, a repeated rank-2 product for its term.  The step
     makes ``count`` multiplications and additions per value of the
     vertices ``over``, and its subtree sums ``summed`` vertices.  ``dtype``
-    is the precision that ``_typed`` sets; None runs the step as numpy
-    promotes its operands, float64 on float64 factors."""
+    is float64 where ``_typed`` widens a step on float32 factors; None runs
+    the step as numpy promotes its operands."""
 
     op: str
     ids: tuple
@@ -376,8 +370,6 @@ class _Elimination:
             cut=cut,
             sliced=frozenset(i for i in self.live if carries[i]),
             repeated=frozenset(key for key, times in made.items() if times > 1),
-            widened=frozenset(i for step in steps if step.op == "dot" or len(step.over) > 2
-                              for i in step.ids if i < len(factors)),
         )
 
 
@@ -444,11 +436,12 @@ def _chosen(k: int, factors: tuple, n: int | None, exact: bool = False) -> _Plan
 @lru_cache(maxsize=4096)
 def _typed(k: int, factors: tuple, plain: bool, n: int) -> _Plan:
     """``_plan(k, factors, plain)`` with the precision of each step at n on
-    a 0/1 tournament, whose step values are integers of at most n^summed:
-    float32 when that is at most 2^24, else float64."""
+    the float32 matrices of a 0/1 tournament, whose step values are
+    integers of at most n^summed: float32, as numpy keeps it, when that is
+    at most 2^24, else float64."""
     plan = _plan(k, factors, plain)
     return plan._replace(steps=tuple(
-        step._replace(dtype=np.float32 if n ** step.summed <= _SINGLE else np.float64)
+        step if n ** step.summed <= _SINGLE else step._replace(dtype=np.float64)
         for step in plan.steps
     ))
 
@@ -491,8 +484,8 @@ def _value(plan: _Plan, i: int, leaves: list | tuple, memo: dict | None, run):
 def _run(step: _Step, ops: list) -> np.ndarray:
     """The result of ``step`` on ``ops``, in ``step.dtype`` when it has one."""
     if step.op == "dot":
-        if step.dtype is np.float64:
-            ops = [op.astype(np.float64, copy=False) for op in ops]
+        if step.dtype is not None:
+            ops = [op.astype(step.dtype, copy=False) for op in ops]
         return _dot(ops[0], step.spec[0], ops[1], step.spec[1])
     if step.dtype is None:
         return np.einsum(step.spec, *ops)
@@ -512,21 +505,12 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict, exact: bool = F
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
     the other terms of the call through ``memo``.  A sliced pass reads only
     its rows of the cut vertex and memoises nothing; the term's repeated
-    products leave ``memo`` when it ends.  ``exact`` runs the steps in the
-    precisions of ``_typed``: a ``widened`` factor of a bool kind makes its
-    float32 copy, which ``mats`` keeps under (kind, float32), and every
-    factor of a kind that has one reads it."""
+    products leave ``memo`` when it ends.  ``exact`` runs the steps of the
+    float32 matrices of a 0/1 tournament in the precisions of ``_typed``."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
     plan = _chosen(k, factors, n, exact)
-    if exact and leaves[0].dtype == bool:
-        for i, (_, _, kind) in enumerate(factors):
-            single = mats.get((kind, np.float32))
-            if single is None and i in plan.widened:
-                single = mats[kind, np.float32] = leaves[i].astype(np.float32)
-            if single is not None:
-                leaves[i] = single
     value = float(n) ** plan.free
     for i in plan.scalars:
         total = 0.0
@@ -839,18 +823,15 @@ def _densities(patterns, alpha: np.ndarray, mode: str, c: int, zero_one: bool = 
     (c = 1 for a finite input, 0 for a kernel's blocks; ``zero_one`` when it
     is a 0/1 tournament, which may then be given as bools), priced together
     by ``_priced`` and contracted with one memo.  A 0/1 tournament on which
-    n^k is at most 2^53 for every pattern is contracted exactly: its bools,
-    or its values cast to float32, in the precisions of ``_typed``."""
+    n^k is at most 2^53 for every pattern is contracted exactly: cast to
+    float32 once, in the precisions of ``_typed``."""
     n = len(alpha)
     priced = _priced(patterns, mode, c, n, zero_one)
     exact = zero_one and all(n ** f.k <= _DOUBLE for f in patterns)
-    if exact and alpha.dtype != bool:
-        alpha = alpha.astype(np.float32, copy=False)
-    elif not exact:
-        alpha = alpha.astype(float, copy=False)
+    alpha = alpha.astype(np.float32 if exact else float, copy=False)
     mats = {_EDGE: alpha}
     if mode == "ind" and any(len(f.edges) < f.k * (f.k - 1) // 2 for f in patterns):
-        mats[_BLANK] = ~alpha & ~alpha.T if alpha.dtype == bool else (1.0 - alpha) * (1.0 - alpha.T)
+        mats[_BLANK] = (1.0 - alpha) * (1.0 - alpha.T)
     memo: dict = {}
     return [
         0.0 if terms is None else _evaluate(terms, mats, n, memo, exact)

@@ -236,8 +236,8 @@ holds between its numpy calls: on a 2-vCPU VM, 12 repetitions of S0,1,
 S1,1 and C3 on two threads took 2.2x the serial time at n = 100, 1.1x at
 n = 200 (faster in 2 of 10 pairs), 0.85x at n = 256 and 300 (9 and 8 of
 10) and 0.75x at n = 500 (8 of 10), with the densities of 0/1 samples
-contracted exactly from their bools (medians of 10 alternating pairs,
-which vary with the host's load)."""
+contracted exactly in float32 and float64 (medians of 10 alternating
+pairs, which vary with the host's load)."""
 
 
 def _workers(size: int, reps: int) -> int:

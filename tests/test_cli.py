@@ -825,18 +825,32 @@ class TestMatrixReader:
 
 class TestInputText:
     """An input is read as ``Path.read_text(encoding="utf-8")`` reads it: a
-    regular, non-empty file through a read-only map, closed before the
-    reader returns, and anything else through read."""
+    regular file of at least ``cli._MAP_FROM`` bytes through a read-only
+    map, closed before the reader returns, and anything else through
+    read."""
 
-    @pytest.fixture
-    def sampled(self, half3, tmp_path):
-        path = tmp_path / "sample.json"
-        assert main(["sample", "--input", half3, "--size", "60", "--seed", "1",
+    @staticmethod
+    def sample(half3, path, size):
+        assert main(["sample", "--input", half3, "--size", str(size), "--seed", "1",
                      "--output", str(path)]) == 0
         return path
 
-    def test_crlf_and_lone_cr_give_the_bytes_of_lf(self, sampled, tmp_path, capsysbinary):
-        text = sampled.read_bytes()
+    @pytest.fixture
+    def sampled(self, half3, tmp_path):
+        path = self.sample(half3, tmp_path / "sample.json", 60)
+        assert 0 < path.stat().st_size < cli._MAP_FROM
+        return path
+
+    @pytest.fixture
+    def mapped(self, half3, tmp_path):
+        path = self.sample(half3, tmp_path / "mapped.json", 200)
+        assert path.stat().st_size >= cli._MAP_FROM
+        return path
+
+    @pytest.mark.parametrize("input", ["sampled", "mapped"])
+    def test_crlf_and_lone_cr_give_the_bytes_of_lf(self, request, input, tmp_path,
+                                                   capsysbinary):
+        text = request.getfixturevalue(input).read_bytes()
         outputs = {}
         for newline in (b"\n", b"\r\n", b"\r"):
             path = tmp_path / "copy.json"
@@ -871,7 +885,8 @@ class TestInputText:
     def test_empty_and_non_utf8_files_exit_2_with_the_messages_of_read_text(self, tmp_path,
                                                                            capsys):
         for name, data in [("empty.json", b""), ("latin1.json", '{"\xe9": 1}'.encode("latin-1")),
-                           ("cut.json", b'{"n": "\xe2\x82')]:
+                           ("cut.json", b'{"n": "\xe2\x82'),
+                           ("mapped.json", b'{"n": "' + b"x" * cli._MAP_FROM + b'\xe9"}')]:
             path = tmp_path / name
             path.write_bytes(data)
             try:
@@ -884,22 +899,42 @@ class TestInputText:
             assert capsys.readouterr() == ("", f"error: {want}\n")
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
-    def test_the_map_is_closed_before_the_reader_returns(self, sampled, monkeypatch):
+    def test_the_map_is_closed_before_the_reader_returns(self, sampled, mapped, monkeypatch):
         import mmap
 
-        name = os.path.realpath(sampled)
-        mapped = []
+        listed = []
         real = mmap.mmap
 
         def spy(*args, **kwargs):
             m = real(*args, **kwargs)
-            mapped.append(name in Path("/proc/self/maps").read_text())
+            listed.append(Path("/proc/self/maps").read_text())
             return m
 
         monkeypatch.setattr(mmap, "mmap", spy)
         assert cli._load_json(str(sampled))["alpha"].dtype == bool
-        assert mapped == [True]
+        assert listed == []  # below _MAP_FROM the file is read
+        name = os.path.realpath(mapped)
+        assert cli._load_json(str(mapped))["alpha"].dtype == bool
+        assert len(listed) == 1 and name in listed[0]
         assert name not in Path("/proc/self/maps").read_text()
+
+    @pytest.mark.parametrize("error", [OSError(19, "No such device"), ValueError("mmap")])
+    def test_a_file_that_cannot_be_mapped_is_read(self, mapped, monkeypatch, error):
+        # as on a file system without mmap (ENODEV)
+        import mmap
+
+        refused = []
+
+        def refuse(*args, **kwargs):
+            refused.append(args)
+            raise error
+
+        want = cli._load_json(str(mapped))
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        assert cli._read_text(str(mapped)) == mapped.read_text(encoding="utf-8")
+        assert len(refused) == 1
+        got = cli._load_json(str(mapped))
+        assert got["n"] == want["n"] and np.array_equal(got["alpha"], want["alpha"])
 
 
 class TestMatrixOutputsMatchSchema:

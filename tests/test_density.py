@@ -775,17 +775,18 @@ class TestZeroOneTournaments:
 
 class TestExactArithmetic:
     """A 0/1 tournament on which n^k <= 2^53 for every pattern of the call
-    contracts its bools: a step whose subtree sums e vertices has integer
-    values of at most n^e and runs in float32 when n^e <= 2^24, else in
-    float64.  Both are exact, so every density equals the float64
+    is contracted as float32: a step whose subtree sums e vertices has
+    integer values of at most n^e and runs in float32 when n^e <= 2^24,
+    else in float64.  Both are exact, so every density equals the float64
     evaluation to the bit."""
 
     @staticmethod
     def precisions(patterns, n, summed) -> set:
-        """The precisions of the steps of ``summed`` vertices at n."""
+        """The precisions of the steps of ``summed`` vertices at n (no
+        dtype: float32, as numpy keeps the float32 operands)."""
         from tourlim.density import _chosen, _terms
 
-        return {step.dtype for f in patterns for mode in ("hom", "inj", "ind")
+        return {step.dtype or np.float32 for f in patterns for mode in ("hom", "inj", "ind")
                 for _, k, factors in _terms(f, mode, 1, n, True) if factors
                 for step in _chosen(k, factors, n, True).steps if step.summed == summed}
 
@@ -816,7 +817,7 @@ class TestExactArithmetic:
 
     @pytest.mark.parametrize("n", [98, 99])
     def test_c8_takes_the_exact_path_up_to_2_53(self, monkeypatch, n):
-        # 98^8 < 2^53 < 99^8: at 98 the steps read bools and float32, at 99
+        # 98^8 < 2^53 < 99^8: at 98 the steps read float32 operands, at 99
         # every operand is float64
         import tourlim.density
         from tourlim.density import _run
@@ -841,7 +842,7 @@ class TestExactArithmetic:
             assert (seen == {np.dtype(np.float64)}) == (n == 99), (mode, seen)
 
     def test_c4_inj_product_at_500_runs_on_float32(self, monkeypatch):
-        # the one A.A product of C4 inj reads the float32 copy of the bools
+        # the one A.A product of C4 inj reads the float32 cast of the bools
         import tourlim.density
         from tourlim.density import _run
 
