@@ -288,11 +288,11 @@ def _matrix_chunks(a: np.ndarray, indent: str):
     """A non-empty float64 or bool matrix as json writes the ``tolist()``
     of its float64 values, in blocks of whole rows.
 
-    A bool matrix's cells index the words 0.0 and 1.0 through their own
-    uint8 view.  A float64 matrix is written a block of rows at a time,
-    each distinct bit pattern of the block once with json's own float
-    text (so -0.0, NaN and Infinity come out as json writes them), so
-    only one block's texts are alive at once.  When a block's texts have
+    A bool matrix's words are 0.0 and 1.0, picked by each cell's bit
+    through the matrix's uint8 view.  A float64 matrix is written a block
+    of rows at a time, each distinct bit pattern of the block once with
+    json's own float text (so -0.0, NaN and Infinity come out as json
+    writes them), so only one block's texts are alive at once.  When a block's texts have
     one length, as for every 0/1 matrix, its rows are built as bytes;
     otherwise each row is one join of its words.  Either way a chunk
     holds whole rows, about ``_CHUNK_BYTES`` of them.
@@ -320,12 +320,16 @@ def _matrix_chunks(a: np.ndarray, indent: str):
 
 def _fixed_width_rows(words: list, index, shape: tuple, row_in: str, cell_in: str):
     """Rows of words of one length, built as bytes from a template row;
-    ``index(rows)`` gives the word of each cell of those rows.
+    ``index(rows)`` gives the word of each cell of those rows: its position
+    in ``words``, or, for a bool matrix against the words 0.0 and 1.0, its
+    bit as uint8.
 
     The template holds the brackets, the separators and the first word in
     every cell and is repeated once for a block of rows; for each block,
     each byte position at which the words differ is filled by one
-    ``np.take`` from that position's column of the word table.
+    ``np.take`` from that position's column of the word table.  A bool
+    matrix's one such byte is ord("0") + bit, written by one ``np.add``:
+    on a 23 x 900 block, 12 instead of 37 us on a 2-vCPU Xeon.
     """
     table = np.frombuffer("".join(words).encode(), np.uint8).reshape(len(words), -1)
     varying = np.flatnonzero((table != table[0]).any(axis=0))
@@ -341,8 +345,13 @@ def _fixed_width_rows(words: list, index, shape: tuple, row_in: str, cell_in: st
     for i in range(0, n, step):
         idx = index(slice(i, i + step))
         for b, column in zip(varying, columns):
-            # every index is in range; "clip" writes to the strided out directly
-            np.take(column, idx, out=cells[:len(idx), :, b], mode="clip")
+            out = cells[:len(idx), :, b]
+            if idx.dtype == np.uint8:
+                # bits against the column ord("0"), ord("1")
+                np.add(idx, column[0], out=out)
+            else:
+                # every index is in range; "clip" writes to the strided out directly
+                np.take(column, idx, out=out, mode="clip")
         text = block[:len(idx)].reshape(-1)
         # no ",\n" after the matrix's last row
         yield (text if i + step < n else text[:-2]).tobytes()

@@ -18,8 +18,12 @@ evaluate these sums along one path of three steps.
    exactly 0.  Its value is exactly 0.0, since every factor is
    nonnegative and every partial sum an integer, and such terms are left
    out, both among the quotients and among the terms of step 2: the sum
-   loses only summands of 0.0 and is the same to the bit.  Kernels and
-   generalised tournaments keep every term.
+   loses only summands of 0.0 and is the same to the bit.  Where n^k is at
+   most 2^53 as well, A(x, y)^2 = A(x, y), so a term keeps one copy of a
+   repeated factor, among the quotients and among the terms of step 2, and
+   terms that then coincide are merged: every partial sum is still a
+   nonnegative integer (see Arithmetic), so the density is the same to the
+   bit.  Kernels and generalised tournaments keep every term and factor.
 
 2. Skew identity.  Kernels satisfy M + M^T = J and finite inputs
    A + A^T = J - I, i.e. A(x, y) + A(y, x) = 1 - c [x = y] with c = 0 for
@@ -785,14 +789,22 @@ def _terms(f: DigraphPattern, mode: str, c: int, n: int, zero_one: bool = False)
     """The terms that are contracted for ``f`` at n: the expansion, with
     every term too large for the plain sum taking its cycle rewrite.  On a
     0/1 tournament (``zero_one``) the terms with an edge both ways are
-    exactly 0 and are left out, before and after the rewrite."""
+    exactly 0 and are left out, before and after the rewrite; when n^k is
+    at most 2^53 as well, a term keeps one copy of each repeated factor,
+    before and after the rewrite, and terms that then coincide are merged."""
+    once = zero_one and n ** f.k <= _DOUBLE
+
+    def kept(factors: tuple) -> tuple:
+        return tuple(sorted(set(factors))) if once else factors
+
     out = Counter()
     for coef, k, factors in _expansion(f, mode, c):
         if zero_one and _two_way(factors):
             continue
+        factors = kept(factors)
         if factors and not _tiny(k, factors, n):
             for sub, kk, ff in _rewrite(k, factors, c):
-                out[(kk, ff)] += coef * sub
+                out[(kk, kept(ff))] += coef * sub
         else:
             out[(k, factors)] += coef
     return tuple(term for term in _as_terms(out) if not (zero_one and _two_way(term[2])))

@@ -33,6 +33,7 @@ from .core import (
     StepKernel,
     ValidationError,
     _check_matrix_size,
+    _row_counts,
     _w1,
     degree_distribution,
     scores_of_tournament,
@@ -233,11 +234,13 @@ _PARALLEL_FROM = 256
 """The smallest sample size whose repetitions run concurrently.  Below it
 the threads mostly wait for the interpreter lock, which each repetition
 holds between its numpy calls: on a 2-vCPU VM, 12 repetitions of S0,1,
-S1,1 and C3 on two threads took 2.2x the serial time at n = 100, 1.1x at
-n = 200 (faster in 2 of 10 pairs), 0.85x at n = 256 and 300 (9 and 8 of
-10) and 0.75x at n = 500 (8 of 10), with the densities of 0/1 samples
-contracted exactly in float32 and float64 (medians of 10 alternating
-pairs, which vary with the host's load)."""
+S1,1 and C3 on two threads took 1.9-2.1x the serial time at n = 100,
+0.66-0.87x at n = 256 and 300 (faster in 7-10 of 10 pairs) and
+0.75-0.83x at n = 500 (10 of 10), with bool scores counted in uint16
+(medians of 10 alternating pairs, which vary with the host's load).  At
+n = 200 the sets of pairs disagree: 0.91x and 0.92x (10 and 9 of 10)
+where it was the first size its process ran, 1.08-1.41x (0-2 of 10)
+where it ran after n = 100."""
 
 
 def _workers(size: int, reps: int) -> int:
@@ -270,7 +273,7 @@ def _score_w1(wins: np.ndarray, target: DegreeDistribution) -> float:
     and an atom of c scores weighs the c-th partial sum of 1/n, the sum
     that DegreeDistribution's merge of c equal atoms adds up."""
     n = len(wins)
-    counts = np.bincount(wins.sum(axis=1), minlength=n)
+    counts = np.bincount(_row_counts(wins), minlength=n)
     seen = np.flatnonzero(counts)
     weights = np.cumsum(np.full(n, 1.0 / n))[counts[seen] - 1]
     return _w1(seen / n, weights, target.positions, target.weights)

@@ -452,6 +452,21 @@ class TestJsonText:
             assert len(chunks) > 5
             assert b"".join(chunks) == json_reference(payload).encode()
 
+    def test_bools_write_their_bits_and_floats_look_up_their_words(self, monkeypatch):
+        # a bool matrix's varying byte is ord("0") + bit, one np.add per
+        # block; a float64 matrix of 0.0 and 1.0 indexes its word table
+        zero_one = np.random.default_rng(8).random((40, 23)) < 0.5
+        for a, want in ((zero_one, {"add"}), (zero_one.astype(float), {"take"})):
+            made = set()
+            take, add = np.take, np.add
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_CHUNK_BYTES", 2000)
+                m.setattr(np, "take", lambda *args, **kw: made.add("take") or take(*args, **kw))
+                m.setattr(np, "add", lambda *args, **kw: made.add("add") or add(*args, **kw))
+                chunks = list(cli._json_chunks({"alpha": a, "n": 40}))
+            assert made == want and len(chunks) > 5
+            assert b"".join(chunks) == json_reference({"alpha": a, "n": 40}).encode()
+
     def test_many_valued_matrix_peak_is_bounded_by_a_block(self, tmp_path):
         """Only one block's value texts are alive at once: a 600 x 600
         matrix of uniform reals writes 9 MiB of text within a few MiB of
@@ -1197,6 +1212,23 @@ def test_samples_over_many_draw_blocks_and_skew_tiles(half3):
     proc = cli_within_60s("sample-selfconverse", "--input", half3, "--size", "1500",
                           "--sigma", "reverse", "--seed", "1", "--output", "/dev/null")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("n, spec", [(350, "C4"), (90, "C5")])
+def test_sliced_induced_densities_within_60s(tmp_path, n, spec):
+    """C4 ind at 350 vertices and C5 ind at 90, on generalised tournaments,
+    whose widest terms run in passes over row ranges of their cut vertex,
+    each within 60 s."""
+    u = np.triu(np.random.default_rng(n).random((n, n)), 1)
+    alpha = u + np.tril(1.0 - u.T, -1)
+    path = write_json(tmp_path, f"gt{n}.json", {"n": n, "alpha": alpha.tolist()})
+    plans = [density._chosen(k, factors, n)
+             for _, k, factors in density._terms(DigraphPattern.from_spec(spec), "ind", 1, n)
+             if factors]
+    assert any(len(density._passes(plan, i, n)) > 1 for plan in plans for i in plan.sliced)
+    proc = cli_within_60s("density", "--input", path, "--pattern", spec, "--mode", "ind")
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= json.loads(proc.stdout)["density"] <= 1.0
 
 
 def test_0_1_tournaments_never_build_float64(half3, tmp_path, monkeypatch):

@@ -381,6 +381,32 @@ class TestConversions:
         d = np.asarray(scores_of_tournament(tournament).values, dtype=float)
         assert np.max(np.abs(cells - (d + 0.5) / tournament.n)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 500, 900])
+    def test_scores_of_bools_are_the_int64_row_sums(self, n):
+        b = _random_bool_tournament(n, n)
+        g = GeneralizedTournament(b)
+        s = scores_of_tournament(g)
+        assert s.kind == "integer" and s.values.dtype == np.int64
+        assert np.array_equal(s.values, g.alpha.sum(axis=1))
+
+    def test_row_counts_widen_past_2_16_cells(self):
+        # all-True rows of 70,000 cells count past the uint16 range
+        from tourlim.core import _row_counts
+
+        for a in (np.ones((2, 70_000), bool), np.random.default_rng(1).random((2, 70_000)) < 0.5,
+                  _random_bool_tournament(300, 2)):
+            tracemalloc.start()
+            try:
+                got = _row_counts(a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # no n x n (or 2 x n int64) copy of the bools
+            assert peak < a.size, peak
+            assert np.array_equal(got, a.sum(axis=1))
+            assert got.dtype == (np.int64 if a.shape[1] >= 2**16 else np.uint16)
+        assert _row_counts(np.ones((2, 70_000), bool)).tolist() == [70_000, 70_000]
+
 
 class TestConverse:
     def test_converse_transitive_reverses_order(self):

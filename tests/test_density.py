@@ -695,7 +695,8 @@ def in_float64(monkeypatch, f, g, mode) -> float:
 
 class TestZeroOneTournaments:
     """On a 0/1 tournament A(x, y) A(y, x) = 0 for every x and y, so the
-    terms with an edge both ways are exactly 0 and are left out."""
+    terms with an edge both ways are exactly 0 and are left out, and
+    A(x, y)^2 = A(x, y), so a term keeps one copy of a repeated factor."""
 
     @pytest.mark.parametrize("seed, as_bools", [(0, False), (1, True)])
     def test_small_classes_and_long_cycles_match_bruteforce(self, monkeypatch, seed, as_bools):
@@ -735,6 +736,46 @@ class TestZeroOneTournaments:
                 assert float_bits(density_finite(f, g, mode)) == float_bits(every)
                 compared += 1
         assert compared >= 2 * len(patterns)
+
+    def test_repeated_factors_are_kept_once(self):
+        # A(x, y)^2 = A(x, y) on a 0/1 tournament: at 30 every term holds
+        # each factor once (``test_equal_bit_for_bit_to_every_term`` checks
+        # the values against every term with every factor), and densities
+        # equal brute force where it can enumerate the maps
+        from tourlim.density import _terms
+
+        T4 = DigraphPattern.transitive(4)
+        assert any(len(set(ff)) < len(ff) for _, _, ff in _terms(T4, "hom", 1, 30))
+        a = random_tournament(30, 31)
+        g = GeneralizedTournament(a > 0.5)
+        for f in SMALL_CLASSES + LONG_CYCLES:
+            for mode in ("hom", "inj", "ind"):
+                for _, _, factors in _terms(f, mode, 1, 30, True):
+                    assert len(set(factors)) == len(factors), (f, mode, factors)
+                if f.k <= 3:
+                    want = oracles.brute_density_finite(f, a, mode)
+                    assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
+
+    def test_c3_inj_reads_no_factor_twice(self, monkeypatch):
+        # its 0.5 hom(A(b, a) A(b, a)) contracts as the row sums of A, which
+        # the term of b -> c, c -> a has already summed
+        import tourlim.density
+        from tourlim.density import _densities, _run
+
+        steps = []
+
+        def spy(step, ops):
+            factors = [id(op) for op in ops if op.ndim == 2]
+            assert len(set(factors)) == len(factors), step
+            steps.append(step.spec)
+            return _run(step, ops)
+
+        a = random_tournament(500, 5)
+        want = _densities((C3,), a, "inj", 1)[0]
+        monkeypatch.setattr(tourlim.density, "_run", spy)
+        got = density_finite(C3, GeneralizedTournament(a > 0.5), "inj")
+        assert "ba->b" not in steps and "b->" in steps
+        assert float_bits(got) == float_bits(want)
 
     def test_kernels_and_generalised_inputs_plan_every_term(self, monkeypatch):
         import tourlim.density
