@@ -12,18 +12,21 @@ evaluate these sums along one path of three steps.
    lattice.  A partition that merges the two endpoints of a pattern edge
    puts that edge on the diagonal of alpha, which is zero, so the term is
    exactly 0 and is dropped; a merged blank pair lands on the diagonal of
-   the blank factor, which is one.  On a 0/1 tournament
+   the blank factor, which is one.  Every term that merges vertices, a
+   quotient here or R / {u = v} in step 2, is made by one relabelling,
+   which also applies two rules on a 0/1 tournament.  There
    A(x, y) A(y, x) = 0 for every x and y, x = y included, so a term with
    an edge both ways, u -> v and v -> u, sums products that are each
-   exactly 0.  Its value is exactly 0.0, since every factor is
-   nonnegative and every partial sum an integer, and such terms are left
-   out, both among the quotients and among the terms of step 2: the sum
-   loses only summands of 0.0 and is the same to the bit.  Where n^k is at
-   most 2^53 as well, A(x, y)^2 = A(x, y), so a term keeps one copy of a
-   repeated factor, among the quotients and among the terms of step 2, and
-   terms that then coincide are merged: every partial sum is still a
-   nonnegative integer (see Arithmetic), so the density is the same to the
-   bit.  Kernels and generalised tournaments keep every term and factor.
+   exactly 0, and is dropped like a loop.  Where n^k is at most 2^53 as
+   well, A(x, y)^2 = A(x, y), so a term keeps one copy of a repeated
+   factor.  Step 2 otherwise only deletes edges and reverses an edge alone
+   on its pair, so the swap rule and the rewrite see and make only terms
+   reduced this way, and terms that then coincide are merged.  Under both
+   rules every partial sum is still a nonnegative integer (see
+   Arithmetic), so the density is the one of every term to the bit; beyond
+   2^53 the dropped terms are exactly 0, and the float64 sum agrees to
+   rounding.  Kernels and generalised tournaments keep every term and
+   factor.
 
 2. Skew identity.  Kernels satisfy M + M^T = J and finite inputs
    A + A^T = J - I, i.e. A(x, y) + A(y, x) = 1 - c [x = y] with c = 0 for
@@ -599,9 +602,12 @@ def _evaluate(terms, mats: dict, n: int, memo: dict | None = None, exact: bool =
 # term expansion: Moebius pruning, swap rule and cycle rewrite
 
 
-def _relabel(factors, label) -> tuple | None:
-    """Factors under the vertex map ``label``; None when an edge becomes a
-    loop (a zero diagonal entry of alpha).  Blank loops are 1 and dropped."""
+def _relabel(factors, label, rules: int) -> tuple | None:
+    """Factors under the vertex map ``label``; None when the term is exactly
+    0: an edge becomes a loop (a zero diagonal entry of alpha) or, under
+    ``rules`` 1 or 2 (a 0/1 tournament), two edges run both ways.  Blank
+    loops are 1 and dropped.  Under ``rules`` 2 (a 0/1 tournament with
+    n^k <= 2^53) a repeated factor is kept once: every factor is 0 or 1."""
     out = []
     for u, v, kind in factors:
         a, b = label[u], label[v]
@@ -610,7 +616,11 @@ def _relabel(factors, label) -> tuple | None:
                 return None
             continue
         out.append((min(a, b), max(a, b), kind) if kind == _BLANK else (a, b, kind))
-    return tuple(sorted(out))
+    if rules:
+        edges = {(a, b) for a, b, kind in out if kind == _EDGE}
+        if any((b, a) in edges for a, b in edges):
+            return None
+    return tuple(sorted(set(out) if rules == 2 else out))
 
 
 def _profile(factors: tuple) -> dict:
@@ -660,16 +670,17 @@ def _lone_edges(factors: tuple):
             yield i, u, v
 
 
-def _both_ways(k: int, rest: tuple, u: int, v: int, c: int) -> Counter:
+def _both_ways(k: int, rest: tuple, u: int, v: int, c: int, rules: int) -> Counter:
     """hom(R + u->v) + hom(R + v->u) = hom(R) - c hom(R / {u = v}) as
-    symmetrized terms {(k, factors): coefficient}."""
+    symmetrized terms {(k, factors): coefficient}, under ``_relabel``'s
+    ``rules``."""
     out = Counter()
-    for coef, kk, ff in _symmetrize(k, rest, c):
+    for coef, kk, ff in _symmetrize(k, rest, c, rules):
         out[(kk, ff)] += coef
-    if c:
-        label = [w - (w > v) for w in range(k)]
-        label[v] = label[u]
-        for coef, kk, ff in _symmetrize(k - 1, _relabel(rest, label), c):
+    label = [w - (w > v) for w in range(k)]
+    label[v] = label[u]
+    if c and (merged := _relabel(rest, label, rules)) is not None:
+        for coef, kk, ff in _symmetrize(k - 1, merged, c, rules):
             out[(kk, ff)] -= coef
     return out
 
@@ -679,9 +690,10 @@ def _as_terms(combination: Counter) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _symmetrize(k: int, factors: tuple, c: int) -> tuple:
+def _symmetrize(k: int, factors: tuple, c: int, rules: int) -> tuple:
     """hom(F) as a combination of (coefficient, k, factors) terms with every
-    symmetric edge removed by the swap rule (see the module docstring)."""
+    symmetric edge removed by the swap rule (see the module docstring),
+    under ``_relabel``'s ``rules``."""
     profile = _profile(factors)
     # a swap of u and v maps the tags around u in R onto those around v
     around = [sorted(tuple(profile.get((w, y), ())) for y in range(k)) for w in range(k)]
@@ -695,23 +707,24 @@ def _symmetrize(k: int, factors: tuple, c: int) -> tuple:
         if in_rest(u, ("out",)) != in_rest(v, ("in",)):
             continue
         if _swappable(k, profile, u, v):
-            both = _both_ways(k, factors[:i] + factors[i + 1:], u, v, c)
+            both = _both_ways(k, factors[:i] + factors[i + 1:], u, v, c, rules)
             return _as_terms(Counter({key: coef / 2 for key, coef in both.items()}))
     return ((1.0, k, factors),)
 
 
 @lru_cache(maxsize=1024)
-def _rewrite(k: int, factors: tuple, c: int) -> tuple:
+def _rewrite(k: int, factors: tuple, c: int, rules: int) -> tuple:
     """hom(F) through the cycle rewrite of its cheapest lone edge, or F
-    itself when no rewrite plans strictly fewer operations."""
+    itself when no rewrite plans strictly fewer operations, under
+    ``_relabel``'s ``rules``."""
     best, best_cost = ((1.0, k, factors),), _work(((1.0, k, factors),))
     for i, u, v in _lone_edges(factors):
         rest = factors[:i] + factors[i + 1:]
         flipped = tuple(sorted(rest + ((v, u, _EDGE),)))
-        reverse = _symmetrize(k, flipped, c)
+        reverse = _symmetrize(k, flipped, c, rules)
         if reverse == ((1.0, k, flipped),):
             continue  # F with u -> v reversed costs what F costs
-        combination = _both_ways(k, rest, u, v, c)
+        combination = _both_ways(k, rest, u, v, c, rules)
         for coef, kk, ff in reverse:
             combination[(kk, ff)] -= coef
         terms = _as_terms(combination)
@@ -747,10 +760,11 @@ def _mobius(partition) -> int:
 
 
 @lru_cache(maxsize=256)
-def _expansion(f: DigraphPattern, mode: str, c: int) -> tuple:
+def _expansion(f: DigraphPattern, mode: str, c: int, rules: int) -> tuple:
     """The assignment sum of ``f`` in ``mode`` as (coefficient, k, factors)
-    terms after Moebius pruning and the swap rule, each factor (u, v, kind);
-    c is 1 for finite inputs, 0 for kernels."""
+    terms after Moebius pruning and the swap rule, each factor (u, v, kind),
+    under ``_relabel``'s ``rules``; c is 1 for finite inputs, 0 for
+    kernels.  hom sums the one quotient by the partition into singletons."""
     factors = [(u, v, _EDGE) for u, v in f.edges]
     if mode == "ind":
         factors += [
@@ -758,56 +772,37 @@ def _expansion(f: DigraphPattern, mode: str, c: int) -> tuple:
             for u, v in combinations(range(f.k), 2)
             if (u, v) not in f.edges and (v, u) not in f.edges
         ]
-    factors = tuple(sorted(factors))
-    if mode == "hom":
-        quotients = [(1, f.k, factors)]
-    else:
-        quotients = []
-        for partition in _set_partitions(f.k):
-            label = [0] * f.k
-            for b, block in enumerate(partition):
-                for v in block:
-                    label[v] = b
-            projected = _relabel(factors, label)
-            if projected is not None:
-                quotients.append((_mobius(partition), len(partition), projected))
+    partitions = [[(v,) for v in range(f.k)]] if mode == "hom" else _set_partitions(f.k)
     out = Counter()
-    for mu, k, projected in quotients:
-        for coef, kk, ff in _symmetrize(k, projected, c):
-            out[(kk, ff)] += mu * coef
+    for partition in partitions:
+        label = [0] * f.k
+        for b, block in enumerate(partition):
+            for v in block:
+                label[v] = b
+        projected = _relabel(factors, label, rules)
+        if projected is not None:
+            for coef, kk, ff in _symmetrize(len(partition), projected, c, rules):
+                out[(kk, ff)] += _mobius(partition) * coef
     return _as_terms(out)
-
-
-def _two_way(factors: tuple) -> bool:
-    """Whether the term has an edge both ways between some two vertices."""
-    edges = {(u, v) for u, v, kind in factors if kind == _EDGE}
-    return any((v, u) in edges for u, v in edges)
 
 
 @lru_cache(maxsize=1024)
 def _terms(f: DigraphPattern, mode: str, c: int, n: int, zero_one: bool = False) -> tuple:
     """The terms that are contracted for ``f`` at n: the expansion, with
     every term too large for the plain sum taking its cycle rewrite.  On a
-    0/1 tournament (``zero_one``) the terms with an edge both ways are
-    exactly 0 and are left out, before and after the rewrite; when n^k is
-    at most 2^53 as well, a term keeps one copy of each repeated factor,
-    before and after the rewrite, and terms that then coincide are merged."""
-    once = zero_one and n ** f.k <= _DOUBLE
-
-    def kept(factors: tuple) -> tuple:
-        return tuple(sorted(set(factors))) if once else factors
-
+    0/1 tournament (``zero_one``) every term is made under ``_relabel``'s
+    0/1 rules: ``rules`` 1 drops the terms with an edge both ways, and
+    where n^k is at most 2^53 as well, ``rules`` 2 also keeps one copy of a
+    repeated factor."""
+    rules = 0 if not zero_one else 2 if n ** f.k <= _DOUBLE else 1
     out = Counter()
-    for coef, k, factors in _expansion(f, mode, c):
-        if zero_one and _two_way(factors):
-            continue
-        factors = kept(factors)
+    for coef, k, factors in _expansion(f, mode, c, rules):
         if factors and not _tiny(k, factors, n):
-            for sub, kk, ff in _rewrite(k, factors, c):
-                out[(kk, kept(ff))] += coef * sub
+            for sub, kk, ff in _rewrite(k, factors, c, rules):
+                out[(kk, ff)] += coef * sub
         else:
             out[(k, factors)] += coef
-    return tuple(term for term in _as_terms(out) if not (zero_one and _two_way(term[2])))
+    return _as_terms(out)
 
 
 def _priced(patterns, mode: str, c: int, n: int, zero_one: bool = False) -> list:

@@ -182,9 +182,9 @@ def nonuniqueness_certificate(
     current = w
     _check_round(current.n)
     for round_idx in range(refine_rounds + 1):
-        base = density_kernel(c4, current)
         box = find_cyclic_box(current) if current.n >= 3 else None
         if box is not None:
+            base = density_kernel(c4, current)
             q = c4_polynomial(current, box)
             smax = s_max_for(current, box)
             # real parts of all roots of q': a spurious candidate is harmless

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -497,10 +497,17 @@ class TestDegreeDistribution:
         assert d.positions.tolist() == [0.5]
 
     @given(step_kernels(min_n=1, max_n=8))
+    # cells 1/2 - 2^-54, 1/2 and 1/2 + 2^-53
+    @example(StepKernel([[0.5, 0.0, 1.0], [1.0, 0.5, 2.0**-52], [0.0, 1 - 2.0**-52, 0.5]]))
     def test_marginals_mirror(self, w):
         out = degree_distribution(w, "out")
         inn = degree_distribution(w, "in")
-        assert np.max(np.abs(np.sort(1.0 - out.positions) - inn.positions)) < 1e-12
+        # 1 - x can round two cells onto one double (1/2 - 2^-54 and 1/2
+        # onto 1/2), which the in marginal holds as one atom: mirror the out
+        # atoms the same way
+        mirror = DegreeDistribution(1.0 - out.positions, out.weights)
+        assert np.max(np.abs(mirror.positions - inn.positions)) < 1e-12
+        assert np.max(np.abs(mirror.weights - inn.weights)) < 1e-12
 
 
 class TestWasserstein:

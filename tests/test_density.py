@@ -700,19 +700,23 @@ class TestZeroOneTournaments:
 
     @pytest.mark.parametrize("seed, as_bools", [(0, False), (1, True)])
     def test_small_classes_and_long_cycles_match_bruteforce(self, monkeypatch, seed, as_bools):
-        # hom of the long cycles at 4 vertices, inj and ind at 8; the exact
-        # arithmetic equals the float64 evaluation to the bit
+        # hom of the long cycles at 4 vertices, inj and ind at 8; the
+        # classes of at most 4 vertices also at 14, where a 3-cycle's plain
+        # sum, 3 * 14^3 = 8232 operations, exceeds 2^13, so that the terms
+        # made by the rewrite under the 0/1 rules meet brute force too; the
+        # exact arithmetic equals the float64 evaluation to the bit
         hosts = {}
-        for n in (4, 6, 8):
+        for n in (4, 6, 8, 14):
             a = random_tournament(n, seed * 10 + n)
             hosts[n] = (a, GeneralizedTournament(a > 0.5 if as_bools else a))
         for f in SMALL_CLASSES + LONG_CYCLES:
             for mode in ("hom", "inj", "ind"):
-                a, g = hosts[6 if f.k <= 5 else 4 if mode == "hom" else 8]
-                want = oracles.brute_density_finite(f, a, mode)
-                got = density_finite(f, g, mode)
-                assert got == pytest.approx(want, abs=1e-12)
-                assert float_bits(got) == float_bits(in_float64(monkeypatch, f, g, mode))
+                sizes = (6, 14) if f.k <= 4 else (6,) if f.k <= 5 else (4 if mode == "hom" else 8,)
+                for a, g in map(hosts.get, sizes):
+                    want = oracles.brute_density_finite(f, a, mode)
+                    got = density_finite(f, g, mode)
+                    assert got == pytest.approx(want, abs=1e-12)
+                    assert float_bits(got) == float_bits(in_float64(monkeypatch, f, g, mode))
 
     @pytest.mark.parametrize("n, patterns", [
         pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
@@ -739,10 +743,12 @@ class TestZeroOneTournaments:
 
     def test_repeated_factors_are_kept_once(self):
         # A(x, y)^2 = A(x, y) on a 0/1 tournament: at 30 every term holds
-        # each factor once (``test_equal_bit_for_bit_to_every_term`` checks
-        # the values against every term with every factor), and densities
-        # equal brute force where it can enumerate the maps
-        from tourlim.density import _terms
+        # each factor once and no edge both ways, and the swap rule under
+        # the same rules leaves it as it is; densities equal brute force
+        # where it can enumerate the maps
+        # (``test_equal_bit_for_bit_to_every_term`` checks the values
+        # against every term with every factor)
+        from tourlim.density import _EDGE, _symmetrize, _terms
 
         T4 = DigraphPattern.transitive(4)
         assert any(len(set(ff)) < len(ff) for _, _, ff in _terms(T4, "hom", 1, 30))
@@ -750,15 +756,19 @@ class TestZeroOneTournaments:
         g = GeneralizedTournament(a > 0.5)
         for f in SMALL_CLASSES + LONG_CYCLES:
             for mode in ("hom", "inj", "ind"):
-                for _, _, factors in _terms(f, mode, 1, 30, True):
+                for _, k, factors in _terms(f, mode, 1, 30, True):
                     assert len(set(factors)) == len(factors), (f, mode, factors)
+                    edges = {(u, v) for u, v, kind in factors if kind == _EDGE}
+                    assert not any((v, u) in edges for u, v in edges), (f, mode, factors)
+                    assert _symmetrize(k, factors, 1, 2) == ((1.0, k, factors),), (f, mode)
                 if f.k <= 3:
                     want = oracles.brute_density_finite(f, a, mode)
                     assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
 
     def test_c3_inj_reads_no_factor_twice(self, monkeypatch):
-        # its 0.5 hom(A(b, a) A(b, a)) contracts as the row sums of A, which
-        # the term of b -> c, c -> a has already summed
+        # its 0.5 hom(A(b, a) A(b, a)) keeps A(b, a) once, and the swap rule
+        # makes that the constant (n^2 - n) / 4: no step sums A's rows
+        # (ba->b) or a vector (b->)
         import tourlim.density
         from tourlim.density import _densities, _run
 
@@ -774,7 +784,7 @@ class TestZeroOneTournaments:
         want = _densities((C3,), a, "inj", 1)[0]
         monkeypatch.setattr(tourlim.density, "_run", spy)
         got = density_finite(C3, GeneralizedTournament(a > 0.5), "inj")
-        assert "ba->b" not in steps and "b->" in steps
+        assert steps and "ba->b" not in steps and "b->" not in steps
         assert float_bits(got) == float_bits(want)
 
     def test_kernels_and_generalised_inputs_plan_every_term(self, monkeypatch):
@@ -802,7 +812,25 @@ class TestZeroOneTournaments:
         # C8 inj plans 9.86e10 FLOPs at 259 vertices and C7 inj 3.92e9 with
         # every term, 1.02e11 together; on a 0/1 tournament the two plan
         # 5.65e9 together, and 1.11e11 at 700
-        from tourlim.density import _priced
+        from tourlim.density import _flops, _priced, _terms
+
+        def planned(f, mode, n, zero_one):
+            try:
+                return _flops(_terms(f, mode, 1, n, zero_one), n)
+            except ValidationError:
+                return math.inf  # a term too wide
+
+        # a 0/1 tournament plans at most what a generalised one does, but
+        # for 12 to 16 vertices: there a 3-vertex term that keeps fewer
+        # factors may turn tiny, and its plain sum runs as one step but
+        # counts more than the elimination it replaces
+        stars = [DigraphPattern.star(a, b) for a in range(8) for b in range(8 - a)]
+        transitive = [DigraphPattern.transitive(k) for k in (6, 7)]
+        for f in SMALL_CLASSES + LONG_CYCLES + transitive + stars:
+            for mode in ("hom", "inj", "ind"):
+                for n in (8, 11, 17, 30, 100, 257, 1000):
+                    if mode == "hom" or f.k <= n:
+                        assert planned(f, mode, n, True) <= planned(f, mode, n, False), (f, mode, n)
 
         C7, C8 = DigraphPattern.cycle(7), DigraphPattern.cycle(8)
         _priced([C8], "inj", 1, 259)

@@ -289,6 +289,11 @@ class TestCertificate:
         monkeypatch.setattr(perturb, "density_kernel", counted)
         assert nonuniqueness_certificate(interior_kernel(20, seed=1)) is not None
         assert len(calls) <= 3
+        # the rounds on 8 and 16 blocks find no cyclic box and compute no
+        # t(C4); the box on 32 blocks moves it by at most 1e-9
+        calls.clear()
+        assert nonuniqueness_certificate(transitive_kernel(8), refine_rounds=2) is None
+        assert calls == [32] * 3
 
     def test_memory_is_quadratic_in_blocks(self):
         w = interior_kernel(300, seed=3)
