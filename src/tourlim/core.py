@@ -315,12 +315,6 @@ class GeneralizedTournament:
             return bools
         return self.alpha == 1.0 if self.is_tournament else self.alpha
 
-    def _held(self) -> np.ndarray:
-        """The matrix as it is held: the kept bools of a bool input, else
-        alpha."""
-        bools = self.__dict__.get("_bools")
-        return self.alpha if bools is None else bools
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "alpha": self.alpha.tolist()}
 

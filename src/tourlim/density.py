@@ -17,16 +17,15 @@ evaluate these sums along one path of three steps.
    which also applies two rules on a 0/1 tournament.  There
    A(x, y) A(y, x) = 0 for every x and y, x = y included, so a term with
    an edge both ways, u -> v and v -> u, sums products that are each
-   exactly 0, and is dropped like a loop.  Where n^k is at most 2^53 as
-   well, A(x, y)^2 = A(x, y), so a term keeps one copy of a repeated
-   factor.  Step 2 otherwise only deletes edges and reverses an edge alone
-   on its pair, so the swap rule and the rewrite see and make only terms
-   reduced this way, and terms that then coincide are merged.  Under both
-   rules every partial sum is still a nonnegative integer (see
-   Arithmetic), so the density is the one of every term to the bit; beyond
-   2^53 the dropped terms are exactly 0, and the float64 sum agrees to
-   rounding.  Kernels and generalised tournaments keep every term and
-   factor.
+   exactly 0, and is dropped like a loop; and A(x, y)^2 = A(x, y), so a
+   term keeps one copy of a repeated factor.  Step 2 otherwise only
+   deletes edges and reverses an edge alone on its pair, so the swap rule
+   and the rewrite see and make only terms reduced this way, and terms
+   that then coincide are merged.  Under both rules every partial sum is
+   still a nonnegative integer (see Arithmetic), so up to n^k = 2^53 the
+   density is the one of every term to the bit, and beyond it the two
+   agree to rounding.  Kernels and generalised tournaments keep every term
+   and factor.
 
 2. Skew identity.  Kernels satisfy M + M^T = J and finite inputs
    A + A^T = J - I, i.e. A(x, y) + A(y, x) = 1 - c [x = y] with c = 0 for
@@ -46,10 +45,12 @@ evaluate these sums along one path of three steps.
    Cycle rewrite: a term whose edges the swap rule cannot remove, e.g. a
    directed cycle, may instead replace one lone edge u -> v by
    hom(R) - c hom(R / {u = v}) - hom(R + v->u), each reduced by the swap
-   rule.  It takes the edge whose rewrite has the lowest planned count
-   (step 3), and only when that count is strictly lower than its own; an
-   edge whose reversed term R + v->u the swap rule leaves as it is costs
-   at least what F costs and is not tried.  C3 becomes the path minus the
+   rule.  The rewrites are derived once per term, independent of n; at n
+   the term takes the one with the lowest planned count (step 3), and only
+   when that count is strictly lower than its own, a rewrite with a term
+   that the guard refuses as too wide counting as refused.  An edge whose
+   reversed term R + v->u the swap rule leaves as it is costs at least
+   what F costs and is not tried.  C3 becomes the path minus the
    transitive triangle, i.e. stars: n^2 instead of n^3.
 
 3. Contraction.  Each term is contracted by bucket elimination along a
@@ -84,16 +85,16 @@ evaluate these sums along one path of three steps.
    of what runs, each shared or reused step once, kept per list of terms
    and n.
 
-Arithmetic.  Kernels, generalised tournaments and calls in which n^k
-exceeds 2^53 for some pattern run every step in float64.  On a 0/1
-tournament with n^k <= 2^53 for every pattern of the call, the matrix,
-bools or floats, is cast to float32 once per call, and every value a step
-makes is an integer: a sum, over the e vertices that its subtree sums
-(recorded per step when it is planned), of products of 0s and 1s, so at
-most n^e.  A step runs in float32 when n^e <= 2^24 and in float64
-otherwise, up to 2^53.  Every partial sum is a nonnegative integer no
-larger than the result, so both are exact, and so is the float64
-evaluation: each density is the same to the bit.
+Arithmetic.  Kernels and generalised tournaments run every step in
+float64.  A 0/1 tournament is handed over as bools and cast to float32
+once per call, and every value a step makes is an integer: a sum, over the
+e vertices that its subtree sums (recorded per step when it is planned),
+of products of 0s and 1s, so at most n^e.  A step on float32 operands runs
+in float32 when n^e <= 2^24 and in float64 otherwise.  Every partial sum is
+a nonnegative integer no larger than the result, so every step is exact up
+to 2^53, and so is the float64 evaluation of every term: each density is
+the same to the bit.  Beyond 2^53 the float64 steps round as that
+evaluation does.
 
 Values agree with the plain assignment sum to rounding (1e-12 or better).
 """
@@ -103,7 +104,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -126,8 +127,8 @@ MAX_FINITE_FLOPS = 10**11
 _DIRECT_FLOPS = 2**13
 # no intermediate holds more than max(n^2, _MAX_ELEMENTS) values
 _MAX_ELEMENTS = 2**24
-# the integers that float32 and float64 hold exactly, with all below them
-_SINGLE, _DOUBLE = 2**24, 2**53
+# the integers that float32 holds exactly, with all below them
+_SINGLE = 2**24
 _LETTERS = "abcdefgh"
 _MODES = ("hom", "inj", "ind")
 # factor kinds: a pattern edge (alpha or M) and a blank pair (induced mode)
@@ -200,9 +201,7 @@ class _Step(NamedTuple):
     passes memoise results by it: those with at most ``rank`` 1 for the
     terms of a call, a repeated rank-2 product for its term.  The step
     makes ``count`` multiplications and additions per value of the
-    vertices ``over``, and its subtree sums ``summed`` vertices.  ``dtype``
-    is float64 where ``_typed`` widens a step on float32 factors; None runs
-    the step as numpy promotes its operands."""
+    vertices ``over``, and its subtree sums ``summed`` vertices."""
 
     op: str
     ids: tuple
@@ -212,7 +211,6 @@ class _Step(NamedTuple):
     count: int
     rank: int
     summed: int
-    dtype: object = None
 
 
 def _indices(vertices) -> str:
@@ -432,25 +430,10 @@ def _tiny(k: int, factors: tuple, n: int) -> bool:
     return n ** len(step.over) * step.count <= _DIRECT_FLOPS
 
 
-def _chosen(k: int, factors: tuple, n: int | None, exact: bool = False) -> _Plan:
+def _chosen(k: int, factors: tuple, n: int) -> _Plan:
     """The plan the term runs at n: its plain sum when that is tiny, else
-    its elimination plan; without n, its elimination plan.  ``exact`` gives
-    it the precisions of ``_typed``."""
-    plain = n is not None and _tiny(k, factors, n)
-    return _typed(k, factors, plain, n) if exact else _plan(k, factors, plain)
-
-
-@lru_cache(maxsize=4096)
-def _typed(k: int, factors: tuple, plain: bool, n: int) -> _Plan:
-    """``_plan(k, factors, plain)`` with the precision of each step at n on
-    the float32 matrices of a 0/1 tournament, whose step values are
-    integers of at most n^summed: float32, as numpy keeps it, when that is
-    at most 2^24, else float64."""
-    plan = _plan(k, factors, plain)
-    return plan._replace(steps=tuple(
-        step if n ** step.summed <= _SINGLE else step._replace(dtype=np.float64)
-        for step in plan.steps
-    ))
+    its elimination plan."""
+    return _plan(k, factors, _tiny(k, factors, n))
 
 
 def _rows(plan: _Plan, n: int) -> int:
@@ -488,15 +471,16 @@ def _value(plan: _Plan, i: int, leaves: list | tuple, memo: dict | None, run):
     return out
 
 
-def _run(step: _Step, ops: list) -> np.ndarray:
-    """The result of ``step`` on ``ops``, in ``step.dtype`` when it has one."""
+def _run(step: _Step, ops: list, n: int) -> np.ndarray:
+    """The result of ``step`` on ``ops``.  Float32 operands are those of a
+    0/1 tournament, on which the step's values are integers of at most
+    n^summed: it runs in float64 when that exceeds 2^24."""
+    wide = n ** step.summed > _SINGLE and any(op.dtype == np.float32 for op in ops)
     if step.op == "dot":
-        if step.dtype is not None:
-            ops = [op.astype(step.dtype, copy=False) for op in ops]
+        if wide:
+            ops = [op.astype(np.float64, copy=False) for op in ops]
         return _dot(ops[0], step.spec[0], ops[1], step.spec[1])
-    if step.dtype is None:
-        return np.einsum(step.spec, *ops)
-    return np.einsum(step.spec, *ops, dtype=step.dtype)
+    return np.einsum(step.spec, *ops, dtype=np.float64 if wide else None)
 
 
 def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
@@ -507,17 +491,17 @@ def _dot(a: np.ndarray, i: int, b: np.ndarray, j: int) -> np.ndarray:
     return np.tensordot(a, b, axes=(i, j))
 
 
-def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict, exact: bool = False) -> float:
+def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict) -> float:
     """Sum over all of [n]^k of the product of the term's factors, each
     (u, v, kind) read as mats[kind][x_u, x_v], sharing step results with
     the other terms of the call through ``memo``.  A sliced pass reads only
     its rows of the cut vertex and memoises nothing; the term's repeated
-    products leave ``memo`` when it ends.  ``exact`` runs the steps of the
-    float32 matrices of a 0/1 tournament in the precisions of ``_typed``."""
+    products leave ``memo`` when it ends."""
     if not factors:
         return float(n) ** k
     leaves = [mats[kind] for _, _, kind in factors]
-    plan = _chosen(k, factors, n, exact)
+    plan = _chosen(k, factors, n)
+    run = partial(_run, n=n)
     value = float(n) ** plan.free
     for i in plan.scalars:
         total = 0.0
@@ -526,21 +510,19 @@ def _hom(k: int, factors: tuple, mats: dict, n: int, memo: dict, exact: bool = F
                 m[rows] if u == plan.cut else m[:, rows] if v == plan.cut else m
                 for m, (u, v, _) in zip(leaves, factors)
             ]
-            total += float(_value(plan, i, ops, memo if rows is None else None, _run))
+            total += float(_value(plan, i, ops, memo if rows is None else None, run))
         value *= total
     for key in plan.repeated:
         memo.pop(key, None)
     return value
 
 
-def _work(terms, n: int | None = None) -> tuple:
+def _work(terms, n: int) -> tuple:
     """The multiplications and additions of the steps that ``_evaluate``
-    runs on ``terms``, as the coefficients of n^8, n^7, ..., n^0, so that
-    tuples compare by growth in n.  At a given n, a tiny term counts its
-    plain sum, and a step over the cut vertex in a pass of r rows counts r
-    times per n^(power - 1) values; without n, every term counts its
-    elimination plan in one pass.  A shared or repeated step is counted
-    once, as it runs."""
+    runs on ``terms`` at n, as the coefficients of n^8, n^7, ..., n^0: a
+    tiny term counts its plain sum, and a step over the cut vertex in a
+    pass of r rows counts r times per n^(power - 1) values.  A shared or
+    repeated step is counted once, as it runs."""
     work = [0] * (MAX_PATTERN_VERTICES + 1)
     memo: dict = {}
     for _, k, factors in terms:
@@ -551,26 +533,29 @@ def _work(terms, n: int | None = None) -> tuple:
 
 def _count(plan: _Plan, factors: tuple, n: int | None, memo: dict, work: list) -> None:
     """Add to ``work`` the count of each step of ``plan`` that ``_hom`` runs
-    at n (see ``_work``), sharing results through ``memo``."""
+    at n (see ``_work``), or without n in one pass, sharing results through
+    ``memo``."""
     top = MAX_PATTERN_VERTICES
     for i in plan.scalars:
-        for rows in _passes(plan, i, n):
-            # a pass of r rows runs a step over the cut on r n^(power - 1) values
-            r = rows and len(range(n)[rows])
+        rows = n if n is None or i not in plan.sliced else _rows(plan, n)
+        passes = 1 if rows == n else -(-n // rows)  # len(_passes(plan, i, n))
 
-            def add(step, _):
-                if r and plan.cut in step.over:
-                    work[top - len(step.over) + 1] += r * step.count
-                else:
-                    work[top - len(step.over)] += step.count
+        # the passes run each step once each, but a step over the cut on
+        # n^(power - 1) values per row, n rows in all
+        def add(step, _):
+            if passes > 1 and plan.cut in step.over:
+                work[top - len(step.over) + 1] += n * step.count
+            else:
+                work[top - len(step.over)] += passes * step.count
 
-            _value(plan, i, factors, None if r else memo, add)
+        _value(plan, i, factors, memo if passes == 1 else None, add)
     for key in plan.repeated:
         memo.pop(key, None)
 
 
 def _counted(plan: _Plan, factors: tuple) -> tuple:
-    """The count of ``plan`` alone, in one pass, as ``_work``."""
+    """The count of ``plan`` alone, in one pass, as the coefficients of
+    ``_work``."""
     work = [0] * (MAX_PATTERN_VERTICES + 1)
     _count(plan, factors, None, {}, work)
     return tuple(work)
@@ -591,23 +576,32 @@ def _flops(terms: tuple, n: int) -> float:
     return sum(count * float(n) ** (top - i) for i, count in enumerate(_work(terms, n)))
 
 
-def _evaluate(terms, mats: dict, n: int, memo: dict | None = None, exact: bool = False) -> float:
+def _planned(terms: tuple, n: int) -> float:
+    """``_flops(terms, n)``, or inf when the guard refuses a term as too
+    wide."""
+    try:
+        return _flops(terms, n)
+    except ValidationError:
+        return math.inf
+
+
+def _evaluate(terms, mats: dict, n: int, memo: dict | None = None) -> float:
     """The sum of ``terms``; ``memo`` carries keyed step results between
-    calls on the same matrices, and ``exact`` is ``_hom``'s."""
+    calls on the same matrices."""
     memo = {} if memo is None else memo
-    return sum(coef * _hom(k, factors, mats, n, memo, exact) for coef, k, factors in terms)
+    return sum(coef * _hom(k, factors, mats, n, memo) for coef, k, factors in terms)
 
 
 # ---------------------------------------------------------------------------
 # term expansion: Moebius pruning, swap rule and cycle rewrite
 
 
-def _relabel(factors, label, rules: int) -> tuple | None:
+def _relabel(factors, label, zero_one: bool) -> tuple | None:
     """Factors under the vertex map ``label``; None when the term is exactly
-    0: an edge becomes a loop (a zero diagonal entry of alpha) or, under
-    ``rules`` 1 or 2 (a 0/1 tournament), two edges run both ways.  Blank
-    loops are 1 and dropped.  Under ``rules`` 2 (a 0/1 tournament with
-    n^k <= 2^53) a repeated factor is kept once: every factor is 0 or 1."""
+    0: an edge becomes a loop (a zero diagonal entry of alpha) or, on a 0/1
+    tournament (``zero_one``), two edges run both ways.  Blank loops are 1
+    and dropped.  On a 0/1 tournament a repeated factor is kept once: every
+    factor is 0 or 1."""
     out = []
     for u, v, kind in factors:
         a, b = label[u], label[v]
@@ -616,11 +610,11 @@ def _relabel(factors, label, rules: int) -> tuple | None:
                 return None
             continue
         out.append((min(a, b), max(a, b), kind) if kind == _BLANK else (a, b, kind))
-    if rules:
+    if zero_one:
         edges = {(a, b) for a, b, kind in out if kind == _EDGE}
         if any((b, a) in edges for a, b in edges):
             return None
-    return tuple(sorted(set(out) if rules == 2 else out))
+    return tuple(sorted(set(out) if zero_one else out))
 
 
 def _profile(factors: tuple) -> dict:
@@ -670,17 +664,17 @@ def _lone_edges(factors: tuple):
             yield i, u, v
 
 
-def _both_ways(k: int, rest: tuple, u: int, v: int, c: int, rules: int) -> Counter:
+def _both_ways(k: int, rest: tuple, u: int, v: int, c: int, zero_one: bool) -> Counter:
     """hom(R + u->v) + hom(R + v->u) = hom(R) - c hom(R / {u = v}) as
     symmetrized terms {(k, factors): coefficient}, under ``_relabel``'s
-    ``rules``."""
+    rules."""
     out = Counter()
-    for coef, kk, ff in _symmetrize(k, rest, c, rules):
+    for coef, kk, ff in _symmetrize(k, rest, c, zero_one):
         out[(kk, ff)] += coef
     label = [w - (w > v) for w in range(k)]
     label[v] = label[u]
-    if c and (merged := _relabel(rest, label, rules)) is not None:
-        for coef, kk, ff in _symmetrize(k - 1, merged, c, rules):
+    if c and (merged := _relabel(rest, label, zero_one)) is not None:
+        for coef, kk, ff in _symmetrize(k - 1, merged, c, zero_one):
             out[(kk, ff)] -= coef
     return out
 
@@ -690,10 +684,10 @@ def _as_terms(combination: Counter) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _symmetrize(k: int, factors: tuple, c: int, rules: int) -> tuple:
+def _symmetrize(k: int, factors: tuple, c: int, zero_one: bool) -> tuple:
     """hom(F) as a combination of (coefficient, k, factors) terms with every
     symmetric edge removed by the swap rule (see the module docstring),
-    under ``_relabel``'s ``rules``."""
+    under ``_relabel``'s rules."""
     profile = _profile(factors)
     # a swap of u and v maps the tags around u in R onto those around v
     around = [sorted(tuple(profile.get((w, y), ())) for y in range(k)) for w in range(k)]
@@ -707,30 +701,28 @@ def _symmetrize(k: int, factors: tuple, c: int, rules: int) -> tuple:
         if in_rest(u, ("out",)) != in_rest(v, ("in",)):
             continue
         if _swappable(k, profile, u, v):
-            both = _both_ways(k, factors[:i] + factors[i + 1:], u, v, c, rules)
+            both = _both_ways(k, factors[:i] + factors[i + 1:], u, v, c, zero_one)
             return _as_terms(Counter({key: coef / 2 for key, coef in both.items()}))
     return ((1.0, k, factors),)
 
 
 @lru_cache(maxsize=1024)
-def _rewrite(k: int, factors: tuple, c: int, rules: int) -> tuple:
-    """hom(F) through the cycle rewrite of its cheapest lone edge, or F
-    itself when no rewrite plans strictly fewer operations, under
-    ``_relabel``'s ``rules``."""
-    best, best_cost = ((1.0, k, factors),), _work(((1.0, k, factors),))
+def _rewrites(k: int, factors: tuple, c: int, zero_one: bool) -> tuple:
+    """hom(F) through the cycle rewrite of each lone edge whose reversed
+    term the swap rule reduces, as one tuple of terms per edge, under
+    ``_relabel``'s rules."""
+    out = []
     for i, u, v in _lone_edges(factors):
         rest = factors[:i] + factors[i + 1:]
         flipped = tuple(sorted(rest + ((v, u, _EDGE),)))
-        reverse = _symmetrize(k, flipped, c, rules)
+        reverse = _symmetrize(k, flipped, c, zero_one)
         if reverse == ((1.0, k, flipped),):
             continue  # F with u -> v reversed costs what F costs
-        combination = _both_ways(k, rest, u, v, c, rules)
+        combination = _both_ways(k, rest, u, v, c, zero_one)
         for coef, kk, ff in reverse:
             combination[(kk, ff)] -= coef
-        terms = _as_terms(combination)
-        if (cost := _work(terms)) < best_cost:
-            best, best_cost = terms, cost
-    return best
+        out.append(_as_terms(combination))
+    return tuple(out)
 
 
 def _set_partitions(k: int):
@@ -760,10 +752,10 @@ def _mobius(partition) -> int:
 
 
 @lru_cache(maxsize=256)
-def _expansion(f: DigraphPattern, mode: str, c: int, rules: int) -> tuple:
+def _expansion(f: DigraphPattern, mode: str, c: int, zero_one: bool) -> tuple:
     """The assignment sum of ``f`` in ``mode`` as (coefficient, k, factors)
     terms after Moebius pruning and the swap rule, each factor (u, v, kind),
-    under ``_relabel``'s ``rules``; c is 1 for finite inputs, 0 for
+    under ``_relabel``'s rules; c is 1 for finite inputs, 0 for
     kernels.  hom sums the one quotient by the partition into singletons."""
     factors = [(u, v, _EDGE) for u, v in f.edges]
     if mode == "ind":
@@ -779,9 +771,9 @@ def _expansion(f: DigraphPattern, mode: str, c: int, rules: int) -> tuple:
         for b, block in enumerate(partition):
             for v in block:
                 label[v] = b
-        projected = _relabel(factors, label, rules)
+        projected = _relabel(factors, label, zero_one)
         if projected is not None:
-            for coef, kk, ff in _symmetrize(len(partition), projected, c, rules):
+            for coef, kk, ff in _symmetrize(len(partition), projected, c, zero_one):
                 out[(kk, ff)] += _mobius(partition) * coef
     return _as_terms(out)
 
@@ -789,19 +781,19 @@ def _expansion(f: DigraphPattern, mode: str, c: int, rules: int) -> tuple:
 @lru_cache(maxsize=1024)
 def _terms(f: DigraphPattern, mode: str, c: int, n: int, zero_one: bool = False) -> tuple:
     """The terms that are contracted for ``f`` at n: the expansion, with
-    every term too large for the plain sum taking its cycle rewrite.  On a
-    0/1 tournament (``zero_one``) every term is made under ``_relabel``'s
-    0/1 rules: ``rules`` 1 drops the terms with an edge both ways, and
-    where n^k is at most 2^53 as well, ``rules`` 2 also keeps one copy of a
-    repeated factor."""
-    rules = 0 if not zero_one else 2 if n ** f.k <= _DOUBLE else 1
+    every term too large for the plain sum taking the cycle rewrite that
+    ``_planned`` counts lowest at n, when that is strictly lower than its
+    own count.  On a 0/1 tournament (``zero_one``) every term is made under
+    ``_relabel``'s 0/1 rules."""
     out = Counter()
-    for coef, k, factors in _expansion(f, mode, c, rules):
+    for coef, k, factors in _expansion(f, mode, c, zero_one):
+        best = ((1.0, k, factors),)
         if factors and not _tiny(k, factors, n):
-            for sub, kk, ff in _rewrite(k, factors, c, rules):
-                out[(kk, ff)] += coef * sub
-        else:
-            out[(k, factors)] += coef
+            # min keeps the first of equal counts: the term itself
+            best = min((best, *_rewrites(k, factors, c, zero_one)),
+                       key=lambda terms: _planned(terms, n))
+        for sub, kk, ff in best:
+            out[(kk, ff)] += coef * sub
     return _as_terms(out)
 
 
@@ -825,23 +817,22 @@ def _priced(patterns, mode: str, c: int, n: int, zero_one: bool = False) -> list
     return priced
 
 
-def _densities(patterns, alpha: np.ndarray, mode: str, c: int, zero_one: bool = False) -> list:
+def _densities(patterns, alpha: np.ndarray, mode: str, c: int) -> list:
     """The ``mode`` densities of ``patterns`` on the n x n factor ``alpha``
-    (c = 1 for a finite input, 0 for a kernel's blocks; ``zero_one`` when it
-    is a 0/1 tournament, which may then be given as bools), priced together
-    by ``_priced`` and contracted with one memo.  A 0/1 tournament on which
-    n^k is at most 2^53 for every pattern is contracted exactly: cast to
-    float32 once, in the precisions of ``_typed``."""
+    (c = 1 for a finite input, 0 for a kernel's blocks), priced together by
+    ``_priced`` and contracted with one memo.  Bools are a 0/1 tournament:
+    its terms are made under the 0/1 rules, and it is cast to float32 once
+    (see Arithmetic); any other ``alpha`` runs in float64."""
     n = len(alpha)
+    zero_one = alpha.dtype == bool
     priced = _priced(patterns, mode, c, n, zero_one)
-    exact = zero_one and all(n ** f.k <= _DOUBLE for f in patterns)
-    alpha = alpha.astype(np.float32 if exact else float, copy=False)
+    alpha = alpha.astype(np.float32 if zero_one else float, copy=False)
     mats = {_EDGE: alpha}
     if mode == "ind" and any(len(f.edges) < f.k * (f.k - 1) // 2 for f in patterns):
         mats[_BLANK] = (1.0 - alpha) * (1.0 - alpha.T)
     memo: dict = {}
     return [
-        0.0 if terms is None else _evaluate(terms, mats, n, memo, exact)
+        0.0 if terms is None else _evaluate(terms, mats, n, memo)
         / (float(n) ** f.k if mode == "hom" else math.perm(n, f.k))
         for f, terms in zip(patterns, priced)
     ]
@@ -864,7 +855,7 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
-    return _densities((f,), g._held(), mode, 1, g.is_tournament)[0]
+    return _densities((f,), g._entries(), mode, 1)[0]
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:

@@ -263,7 +263,7 @@ def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
     Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
     wins = g._entries()
-    return _densities(fs, wins, "inj", 1, True), _score_w1(wins, target)
+    return _densities(fs, wins, "inj", 1), _score_w1(wins, target)
 
 
 def _score_w1(wins: np.ndarray, target: DegreeDistribution) -> float:

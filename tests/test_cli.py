@@ -317,12 +317,12 @@ class TestCommands:
         assert len(lines) == 1 + 2 * 2 + 2  # patterns x sizes + degree_w1 rows
 
     def test_converge_prices_the_patterns_of_a_repetition_together(self, half3):
-        # on the 0/1 samples, C8 inj and C7 inj at 700 vertices each fit
-        # the cost guard alone, but a repetition contracts both: 1.11e11
+        # on the 0/1 samples, C8 inj and C7 inj at 710 vertices each fit
+        # the cost guard alone, but a repetition contracts both: 1.01e11
         # planned FLOPs.  The refusal is exit 1 with the error as output,
         # within 60 s
         proc = cli_within_60s("converge", "--input", half3, "--pattern", "C8",
-                              "--pattern", "C7", "--sizes", "700")
+                              "--pattern", "C7", "--sizes", "710")
         assert proc.returncode == 1
         assert "cost guard" in json.loads(proc.stdout)["error"]
 

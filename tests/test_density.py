@@ -431,9 +431,9 @@ class TestPlanner:
 
         executed = []
 
-        def spy(step, ops):
+        def spy(step, ops, n):
             executed.append(step.op)
-            return _run(step, ops)
+            return _run(step, ops, n)
 
         monkeypatch.setattr(tourlim.density, "_run", spy)
         value = call()
@@ -491,17 +491,30 @@ class TestPlanner:
         from tourlim.density import _terms, _work
 
         for c in (0, 1):
-            assert degree(_work(_terms(C3, "hom", c, 1000))) == 2
+            assert degree(_work(_terms(C3, "hom", c, 1000), 1000)) == 2
+
+    def test_the_cycle_rewrite_is_chosen_by_its_count_at_n(self):
+        # just above 2^13 multiply-adds, C3 inj's 3-vertex term is no longer
+        # tiny, but its rewrite into plain sums counts more than its own
+        # elimination up to 16 vertices, so it stays; at 17 the rewrite
+        # counts fewer and is taken
+        from tourlim.density import _expansion, _flops, _terms
+
+        for n, most in ((14, 5894), (15, 7215), (16, 8720), (17, 1802)):
+            assert _flops(_terms(C3, "inj", 1, n), n) <= most
+        for n in range(4, 41):
+            planned = _flops(_terms(C3, "inj", 1, n), n)
+            assert planned <= _flops(_expansion(C3, "inj", 1, False), n), n
 
     def test_disconnected_term_contracts_its_components_apart(self):
         from tourlim.density import _plan, _work
 
         paths = ((0, 1, "e"), (1, 2, "e"), (3, 4, "e"), (5, 4, "e"))
         assert len(_plan(6, paths).scalars) == 2
-        assert degree(_work([(1.0, 6, paths)])) == 2
+        assert degree(_work([(1.0, 6, paths)], 1000)) == 2
         # two equal components share their steps: one n^2 sum and one n sum
         two_edges = (1.0, 4, ((0, 1, "e"), (2, 3, "e")))
-        assert _work([two_edges]) == (0,) * 6 + (1, 1, 0)
+        assert _work([two_edges], 1000) == (0,) * 6 + (1, 1, 0)
 
     def test_guard_reads_the_planned_count(self, monkeypatch):
         # a 0/1 tournament plans the terms without an edge both ways, a
@@ -585,14 +598,14 @@ class TestPlanner:
         g = GeneralizedTournament(a if zero_one else 0.8 * a + 0.1 * (1 - np.eye(n)))
         executed = []
 
-        def spy(step, ops):
+        def spy(step, ops, n):
             if step.op == "dot":
                 i, j = step.spec
                 size = ops[0].size * ops[1].size // ops[0].shape[i]
             else:
                 size = math.prod(einsum_dims(step.spec, ops).values())
             executed.append((len(ops), step.count * size))
-            return _run(step, ops)
+            return _run(step, ops, n)
 
         monkeypatch.setattr(tourlim.density, "_run", spy)
         density_finite(f, g, mode)
@@ -605,7 +618,7 @@ class TestPlanner:
 
         sizes = []
 
-        def shapes_only(step, ops):
+        def shapes_only(step, ops, n):
             if step.op == "dot":
                 i, j = step.spec
                 shape = ops[0].shape[:i] + ops[0].shape[i + 1:] + ops[1].shape[:j] + ops[1].shape[j + 1:]
@@ -683,14 +696,13 @@ def float_bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def in_float64(monkeypatch, f, g, mode) -> float:
-    """``density_finite(f, g, mode)`` with every step in float64, as on a
-    call of more than 2^53 values."""
-    import tourlim.density
+def every_term(f, g, mode) -> float:
+    """The ``mode`` density of ``f`` in g from every term with every
+    factor, each step in float64: g's float64 matrix, not its bools, read
+    as a generalised tournament."""
+    from tourlim.density import _densities
 
-    with monkeypatch.context() as m:
-        m.setattr(tourlim.density, "_DOUBLE", 0)
-        return density_finite(f, g, mode)
+    return _densities((f,), g.alpha, mode, 1)[0]
 
 
 class TestZeroOneTournaments:
@@ -699,12 +711,12 @@ class TestZeroOneTournaments:
     A(x, y)^2 = A(x, y), so a term keeps one copy of a repeated factor."""
 
     @pytest.mark.parametrize("seed, as_bools", [(0, False), (1, True)])
-    def test_small_classes_and_long_cycles_match_bruteforce(self, monkeypatch, seed, as_bools):
+    def test_small_classes_and_long_cycles_match_bruteforce(self, seed, as_bools):
         # hom of the long cycles at 4 vertices, inj and ind at 8; the
         # classes of at most 4 vertices also at 14, where a 3-cycle's plain
         # sum, 3 * 14^3 = 8232 operations, exceeds 2^13, so that the terms
         # made by the rewrite under the 0/1 rules meet brute force too; the
-        # exact arithmetic equals the float64 evaluation to the bit
+        # value equals the float64 evaluation of every term to the bit
         hosts = {}
         for n in (4, 6, 8, 14):
             a = random_tournament(n, seed * 10 + n)
@@ -716,7 +728,7 @@ class TestZeroOneTournaments:
                     want = oracles.brute_density_finite(f, a, mode)
                     got = density_finite(f, g, mode)
                     assert got == pytest.approx(want, abs=1e-12)
-                    assert float_bits(got) == float_bits(in_float64(monkeypatch, f, g, mode))
+                    assert float_bits(got) == float_bits(every_term(f, g, mode))
 
     @pytest.mark.parametrize("n, patterns", [
         pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
@@ -725,7 +737,7 @@ class TestZeroOneTournaments:
         pytest.param(500, [C3, C4, S11], id="500"),
     ])
     def test_equal_bit_for_bit_to_every_term(self, n, patterns):
-        from tourlim.density import _densities, _terms
+        from tourlim.density import _terms
 
         assert len(_terms(DigraphPattern.cycle(8), "inj", 1, 30, True)) < len(
             _terms(DigraphPattern.cycle(8), "inj", 1, 30))
@@ -734,7 +746,7 @@ class TestZeroOneTournaments:
         for f in patterns:
             for mode in ("hom", "inj", "ind"):
                 try:
-                    every = _densities((f,), g.alpha, mode, 1)[0]
+                    every = every_term(f, g, mode)
                 except ValidationError:
                     continue  # every term together is refused
                 assert float_bits(density_finite(f, g, mode)) == float_bits(every)
@@ -760,7 +772,7 @@ class TestZeroOneTournaments:
                     assert len(set(factors)) == len(factors), (f, mode, factors)
                     edges = {(u, v) for u, v, kind in factors if kind == _EDGE}
                     assert not any((v, u) in edges for u, v in edges), (f, mode, factors)
-                    assert _symmetrize(k, factors, 1, 2) == ((1.0, k, factors),), (f, mode)
+                    assert _symmetrize(k, factors, 1, True) == ((1.0, k, factors),), (f, mode)
                 if f.k <= 3:
                     want = oracles.brute_density_finite(f, a, mode)
                     assert density_finite(f, g, mode) == pytest.approx(want, abs=1e-12)
@@ -774,11 +786,11 @@ class TestZeroOneTournaments:
 
         steps = []
 
-        def spy(step, ops):
+        def spy(step, ops, n):
             factors = [id(op) for op in ops if op.ndim == 2]
             assert len(set(factors)) == len(factors), step
             steps.append(step.spec)
-            return _run(step, ops)
+            return _run(step, ops, n)
 
         a = random_tournament(500, 5)
         want = _densities((C3,), a, "inj", 1)[0]
@@ -811,7 +823,7 @@ class TestZeroOneTournaments:
     def test_admissions_move_only_for_0_1_tournaments(self):
         # C8 inj plans 9.86e10 FLOPs at 259 vertices and C7 inj 3.92e9 with
         # every term, 1.02e11 together; on a 0/1 tournament the two plan
-        # 5.65e9 together, and 1.11e11 at 700
+        # 4.92e9 together, and 1.01e11 at 710, where each fits alone
         from tourlim.density import _flops, _priced, _terms
 
         def planned(f, mode, n, zero_one):
@@ -838,26 +850,34 @@ class TestZeroOneTournaments:
         with pytest.raises(ValidationError, match="cost guard"):
             _priced([C8, C7], "inj", 1, 259)
         _priced([C8, C7], "inj", 1, 259, True)
+        _priced([C8], "inj", 1, 710, True)
+        _priced([C7], "inj", 1, 710, True)
         with pytest.raises(ValidationError, match="cost guard"):
-            _priced([C8, C7], "inj", 1, 700, True)
+            _priced([C8, C7], "inj", 1, 710, True)
 
 
 class TestExactArithmetic:
-    """A 0/1 tournament on which n^k <= 2^53 for every pattern of the call
-    is contracted as float32: a step whose subtree sums e vertices has
-    integer values of at most n^e and runs in float32 when n^e <= 2^24,
-    else in float64.  Both are exact, so every density equals the float64
-    evaluation to the bit."""
+    """A 0/1 tournament is contracted as float32: a step whose subtree sums
+    e vertices has integer values of at most n^e and runs in float32 when
+    n^e <= 2^24, else in float64.  Both are exact up to 2^53, so there
+    every density equals the float64 evaluation of every term to the bit."""
 
     @staticmethod
-    def precisions(patterns, n, summed) -> set:
-        """The precisions of the steps of ``summed`` vertices at n (no
-        dtype: float32, as numpy keeps the float32 operands)."""
-        from tourlim.density import _chosen, _terms
+    def spy_precisions(monkeypatch) -> list:
+        """Spies on ``_run``: the list it returns collects, per step run,
+        n^summed and the dtypes of the step's operands and of its result."""
+        import tourlim.density
+        from tourlim.density import _run
 
-        return {step.dtype or np.float32 for f in patterns for mode in ("hom", "inj", "ind")
-                for _, k, factors in _terms(f, mode, 1, n, True) if factors
-                for step in _chosen(k, factors, n, True).steps if step.summed == summed}
+        seen = []
+
+        def spy(step, ops, n):
+            out = _run(step, ops, n)
+            seen.append((n ** step.summed, {op.dtype for op in ops}, out.dtype))
+            return out
+
+        monkeypatch.setattr(tourlim.density, "_run", spy)
+        return seen
 
     @pytest.mark.parametrize("n, patterns", [
         pytest.param(30, SMALL_CLASSES + LONG_CYCLES, id="30"),
@@ -868,47 +888,52 @@ class TestExactArithmetic:
     ])
     def test_bools_equal_the_float64_path_bit_for_bit(self, monkeypatch, n, patterns):
         assert max(f.k for f in SMALL_CLASSES[:8]) == 4
-        if n > 30:
-            assert self.precisions(patterns, n, 3) == {np.float32 if n == 256 else np.float64}
         g = GeneralizedTournament(random_tournament(n, n) > 0.5)
+        seen = self.spy_precisions(monkeypatch)
+        results = set()
         compared = 0
         for f in patterns:
             for mode in ("hom", "inj", "ind"):
                 try:
-                    want = in_float64(monkeypatch, f, g, mode)
+                    want = every_term(f, g, mode)
                 except ValidationError:
-                    with pytest.raises(ValidationError):
-                        density_finite(f, g, mode)
-                    continue
+                    continue  # every term together is refused
+                seen.clear()
                 assert float_bits(density_finite(f, g, mode)) == float_bits(want), (f, mode)
+                if n > 30:
+                    # the steps of three summed vertices
+                    results.update(out for size, _, out in seen if size == n**3)
                 compared += 1
         assert compared >= 2 * len(patterns)
+        if n > 30:
+            assert results == {np.dtype(np.float32 if n == 256 else np.float64)}
 
     @pytest.mark.parametrize("n", [98, 99])
     def test_c8_takes_the_exact_path_up_to_2_53(self, monkeypatch, n):
-        # 98^8 < 2^53 < 99^8: at 98 the steps read float32 operands, at 99
-        # every operand is float64
-        import tourlim.density
-        from tourlim.density import _run
-
+        # 98^8 < 2^53 < 99^8: at 98 the value equals the float64 evaluation
+        # of every term to the bit, at 99 to rounding.  At both sizes every
+        # step whose values fit in 2^24 reads float32 operands only, and
+        # every other step makes float64
         C8 = DigraphPattern.cycle(8)
         g = GeneralizedTournament(random_tournament(n, n) > 0.5)
+        compared = 0
         for mode in ("hom", "inj", "ind"):
             try:
-                want = in_float64(monkeypatch, C8, g, mode)
+                want = every_term(C8, g, mode)
             except ValidationError:
                 continue  # one row of C8 ind's widest terms exceeds 2^24 values
-            seen = set()
-
-            def spy(step, ops):
-                seen.update(op.dtype for op in ops)
-                return _run(step, ops)
-
             with monkeypatch.context() as m:
-                m.setattr(tourlim.density, "_run", spy)
+                seen = self.spy_precisions(m)
                 got = density_finite(C8, g, mode)
-            assert float_bits(got) == float_bits(want), mode
-            assert (seen == {np.dtype(np.float64)}) == (n == 99), (mode, seen)
+            if n == 98:
+                assert float_bits(got) == float_bits(want), mode
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), (mode, got, want)
+            assert {np.dtype(np.float32)} == set().union(
+                *(ops for size, ops, _ in seen if size <= 2**24)), mode
+            assert {out for size, _, out in seen if size > 2**24} == {np.dtype(np.float64)}, mode
+            compared += 1
+        assert compared == 2
 
     def test_c4_inj_product_at_500_runs_on_float32(self, monkeypatch):
         # the one A.A product of C4 inj reads the float32 cast of the bools
@@ -917,16 +942,17 @@ class TestExactArithmetic:
 
         products = []
 
-        def spy(step, ops):
+        def spy(step, ops, n):
             if step.op == "dot":
                 products.append([op.dtype for op in ops])
-            return _run(step, ops)
+            return _run(step, ops, n)
 
-        monkeypatch.setattr(tourlim.density, "_run", spy)
         g = GeneralizedTournament(random_tournament(500, 5) > 0.5)
+        want = every_term(C4, g, "inj")
+        monkeypatch.setattr(tourlim.density, "_run", spy)
         got = density_finite(C4, g, "inj")
         assert products == [[np.float32, np.float32]]
-        assert float_bits(got) == float_bits(in_float64(monkeypatch, C4, g, "inj"))
+        assert float_bits(got) == float_bits(want)
 
 
 class TestStarDensity:

@@ -172,10 +172,10 @@ class TestSampleMemoryGuard:
         assert calls == []
 
     def test_convergence_report_prices_a_repetition_s_patterns_together(self, monkeypatch):
-        # on 0/1 tournaments at 700 vertices C8 inj plans 8.79e10 FLOPs and
-        # C7 inj 2.68e10, each within MAX_FINITE_FLOPS, but a repetition
-        # contracts both with one memo: 1.11e11; at 650 both together plan
-        # 8.91e10.  The call is refused before any kernel density or draw
+        # on 0/1 tournaments at 710 vertices C8 inj plans 8.39e10 FLOPs and
+        # C7 inj 2.22e10, each within MAX_FINITE_FLOPS, but a repetition
+        # contracts both with one memo: 1.01e11; at 700 both together plan
+        # 9.69e10.  The call is refused before any kernel density or draw
         import tourlim.sample
         from tourlim.density import _priced
 
@@ -184,10 +184,10 @@ class TestSampleMemoryGuard:
             monkeypatch.setattr(tourlim.sample, name, lambda *args, **kw: calls.append(args))
         patterns = {"C8": DigraphPattern.cycle(8), "C7": DigraphPattern.cycle(7)}
         for f in patterns.values():
-            _priced([f], "inj", 1, 700, True)
-        _priced(list(patterns.values()), "inj", 1, 650, True)
+            _priced([f], "inj", 1, 710, True)
+        _priced(list(patterns.values()), "inj", 1, 700, True)
         with pytest.raises(ValidationError, match="cost guard"):
-            convergence_report(HALF3, patterns, [650, 700], SampleConfig(1))
+            convergence_report(HALF3, patterns, [700, 710], SampleConfig(1))
         assert calls == []
 
     def test_sample_tournament_peak_is_below_1_5_results(self):
