@@ -420,11 +420,10 @@ def _parse_pattern(spec: str) -> DigraphPattern:
 
 def _tournament_chunks(g: GeneralizedTournament):
     """The chunks of ``{"n": g.n, "alpha": g.alpha}``, the alpha of a 0/1
-    tournament handed to the encoder as its bools.  Bools write -0.0 as
-    0.0, but no handler's tournament holds -0.0: the integer realizer and
-    the samplers hand over bools, and the self-converse average writes
-    sums of nonnegative entries and 1.0 - x with x in [0, 1]."""
-    return _json_chunks({"n": g.n, "alpha": g._entries()})
+    tournament handed to the encoder as its bools.  Construction casts
+    every 0/1 matrix to bools, so a 0/1 tournament's alpha holds +0.0
+    only, and the bools write it as it is."""
+    return _json_chunks({"n": g.n, "alpha": g._entries})
 
 
 def _cmd_check_score_seq(args):

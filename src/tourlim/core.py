@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -40,12 +39,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _float_array(x, name: str, ndim: int) -> tuple[np.ndarray, float, float]:
+def _float_array(x, name: str, ndim: int,
+                 handed: bool = False) -> tuple[np.ndarray, float, float]:
     """``x`` as a checked float array, with its least and its greatest
-    entry; the array is ``x`` itself when it already is one, so callers
-    make their own copy before writing."""
+    entry: a new array, unless ``handed``, when an ``x`` that its caller
+    made, hands over and no longer touches is kept if it already is one."""
     try:
-        a = np.asarray(x, dtype=float)
+        a = np.asarray(x, dtype=float) if handed else np.array(x, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"field '{name}' must be numeric") from exc
     if a.ndim != ndim:
@@ -69,18 +69,11 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _owned_unit(x, a: np.ndarray, lo: float, hi: float, name: str,
-                handed: bool = False) -> np.ndarray:
-    """``a``, the float array of ``x`` with range ``[lo, hi]``, clipped to
-    [0, 1] in an array that the caller of ``x`` does not share: ``a``
-    itself when the conversion made it or ``x`` is handed over, else a
-    copy."""
+def _clipped(a: np.ndarray, lo: float, hi: float, name: str) -> np.ndarray:
+    """The float array ``a`` of range [lo, hi], clipped to [0, 1] in place."""
     # tolerate rounding-level excursions, reject anything larger
     if lo < -TOL or hi > 1 + TOL:
         raise ValidationError(f"field '{name}' has entries outside [0, 1]")
-    converted = a is not x and a.base is None and isinstance(x, (list, tuple, np.ndarray))
-    if not (converted or handed):
-        a = a.copy()
     # clipping leaves entries in [0, 1] as they are, -0.0 included
     if lo < 0.0 or hi > 1.0:
         np.clip(a, 0.0, 1.0, out=a)
@@ -89,7 +82,7 @@ def _owned_unit(x, a: np.ndarray, lo: float, hi: float, name: str,
 
 def _unit_array(x, name: str) -> np.ndarray:
     """``x`` as a new finite 1-d array clipped to [0, 1]."""
-    return _owned_unit(x, *_float_array(x, name, ndim=1), name)
+    return _clipped(*_float_array(x, name, ndim=1), name)
 
 
 _SKEW_TILE = 256
@@ -122,6 +115,20 @@ def _is_skew(a: np.ndarray) -> bool:
     return True
 
 
+def _as_bools(a: np.ndarray) -> np.ndarray | None:
+    """The square float matrix ``a`` as bools when every entry is 0 or 1,
+    else None: tested one _SKEW_TILE x _SKEW_TILE tile at a time, up to
+    the first tile with another entry."""
+    b = np.empty(a.shape, bool)
+    for i in range(0, len(a), _SKEW_TILE):
+        for j in range(0, len(a), _SKEW_TILE):
+            t = a[i:i + _SKEW_TILE, j:j + _SKEW_TILE]
+            ones = np.equal(t, 1.0, out=b[i:i + _SKEW_TILE, j:j + _SKEW_TILE])
+            if not (ones | (t == 0.0)).all():
+                return None
+    return b
+
+
 def _diagonal_error(name: str, diagonal: float) -> ValidationError:
     return ValidationError(f"field '{name}' must have {diagonal:g} on the diagonal")
 
@@ -134,11 +141,9 @@ def _skew_matrix(x, name: str, diagonal: float, handed: bool = False) -> np.ndar
     """``x`` as a frozen square matrix in [0, 1] with ``diagonal`` on its
     diagonal and a(i, j) + a(j, i) = 1 off it, each within TOL; a new one
     unless ``handed``, when ``x`` is an array that its caller hands over and
-    no longer touches.
-
-    A square non-empty bool array with ``diagonal`` 0 is checked as bools,
-    a(i, j) xor a(j, i) off the diagonal, and kept as bools; the errors and
-    their order are those of the float path that every other input takes."""
+    no longer touches.  With ``diagonal`` 0, bools exactly when every entry
+    is 0 or 1: those are checked as bools, a zero diagonal and a(i, j) xor
+    a(j, i) off it, with the errors, in their order, of the float path."""
     if (diagonal == 0.0 and isinstance(x, np.ndarray) and x.dtype == bool
             and x.ndim == 2 and 0 < len(x) == x.shape[1]):
         if x.diagonal().any():
@@ -146,14 +151,16 @@ def _skew_matrix(x, name: str, diagonal: float, handed: bool = False) -> np.ndar
         if not all(s.all() for s in _mirrored_tiles(x, np.not_equal, True)):
             raise _skew_error(name)
         return _freeze(x if handed else x.copy())
-    a, lo, hi = _float_array(x, name, ndim=2)
+    a, lo, hi = _float_array(x, name, 2, handed)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValidationError(f"field '{name}' must be square")
     if np.any(np.abs(np.diag(a) - diagonal) > TOL):
         raise _diagonal_error(name, diagonal)
-    a = _owned_unit(x, a, lo, hi, name, handed)
+    a = _clipped(a, lo, hi, name)
     np.fill_diagonal(a, diagonal)
+    if diagonal == 0.0 and (b := _as_bools(a)) is not None:
+        return _skew_matrix(b, name, diagonal, handed=True)
     if not _is_skew(a):
         raise _skew_error(name)
     return _freeze(a)
@@ -196,7 +203,7 @@ class ScoreSequence:
         v, lo, _ = _float_array(self.values, "values", ndim=1)
         if lo < -TOL:
             raise ValidationError("field 'values' has negative entries")
-        v = np.maximum(v, 0.0)
+        np.maximum(v, 0.0, out=v)
         if self.kind == "integer":
             if not np.all(v == np.round(v)):
                 raise ValidationError(
@@ -253,33 +260,29 @@ class GeneralizedTournament:
     """An n x n skew matrix alpha with alpha(i,j) + alpha(j,i) = 1 off the
     zero diagonal.  Entries in {0, 1} make it an ordinary tournament.
 
-    Immutable, like the dataclasses of this module.  A 0/1 matrix given as
-    bools is checked and kept as a frozen copy of those bools, and the
-    encoder, ``scores_of_tournament`` and the samplers' degree data read
-    them.  ``alpha``, the frozen float64 matrix, is then built on first use
-    and kept; two threads that build it at once each build it, with equal
-    values, and later reads see one of the two.  Any other input is stored
-    as ``alpha`` at construction.  The constructor never freezes, keeps or
-    aliases the caller's array; ``_handed``, for the samplers and the
-    realizer, keeps and freezes the array it is given.
+    Immutable, like the dataclasses of this module.  It holds one frozen
+    array, ``_entries``: bools exactly when every entry is 0 or 1 (a float
+    0/1 matrix is cast once, at construction), else float64, and the
+    encoder, the densities, ``scores_of_tournament`` and the samplers read
+    it as it is.  ``alpha`` is that array, or a tournament's float64 matrix,
+    built on first use and kept; two threads that build it at once each
+    build it, with equal values, and later reads see one of the two.  The
+    constructor never freezes, keeps or aliases the caller's array;
+    ``_handed`` is for the samplers and the realizers, which hand over
+    their own.
     """
 
     def __init__(self, alpha):
-        self._hold(_skew_matrix(alpha, "alpha", 0.0))
+        self.__dict__["_entries"] = _skew_matrix(alpha, "alpha", 0.0)
 
     @classmethod
     def _handed(cls, alpha: np.ndarray) -> "GeneralizedTournament":
         """``cls(alpha)`` for an array that the caller made and hands over:
-        checked and frozen in place, not copied."""
+        checked and frozen in place, not copied, unless it is cast to
+        bools."""
         g = cls.__new__(cls)
-        g._hold(_skew_matrix(alpha, "alpha", 0.0, handed=True))
+        g.__dict__["_entries"] = _skew_matrix(alpha, "alpha", 0.0, handed=True)
         return g
-
-    def _hold(self, a: np.ndarray) -> None:
-        if a.dtype == bool:
-            self.__dict__.update(_bools=a, is_tournament=True)
-        else:
-            self.__dict__["_alpha"] = a
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field '{name}'")
@@ -289,31 +292,21 @@ class GeneralizedTournament:
 
     @property
     def alpha(self) -> np.ndarray:
+        if not self.is_tournament:
+            return self._entries
         alpha = self.__dict__.get("_alpha")
         if alpha is None:
-            alpha = self.__dict__["_alpha"] = _freeze(self._bools.astype(float))
+            alpha = self.__dict__["_alpha"] = _freeze(self._entries.astype(float))
         return alpha
 
     @property
     def n(self) -> int:
-        bools = self.__dict__.get("_bools")
-        return len(self.alpha if bools is None else bools)
+        return len(self._entries)
 
-    @cached_property
+    @property
     def is_tournament(self) -> bool:
-        """Whether every entry is 0 or 1: known from bool input, else
-        computed on first use."""
-        # the diagonal is exactly 0.0 after construction
-        return bool(((self.alpha == 0.0) | (self.alpha == 1.0)).all())
-
-    def _entries(self) -> np.ndarray:
-        """The matrix as a reader that needs no float64 arithmetic takes
-        it: the bools of a tournament, those kept from bool input or else
-        made from alpha, and alpha itself otherwise."""
-        bools = self.__dict__.get("_bools")
-        if bools is not None:
-            return bools
-        return self.alpha == 1.0 if self.is_tournament else self.alpha
+        """Whether every entry is 0 or 1: whether the held array is bools."""
+        return self._entries.dtype == bool
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "alpha": self.alpha.tolist()}
@@ -531,7 +524,7 @@ class MomentSequence:
 def step_kernel_from_tournament(g: GeneralizedTournament) -> StepKernel:
     """The step kernel of a finite (generalised) tournament: off-diagonal
     blocks copy alpha, diagonal blocks are 1/2."""
-    m = g.alpha.copy()
+    m = g._entries.astype(float)
     np.fill_diagonal(m, 0.5)
     return StepKernel(m)
 
@@ -549,7 +542,7 @@ def scores_of_tournament(g: GeneralizedTournament) -> ScoreSequence:
     """Row sums of alpha.  Integer kind when g is an ordinary tournament,
     counted on its bools by ``_row_counts`` and stored as int64."""
     if g.is_tournament:
-        return ScoreSequence(_row_counts(g._entries()), "integer")
+        return ScoreSequence(_row_counts(g._entries), "integer")
     vals = np.array([math.fsum(row) for row in g.alpha.tolist()])
     return ScoreSequence(vals, "real")
 
@@ -569,14 +562,14 @@ def score_function_of_kernel(w: StepKernel) -> ScoreFunction:
 def converse(x):
     """Reverse every orientation.  An exact involution (plain transpose)."""
     if isinstance(x, GeneralizedTournament):
-        return GeneralizedTournament(x.alpha.T.copy())
+        return GeneralizedTournament(x._entries.T)
     if isinstance(x, StepKernel):
-        return StepKernel(x.blocks.T.copy())
+        return StepKernel(x.blocks.T)
     raise TypeError("converse expects a GeneralizedTournament or StepKernel")
 
 
 def decreasing_rearrangement(f: ScoreFunction) -> ScoreFunction:
-    return ScoreFunction(np.sort(f.cells)[::-1].copy())
+    return ScoreFunction(np.sort(f.cells)[::-1])
 
 
 def increasing_rearrangement(f: ScoreFunction) -> ScoreFunction:
@@ -608,7 +601,7 @@ def degree_distribution(w: StepKernel, marginal: str = "out") -> DegreeDistribut
     else:
         raise ValidationError("marginal must be 'out' or 'in'")
     n = len(pos)
-    return DegreeDistribution(pos.copy(), np.full(n, 1.0 / n))
+    return DegreeDistribution(pos, np.full(n, 1.0 / n))
 
 
 def wasserstein1(mu: DegreeDistribution, nu: DegreeDistribution) -> float:

@@ -104,7 +104,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -222,7 +222,7 @@ def _pairs(operands) -> frozenset:
     return frozenset(pair for out in operands for pair in combinations(sorted(out), 2))
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _order(vertices: tuple, pairs: frozenset) -> tuple:
     """An elimination order that minimises the sum of n^(|N(x)| + 1) over its
     steps, compared coefficient by coefficient from the highest power down.
@@ -378,7 +378,7 @@ class _Elimination:
         )
 
 
-@lru_cache(maxsize=4096)
+@cache
 def _plan(k: int, factors: tuple, plain: bool = False) -> _Plan:
     """Bucket elimination of one term along the order of ``_order``, or,
     when ``plain``, its plain sum as one einsum step over all factors.
@@ -683,7 +683,7 @@ def _as_terms(combination: Counter) -> tuple:
     return tuple((coef, kk, ff) for (kk, ff), coef in combination.items() if coef)
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _symmetrize(k: int, factors: tuple, c: int, zero_one: bool) -> tuple:
     """hom(F) as a combination of (coefficient, k, factors) terms with every
     symmetric edge removed by the swap rule (see the module docstring),
@@ -706,7 +706,7 @@ def _symmetrize(k: int, factors: tuple, c: int, zero_one: bool) -> tuple:
     return ((1.0, k, factors),)
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _rewrites(k: int, factors: tuple, c: int, zero_one: bool) -> tuple:
     """hom(F) through the cycle rewrite of each lone edge whose reversed
     term the swap rule reduces, as one tuple of terms per edge, under
@@ -751,7 +751,7 @@ def _mobius(partition) -> int:
     return mu
 
 
-@lru_cache(maxsize=256)
+@cache
 def _expansion(f: DigraphPattern, mode: str, c: int, zero_one: bool) -> tuple:
     """The assignment sum of ``f`` in ``mode`` as (coefficient, k, factors)
     terms after Moebius pruning and the swap rule, each factor (u, v, kind),
@@ -855,7 +855,7 @@ def density_finite(
     Calls whose planned contraction work exceeds MAX_FINITE_FLOPS are
     rejected before any of it runs.
     """
-    return _densities((f,), g._entries(), mode, 1)[0]
+    return _densities((f,), g._entries, mode, 1)[0]
 
 
 def density_kernel(f: DigraphPattern, w: StepKernel) -> float:

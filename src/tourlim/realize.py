@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     _check_matrix_size,
     _sorted_distinct,
+    score_function_of_kernel,
     scores_of_tournament,
     step_kernel_from_tournament,
 )
@@ -170,8 +171,8 @@ def realize_scores(s: ScoreSequence, tol: float = DEFAULT_TOL) -> GeneralizedTou
             "internal consistency error: realized row sums miss the scores "
             f"by {miss:.3g} > {bound:.3g}"
         )
-    # the peel's matrix is its own; integer scores give a 0/1 one
-    return GeneralizedTournament._handed(alpha == 1.0 if s.kind == "integer" else alpha)
+    # the peel's matrix is its own; construction casts a 0/1 one to bools
+    return GeneralizedTournament._handed(alpha)
 
 
 def _cell_sums(f: ScoreFunction, n: int) -> np.ndarray:
@@ -232,7 +233,7 @@ def kernel_from_score_function(
     seq, sums = _discretized(f, n, tol)
     kernel = step_kernel_from_tournament(realize_scores(seq, tol))
     target = sums / (math.lcm(f.m, n) // n)
-    got = np.array([math.fsum(row) / n for row in kernel.blocks.tolist()])
+    got = score_function_of_kernel(kernel).cells
     if np.max(np.abs(got - target)) > max(tol, 1e-9):  # unreachable
         raise RuntimeError("realized kernel does not average the score function")
     return kernel
@@ -255,7 +256,7 @@ def symmetrize_self_converse(
     n = g.n
     order = np.argsort(np.asarray(scores.values, dtype=float), kind="stable")
     # a tournament's bools convert exactly in the arithmetic below
-    a = g._entries()[np.ix_(order, order)]
+    a = g._entries[np.ix_(order, order)]
     v = (a + 1.0 - a[::-1, ::-1]) / 2.0
     del a
     # the orbit {(i, j), (rho(j), rho(i))} of upper pairs takes v at its
@@ -264,8 +265,8 @@ def symmetrize_self_converse(
     v = np.where(k[:, None] + k <= n - 1, v, v[::-1, ::-1].T)
     out = np.triu(v, 1)
     del v
-    out += np.tril(1.0 - out.T, -1)
-    return GeneralizedTournament(out)
+    np.subtract(1.0, out.T, out=out, where=np.tri(n, k=-1, dtype=bool))
+    return GeneralizedTournament._handed(out)
 
 
 def realize_self_converse(

@@ -32,6 +32,7 @@ from .core import (
     GeneralizedTournament,
     StepKernel,
     ValidationError,
+    _MAX_MATRIX_BYTES,
     _check_matrix_size,
     _row_counts,
     _w1,
@@ -150,7 +151,7 @@ def _reversed_by(a: np.ndarray, perm: np.ndarray) -> bool:
 
 def is_selfconverse_under(g: GeneralizedTournament, perm: np.ndarray) -> bool:
     """Exact check that relabelling by perm reverses every orientation."""
-    return _reversed_by(g._entries(), np.asarray(perm))
+    return _reversed_by(g._entries, np.asarray(perm))
 
 
 def sample_self_converse(
@@ -246,15 +247,15 @@ where it ran after n = 100."""
 def _workers(size: int, reps: int) -> int:
     """How many repetitions of samples of ``size`` run at once: one below
     ``_PARALLEL_FROM``, else as many as there are repetitions, CPUs this
-    process may run on, and n x n float64 matrices within the 2 GiB matrix
-    budget."""
+    process may run on, and n x n float64 matrices within
+    ``_MAX_MATRIX_BYTES``."""
     if size < _PARALLEL_FROM:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, reps, 2**31 // (8 * size * size))
+    return min(cpus, reps, _MAX_MATRIX_BYTES // (8 * size * size))
 
 
 def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
@@ -262,7 +263,7 @@ def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
     """The injective densities of ``fs`` and the degree distribution's
     Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
-    wins = g._entries()
+    wins = g._entries
     return _densities(fs, wins, "inj", 1), _score_w1(wins, target)
 
 

@@ -797,7 +797,7 @@ class TestMatrixReader:
         path = write_json(tmp_path, "t.json", {"n": n, "alpha": alpha})
         assert cli._load_json(path)["alpha"].dtype == bool
         g = cli._decode(path, GeneralizedTournament)
-        assert vars(g)["is_tournament"] is True
+        assert g.is_tournament and g._entries.dtype == bool and "_alpha" not in vars(g)
         assert g.alpha.dtype == np.float64 and not g.alpha.flags.writeable
         assert np.array_equal(g.alpha, alpha)
         # the same messages, in the same order, as the float path

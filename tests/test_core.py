@@ -184,16 +184,13 @@ class TestTypes:
     def test_is_tournament(self):
         assert T3.is_tournament and CYCLE3.is_tournament
         assert not HALF2.is_tournament
-        # bool input is known to be 0/1 at construction; float input is
-        # checked on first use and then kept
-        b = GeneralizedTournament(np.array([[False, True], [False, False]]))
-        assert b.__dict__["is_tournament"] is True
-        assert b.is_tournament
-        g = GeneralizedTournament(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert "is_tournament" not in g.__dict__
-        assert g.is_tournament and g.__dict__["is_tournament"] is True
+        # a 0/1 matrix is held as bools from construction, whatever its
+        # dtype, and anything else as float64
+        for x in ([[0, 1], [0, 0]], np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2, k=1) > 0):
+            g = GeneralizedTournament(x)
+            assert g.is_tournament and g._entries.dtype == bool
         h = GeneralizedTournament(np.array([[0.0, 1.0 - TOL / 2], [TOL / 2, 0.0]]))
-        assert not h.is_tournament
+        assert not h.is_tournament and h._entries.dtype == np.float64
 
     def test_pattern_rejects_two_cycle_and_loops(self):
         from tourlim import DigraphPattern
@@ -299,7 +296,7 @@ class TestBoolInput:
         g = GeneralizedTournament(b)
         assert g.n == 300 and g.is_tournament and "_alpha" not in vars(g)
         # the bools are the constructor's frozen copy, not the caller's array
-        kept = g._entries()
+        kept = g._entries
         assert kept.dtype == bool and not kept.flags.writeable
         assert not np.shares_memory(kept, b) and b.flags.writeable
         alpha = g.alpha
@@ -332,6 +329,83 @@ class TestBoolInput:
         assert not HALF2.is_tournament
         assert GeneralizedTournament(T3.alpha.copy()).is_tournament
         assert GeneralizedTournament(T3.alpha.tolist()).is_tournament
+
+
+def held_as_its_values(g: GeneralizedTournament) -> bool:
+    """Whether g holds one frozen array, bools exactly when every entry is
+    0 or 1 and float64 otherwise, and reads ``is_tournament`` off it; a
+    tournament's alpha holds +0.0 only."""
+    held, alpha = g._entries, g.alpha
+    zero_one = bool(((alpha == 0.0) | (alpha == 1.0)).all())
+    return (held.dtype == (bool if zero_one else np.float64) and not held.flags.writeable
+            and g.is_tournament == zero_one and not (zero_one and np.signbit(alpha).any()))
+
+
+class TestHeldArray:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_spelling_of_every_tournament(self, n):
+        # bools, float arrays and lists, json's -0 (the int 0) and -0.0
+        for _, a in oracles.all_tournaments(n):
+            signed = np.where(a == 1.0, 1.0, -0.0)
+            for x in (a > 0.5, a, a.tolist(), a.astype(int).tolist(), signed, signed.tolist()):
+                g = GeneralizedTournament(x)
+                assert held_as_its_values(g) and g.is_tournament
+                assert np.array_equal(g.alpha, a)
+            if n > 1:
+                a[0, 1] = a[1, 0] = 0.5
+                g = GeneralizedTournament(a)
+                assert held_as_its_values(g) and not g.is_tournament
+
+    def test_rounding_level_entries(self):
+        # clipped to 0/1 they are a tournament; strictly inside, they are not
+        for x, zero_one in (([[0.0, 1.0 + TOL / 2], [-TOL / 2, 0.0]], True),
+                            ([[0.0, 1.0 - TOL / 2], [TOL / 2, 0.0]], False),
+                            ([[0.0, 1.0], [TOL / 2, 0.0]], False)):
+            g = GeneralizedTournament(x)
+            assert held_as_its_values(g) and g.is_tournament == zero_one
+
+    def test_handed_arrays(self):
+        # a fractional pair in the first or only in the last 256 x 256 tile
+        n = 300
+        a = _random_bool_tournament(n, 5)
+        first, last = a.astype(float), a.astype(float)
+        first[0, 1] = first[1, 0] = 0.5
+        last[n - 2, n - 1], last[n - 1, n - 2] = 0.25, 0.75
+        for x, zero_one in ((a.copy(), True), (a.astype(float), True),
+                            (first, False), (last, False)):
+            g = GeneralizedTournament._handed(x)
+            assert held_as_its_values(g) and g.is_tournament == zero_one
+
+    def test_realizers(self):
+        from tourlim import realize_scores, symmetrize_self_converse
+
+        for values in ([0, 1, 2, 3], [1, 1, 1], [2, 2, 2, 2, 2], [1, 1, 2, 2], [0, 2, 2, 2]):
+            for kind in ("integer", "real"):
+                g = realize_scores(ScoreSequence(values, kind))
+                assert held_as_its_values(g)
+                assert g.is_tournament or kind == "real"
+        kinds = set()
+        for values in ([0, 1, 2], [1, 1, 1], [1, 1, 2, 2], [2] * 5):
+            g = symmetrize_self_converse(realize_scores(ScoreSequence(values, "integer")))
+            assert held_as_its_values(g)
+            kinds.add(g.is_tournament)
+        assert kinds == {True, False}
+
+    def test_converse(self):
+        g = GeneralizedTournament(_random_bool_tournament(9, 2))
+        c = converse(g)
+        # bools stay bools: no float64 alpha is built on either side
+        assert "_alpha" not in vars(g) and "_alpha" not in vars(c)
+        assert held_as_its_values(c) and c.is_tournament
+        assert held_as_its_values(converse(HALF2)) and not converse(HALF2).is_tournament
+
+    def test_samplers(self):
+        from tourlim import SampleConfig, sample_self_converse, sample_tournament
+
+        w = StepKernel(np.full((2, 2), 0.5))
+        for g in (sample_tournament(w, SampleConfig(30, seed=1)),
+                  sample_self_converse(w, np.arange(2)[::-1], SampleConfig(15, seed=1))):
+            assert held_as_its_values(g) and g.is_tournament
 
 
 class TestConversions:

@@ -482,6 +482,26 @@ class TestPlanner:
         want = oracles.brute_hom_sum(sorted((u, v) for u, v, _ in factors), k, a)
         assert _evaluate(term, {"e": a}, n) == pytest.approx(want, rel=1e-12)
 
+    def test_term_sliced_at_the_default_ceiling_equals_it_unsliced(self, limits):
+        # P_A's widest intermediates carry 3 indices: at n = 300 they run in
+        # passes of 186 and 114 rows, and under a ceiling of 2^25 values in
+        # one pass (about 0.5 s and a 620 MiB peak); its sliced passes sum
+        # leaves of cut and uncut factors into vectors of one key
+        from tourlim.density import _chosen, _passes, _terms
+
+        n = 300
+        u = np.triu(np.random.default_rng(300).random((n, n)), 1)
+        g = GeneralizedTournament(u + np.tril(1.0 - u.T, -1))
+        (_, k, factors), = _terms(P_A, "hom", 1, n)
+        plan = _chosen(k, factors, n)
+        passes = {tuple(len(range(n)[r]) for r in _passes(plan, i, n)) for i in plan.sliced}
+        assert passes == {(186, 114)}
+        sliced = density_finite(P_A, g, "hom")
+        limits(_MAX_ELEMENTS=2**25)
+        assert {len(_passes(plan, i, n)) for i in plan.sliced} == {1}
+        whole = density_finite(P_A, g, "hom")
+        assert abs(sliced - whole) <= 1e-12 * abs(whole)
+
     @pytest.mark.parametrize("n", [1, 7, 50, 300])
     def test_kernel_c3_is_the_degree_identity(self, n):
         w = random_step_kernel(n, seed=n)
@@ -505,6 +525,26 @@ class TestPlanner:
         for n in range(4, 41):
             planned = _flops(_terms(C3, "inj", 1, n), n)
             assert planned <= _flops(_expansion(C3, "inj", 1, False), n), n
+
+    def test_planning_at_another_size_misses_no_size_free_cache(self):
+        # _order, _plan, _symmetrize, _rewrites and _expansion are keyed
+        # without n, so once a sweep is planned at 100 vertices, planning
+        # it at 101 only reads them; it holds about 7,000 symmetrized terms
+        # and 5,000 plans
+        import tourlim.density as d
+
+        caches = (d._order, d._plan, d._symmetrize, d._rewrites, d._expansion)
+
+        def sweep(n):
+            for f in SMALL_CLASSES + LONG_CYCLES:
+                for mode in ("hom", "inj", "ind"):
+                    for zero_one in (True, False):
+                        d._terms(f, mode, 1, n, zero_one)
+
+        sweep(100)
+        misses = [cache.cache_info().misses for cache in caches]
+        sweep(101)
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_disconnected_term_contracts_its_components_apart(self):
         from tourlim.density import _plan, _work

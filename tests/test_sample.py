@@ -330,7 +330,7 @@ class TestEmpiricalDegreeDistribution:
                 for seed in range(3):
                     g = sample_tournament(w, SampleConfig(size, seed))
                     want = wasserstein1(empirical_degree_distribution(g), target)
-                    assert sample._score_w1(g._entries(), target) == want, (size, seed)
+                    assert sample._score_w1(g._entries, target) == want, (size, seed)
 
 
 class TestConvergenceReport:
