@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -331,9 +332,28 @@ class StepKernel:
     def __post_init__(self):
         object.__setattr__(self, "blocks", _skew_matrix(self.blocks, "blocks", 0.5))
 
+    @classmethod
+    def _handed(cls, blocks: np.ndarray) -> "StepKernel":
+        """``cls(blocks)`` for a float64 array that the caller made and
+        hands over: checked, clipped and frozen in place, not copied."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "blocks", _skew_matrix(blocks, "blocks", 0.5, handed=True))
+        return w
+
     @property
     def n(self) -> int:
         return self.blocks.shape[0]
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each block value p as hi = min(floor(256 p), 255), in uint8, and
+        lo = 256 p - hi, in [0, 1], so that p = (hi + lo) / 256: both
+        exact, since scaling by 256 is.  The samplers decide an arc by a
+        random byte against hi and a tie by a uniform against lo
+        (``sample._draw_pairs``); made once per kernel, on first use."""
+        scaled = self.blocks * 256.0
+        hi = np.minimum(scaled, 255.0).astype(np.uint8)
+        return _freeze(hi), _freeze(scaled - hi)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "blocks": self.blocks.tolist()}
@@ -526,7 +546,7 @@ def step_kernel_from_tournament(g: GeneralizedTournament) -> StepKernel:
     blocks copy alpha, diagonal blocks are 1/2."""
     m = g._entries.astype(float)
     np.fill_diagonal(m, 0.5)
-    return StepKernel(m)
+    return StepKernel._handed(m)
 
 
 def _row_counts(a: np.ndarray) -> np.ndarray:
@@ -610,17 +630,21 @@ def wasserstein1(mu: DegreeDistribution, nu: DegreeDistribution) -> float:
     Computed as the area between the two CDF step functions, by merging
     their breakpoints.
     """
-    return _w1(mu.positions, mu.weights, nu.positions, nu.weights)
+    return _w1(mu.positions, _cdf(mu.weights), nu.positions, _cdf(nu.weights))
 
 
-def _w1(p_mu: np.ndarray, w_mu: np.ndarray, p_nu: np.ndarray, w_nu: np.ndarray) -> float:
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF table of atoms of ``weights``: 0, then the partial sums."""
+    return np.concatenate(([0.0], np.cumsum(weights)))
+
+
+def _w1(p_mu: np.ndarray, cdf_mu: np.ndarray, p_nu: np.ndarray, cdf_nu: np.ndarray) -> float:
     """wasserstein1 of the atomic laws with sorted distinct positions p and
-    weights w, unchecked."""
+    CDF tables ``_cdf`` of their weights, unchecked."""
     # the breakpoints are only compared and subtracted, so the sign of a zero is moot
     xs = _sorted_distinct(np.concatenate((p_mu, p_nu)))
     # one CDF lookup per side; before the first atom it reads the leading 0
     f_mu, f_nu = (
-        np.concatenate(([0.0], np.cumsum(w)))[np.searchsorted(p, xs, "right")]
-        for p, w in ((p_mu, w_mu), (p_nu, w_nu))
+        cdf[np.searchsorted(p, xs, "right")] for p, cdf in ((p_mu, cdf_mu), (p_nu, cdf_nu))
     )
     return float(np.sum(np.abs(f_mu[:-1] - f_nu[:-1]) * np.diff(xs)))

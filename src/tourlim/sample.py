@@ -4,11 +4,15 @@ empirical degree data and convergence diagnostics.
 Randomness contract: PCG64 streams derived from (seed, stream key) via
 SeedSequence spawn keys, one independent stream per repetition, so identical
 configuration yields bit-identical samples and repetitions may run in any
-order.  A sampler refuses, before drawing anything, a size whose n x n
-float64 matrix would exceed 2 GiB (n > 16384).
+order.  A sample of n vertices takes n uniforms for the latent positions,
+then decides each arc from one byte of ceil(n^2 / 8) raw 64-bit outputs and
+settles the ties, one pair in 256, with one uniform each (``_draw_pairs``):
+an arc of kernel value p has probability p exactly whenever p is a multiple
+of 2^-61, as every p >= 2^-9 is.  A sampler refuses, before drawing
+anything, a size whose n x n float64 matrix would exceed 2 GiB (n > 16384).
 
 ``convergence_report`` runs the repetitions of each size from
-``_PARALLEL_FROM`` (256) vertices up on a thread pool, and smaller sizes
+``_PARALLEL_FROM`` (600) vertices up on a thread pool, and smaller sizes
 serially through the same per-repetition function.  The results are
 collected in repetition order, so the report is bit-identical to the serial
 order for any worker count.  The workers are at most the CPUs in the
@@ -33,6 +37,7 @@ from .core import (
     StepKernel,
     ValidationError,
     _MAX_MATRIX_BYTES,
+    _cdf,
     _check_matrix_size,
     _row_counts,
     _w1,
@@ -77,30 +82,57 @@ def random_step_kernel(n: int, seed: int = 0, rep=0) -> StepKernel:
 
 
 _DRAW_BLOCK = 1 << 16
-"""About how many uniforms a sampler draws at a time."""
+"""About how many random bytes, one per pair, a sampler draws at a time.
+Each block is a whole number of 64-bit words, so the blocks read the
+stream as one draw of the (n, n) byte matrix would: samples do not depend
+on this value."""
 
 
-def _draw_pairs(rng: np.random.Generator, blocks: np.ndarray, rows: np.ndarray,
+def _draw_pairs(rng: np.random.Generator, split: tuple, rows: np.ndarray,
                 cols: np.ndarray, out: np.ndarray, flip: bool) -> None:
     """Orient every pair of the n x n bool matrix ``out`` by one draw.
 
-    With u = rng.random((n, n)), for i < j the draw is u[i, j] <
-    blocks[rows[i], cols[j]]; out[i, j] is the draw and out[j, i] its
-    negation when ``flip``, else the draw again.  The diagonal is False
-    when ``flip``, else drawn likewise.  u comes a block of about
-    _DRAW_BLOCK entries at a time, which consumes the stream as the one
-    (n, n) draw does, and each block's rows are compared from their
-    diagonal on and mirrored while they are in cache.
+    The pairs drawn are i < j when ``flip``, else i <= j.  With hi and lo
+    the ``StepKernel._split`` of the kernel value p = W(rows[i], cols[j]),
+    pair (i, j) reads byte B[i, j] of the (n, n) byte matrix B: the
+    little-endian bytes of ceil(n^2 / 8) consecutive 64-bit outputs of
+    rng's bit generator, row-major.  B < hi wins and B > hi loses.  A tie,
+    of probability 1/256, is settled after all the bytes, the tied pairs in
+    row-major order, by one ``rng.random(T)``: u < lo wins.  So a pair wins
+    with probability hi / 256 + ceil(lo 2^53) / 2^61, which is p exactly
+    when p is a multiple of 2^-61, as every p >= 2^-9 is, and otherwise
+    exceeds it by less than 2^-61.
+
+    out[i, j] is the draw and out[j, i] its negation when ``flip``, else
+    the draw again; the diagonal is False when ``flip``.  B comes in blocks
+    of rows of about _DRAW_BLOCK bytes, each a whole number of words, and
+    each block's rows are compared from their diagonal on and mirrored
+    while they are in cache.
     """
     n = len(rows)
-    step = min(n, max(1, _DRAW_BLOCK // n))
-    u = np.empty((step, n))
+    hi, lo = split
+    # a block of a multiple of 8 / gcd(n, 8) rows ends on a word boundary
+    q = 8 // math.gcd(n, 8)
+    step = min(n, max(q, _DRAW_BLOCK // n // q * q))
     wins = np.empty((step, n), bool)
-    above = ~np.tri(step, dtype=bool)
+    # the pairs of a block's corner square that are drawn; int16 compares
+    # faster than int64, and a block has fewer than 2^15 rows
+    ar = np.arange(step, dtype=np.int16)
+    drawn = (np.less if flip else np.less_equal).outer(ar, ar)
+    raw = rng.bit_generator.random_raw
+    tied = []
     for r in range(0, n, step):
         k = min(step, n - r)
-        rng.random(out=u[:k])
-        band = np.less(u[:k, r:], blocks[rows[r:r + k]][:, cols[r:]], out=wins[:k, r:])
+        b = raw(-(-k * n // 8)).astype("<u8", copy=False).view(np.uint8)
+        b = b[:k * n].reshape(k, n)[:, r:]
+        h = hi[rows[r:r + k]][:, cols[r:]]
+        band = np.less(b, h, out=wins[:k, r:])
+        tie = b == h
+        tie[:, :k] &= drawn[:k, :k]
+        at = np.flatnonzero(tie)
+        if len(at):
+            # pair (r + a // (n - r), r + a % (n - r)) as its index i n + j
+            tied.append(at + at // (n - r) * r + r * (n + 1) if r else at)
         # the block's rows from the diagonal on, and their mirror column;
         # the square where the two meet keeps the rows' upper triangle
         lower = out[r:, r:r + k]
@@ -109,10 +141,14 @@ def _draw_pairs(rng: np.random.Generator, blocks: np.ndarray, rows: np.ndarray,
         else:
             lower[...] = band.T
         out[r:r + k, r + k:] = band[:, k:]
-        corner = out[r:r + k, r:r + k]
-        np.copyto(corner, band[:, :k], where=above[:k, :k])
-        if flip:
-            np.fill_diagonal(corner, False)
+        np.copyto(out[r:r + k, r:r + k], band[:, :k], where=drawn[:k, :k])
+    if flip:
+        np.fill_diagonal(out, False)
+    if tied:
+        i, j = np.divmod(np.concatenate(tied), n)
+        won = rng.random(len(i)) < lo[rows[i], cols[j]]
+        out[i, j] = won
+        out[j, i] = ~won if flip else won
 
 
 def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTournament:
@@ -126,7 +162,7 @@ def sample_tournament(w: StepKernel, cfg: SampleConfig, rep=0) -> GeneralizedTou
     rng = _rng(cfg.seed, rep)
     cells = _cells_of(rng.random(cfg.n), w.n)
     wins = np.empty((cfg.n, cfg.n), bool)
-    _draw_pairs(rng, w.blocks, cells, cells, wins, flip=True)
+    _draw_pairs(rng, w._split, cells, cells, wins, flip=True)
     return GeneralizedTournament._handed(wins)
 
 
@@ -185,8 +221,8 @@ def sample_self_converse(
     # out[i, j]: v_i -> v_j; out[i, m + j]: v_i -> w_j, drawn for i <= j
     # and mirrored
     out = np.empty((2 * m, 2 * m), bool)
-    _draw_pairs(rng, w.blocks, cells, cells, out[:m, :m], flip=True)
-    _draw_pairs(rng, w.blocks, cells, sigma[cells], out[:m, m:], flip=False)
+    _draw_pairs(rng, w._split, cells, cells, out[:m, :m], flip=True)
+    _draw_pairs(rng, w._split, cells, sigma[cells], out[:m, m:], flip=False)
     # w_i -> w_j iff v_j -> v_i, and w_j -> v_i iff not v_i -> w_j (the
     # cross block is its own transpose)
     out[m:, m:] = out[:m, :m].T
@@ -231,17 +267,17 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-_PARALLEL_FROM = 256
+_PARALLEL_FROM = 600
 """The smallest sample size whose repetitions run concurrently.  Below it
 the threads mostly wait for the interpreter lock, which each repetition
-holds between its numpy calls: on a 2-vCPU VM, 12 repetitions of S0,1,
-S1,1 and C3 on two threads took 1.9-2.1x the serial time at n = 100,
-0.66-0.87x at n = 256 and 300 (faster in 7-10 of 10 pairs) and
-0.75-0.83x at n = 500 (10 of 10), with bool scores counted in uint16
-(medians of 10 alternating pairs, which vary with the host's load).  At
-n = 200 the sets of pairs disagree: 0.91x and 0.92x (10 and 9 of 10)
-where it was the first size its process ran, 1.08-1.41x (0-2 of 10)
-where it ran after n = 100."""
+holds between its numpy calls; the byte draw left little RNG work outside
+it.  On a 2-vCPU VM, 12 repetitions of S0,1, S1,1 and C3 on two threads
+took 1.20-1.28x the serial time at n = 100 and 200 (faster in 0 of 10
+pairs), 1.04-1.21x at 256, 300 and 400 (0-3 of 10), 0.97-1.11x at 500
+(2-8 of 10 over three sets) and 1.01-1.04x at 450 and 550 (3-5 of 10),
+but 0.81-0.97x at 600 (7 and 9 of 10), 0.91-0.93x at 700 (6 and 9 of 10)
+and 0.78-0.81x at 800 and 900 (10 of 10): medians of 10 alternating
+pairs, which vary with the host's load."""
 
 
 def _workers(size: int, reps: int) -> int:
@@ -258,26 +294,34 @@ def _workers(size: int, reps: int) -> int:
     return min(cpus, reps, _MAX_MATRIX_BYTES // (8 * size * size))
 
 
-def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, size: int,
-                seed: int, key: tuple) -> tuple:
+def _repetition(w: StepKernel, fs: list, target: DegreeDistribution, tables: tuple,
+                size: int, seed: int, key: tuple) -> tuple:
     """The injective densities of ``fs`` and the degree distribution's
-    Wasserstein-1 distance to ``target`` of the sample of repetition ``key``."""
+    Wasserstein-1 distance to ``target``, with ``tables`` its
+    ``_w1_tables``, of the sample of repetition ``key``."""
     g = sample_tournament(w, SampleConfig(size, seed, 1), rep=key)
     wins = g._entries
-    return _densities(fs, wins, "inj", 1), _score_w1(wins, target)
+    return _densities(fs, wins, "inj", 1), _score_w1(wins, target, tables)
 
 
-def _score_w1(wins: np.ndarray, target: DegreeDistribution) -> float:
+def _w1_tables(target: DegreeDistribution, n: int) -> tuple:
+    """The tables ``_score_w1`` reads, made once per size: the CDF table
+    of ``target`` and the partial sums of 1/n."""
+    return _cdf(target.weights), np.cumsum(np.full(n, 1.0 / n))
+
+
+def _score_w1(wins: np.ndarray, target: DegreeDistribution, tables: tuple | None = None) -> float:
     """``wasserstein1(empirical_degree_distribution(g), target)`` for the
     bool matrix ``wins`` of a tournament g, from its integer scores without
     building the distribution: its atoms are the distinct scores over n,
     and an atom of c scores weighs the c-th partial sum of 1/n, the sum
-    that DegreeDistribution's merge of c equal atoms adds up."""
+    that DegreeDistribution's merge of c equal atoms adds up.  ``tables``
+    is ``_w1_tables(target, n)``, made here when it is not given."""
     n = len(wins)
+    cdf, partials = tables or _w1_tables(target, n)
     counts = np.bincount(_row_counts(wins), minlength=n)
     seen = np.flatnonzero(counts)
-    weights = np.cumsum(np.full(n, 1.0 / n))[counts[seen] - 1]
-    return _w1(seen / n, weights, target.positions, target.weights)
+    return _w1(seen / n, _cdf(partials[counts[seen] - 1]), target.positions, cdf)
 
 
 def convergence_report(
@@ -312,7 +356,7 @@ def convergence_report(
     exact = {name: density_kernel(f, w) for name, f in patterns.items()}
     results = {}
     for si, size in enumerate(sizes):
-        run = partial(_repetition, w, fs, target, size, cfg.seed)
+        run = partial(_repetition, w, fs, target, _w1_tables(target, size), size, cfg.seed)
         keys = [(si, r) for r in range(cfg.reps)]
         workers = _workers(size, cfg.reps)
         if workers > 1:

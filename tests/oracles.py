@@ -259,27 +259,47 @@ def reference_peel(d: np.ndarray, integer: bool) -> np.ndarray:
     return alpha
 
 
+def _pairs_by_bytes(rng, probs, pairs) -> np.ndarray:
+    """Whether each pair of ``pairs``, row-major (i, j) index arrays into
+    the n x n matrix ``probs`` of win probabilities, wins, by the samplers'
+    two-stage draw: the byte of pair (i, j) is byte i n + j of the
+    little-endian bytes of ceil(n^2 / 8) raw 64-bit outputs; with p scaled
+    by 256 as hi + lo, hi = min(floor(256 p), 255), a byte below hi wins,
+    above it loses, and the tied pairs, in order, take one uniform each
+    and win when it is below lo."""
+    n = len(probs)
+    raw = rng.bit_generator.random_raw(-(-n * n // 8))
+    data = b"".join(int(word).to_bytes(8, "little") for word in raw)
+    byte = np.frombuffer(data, np.uint8)[:n * n].reshape(n, n)[pairs]
+    scaled = probs[pairs] * 256
+    hi = np.minimum(np.floor(scaled), 255)
+    wins = byte < hi
+    tied = byte == hi
+    wins[tied] = rng.random(np.count_nonzero(tied)) < (scaled - hi)[tied]
+    return wins
+
+
 def sample_by_pair_scatter(w, cfg, rep=0) -> np.ndarray:
-    """alpha of ``sample_tournament(w, cfg, rep)`` as the sampler first
-    built it: the same draws, scattered pair by pair over the upper
-    triangle and mirrored."""
+    """alpha of ``sample_tournament(w, cfg, rep)``: the pairs i < j drawn
+    by ``_pairs_by_bytes`` at once, scattered over the upper triangle and
+    mirrored."""
     from tourlim.sample import _cells_of, _rng
 
     rng = _rng(cfg.seed, rep)
     cells = _cells_of(rng.random(cfg.n), w.n)
     probs = w.blocks[np.ix_(cells, cells)]
-    u = rng.random((cfg.n, cfg.n))
     alpha = np.zeros((cfg.n, cfg.n))
     iu = np.triu_indices(cfg.n, 1)
-    wins = (u[iu] < probs[iu]).astype(float)
+    wins = _pairs_by_bytes(rng, probs, iu).astype(float)
     alpha[iu] = wins
     alpha[(iu[1], iu[0])] = 1.0 - wins
     return alpha
 
 
 def self_converse_by_pair_scatter(w, sigma, cfg, rep=0) -> np.ndarray:
-    """alpha of ``sample_self_converse(w, sigma, cfg, rep)`` as the sampler
-    first built it: the same draws, scattered pair by pair."""
+    """alpha of ``sample_self_converse(w, sigma, cfg, rep)``: the v-side
+    pairs i < j, then the cross pairs (v_i, w_j) with i <= j, each drawn by
+    ``_pairs_by_bytes``, scattered pair by pair."""
     from tourlim.sample import _cells_of, _rng
 
     n = w.n
@@ -290,17 +310,14 @@ def self_converse_by_pair_scatter(w, sigma, cfg, rep=0) -> np.ndarray:
     cells = _cells_of(x, n)
     sig_cells = sigma[cells]
 
-    u_vv = rng.random((m, m))
-    u_vw = rng.random((m, m))
-
     vv = np.zeros((m, m), dtype=bool)  # vv[i, j]: edge v_i -> v_j present
     iu = np.triu_indices(m, 1)
-    vv[iu] = u_vv[iu] < w.blocks[cells[iu[0]], cells[iu[1]]]
+    vv[iu] = _pairs_by_bytes(rng, w.blocks[np.ix_(cells, cells)], iu)
 
     vw = np.zeros((m, m), dtype=bool)  # vw[i, j]: edge v_i -> w_j present
-    il = np.tril_indices(m, 0)  # pairs i <= j as (j, i) indices
-    j_idx, i_idx = il
-    vw[i_idx, j_idx] = u_vw[i_idx, j_idx] < w.blocks[cells[i_idx], sig_cells[j_idx]]
+    i_idx, j_idx = np.triu_indices(m, 0)  # pairs i <= j, row-major
+    vw[i_idx, j_idx] = _pairs_by_bytes(rng, w.blocks[np.ix_(cells, sig_cells)],
+                                       (i_idx, j_idx))
     vw[j_idx, i_idx] = vw[i_idx, j_idx]  # forced mirrors (no-op on the diagonal)
 
     alpha = np.zeros((2 * m, 2 * m))

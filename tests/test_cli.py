@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -301,6 +302,28 @@ class TestCommands:
         assert out1.read_bytes() == out2.read_bytes()
         g = GeneralizedTournament.from_json_dict(json.loads(out1.read_text()))
         assert g.is_tournament
+
+    # a kernel with tied and untied bytes of every kind: 0 and 1, dyadic and
+    # not; self-converse under the reversal of its blocks
+    GOLDEN_KERNEL = [[0.5, 0.3, 0.9, 1.0], [0.7, 0.5, 0.6, 0.9],
+                     [0.1, 0.4, 0.5, 0.3], [0.0, 0.1, 0.7, 0.5]]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sample", "--size", "40", "--seed", "3"],
+         "fb5fcd12446c0de91b951648ee6ec6b0e986a328dd350c1fb5ba46cbb3b34bd3"),
+        (["sample-selfconverse", "--size", "17", "--sigma", "reverse", "--seed", "4"],
+         "ff0c3cac0c3dcfde9f86855b05b2275e5426711debc9c99272235a341f04d464"),
+        (["converge", "--pattern", "C3", "--pattern", "S1,1", "--sizes", "12,30", "--reps", "3",
+          "--seed", "5"],
+         "6775480e624bc7ce5b61cb9e4d6f96fc86e5dc647b8c158de34cf1386a1a92cf"),
+    ])
+    def test_sampler_outputs_keep_their_digests(self, tmp_path, argv, digest):
+        """Any change to what a seed draws must be deliberate: these are the
+        SHA-256 digests of the outputs of the byte-and-tie draw."""
+        kernel = write_json(tmp_path, "k4.json", {"n": 4, "blocks": self.GOLDEN_KERNEL})
+        out = tmp_path / "out"
+        assert main([argv[0], "--input", kernel, *argv[1:], "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_sample_selfconverse(self, half3, capsys):
         assert main(["sample-selfconverse", "--input", half3, "--size", "6",
@@ -1181,16 +1204,16 @@ def test_the_cli_reads_its_own_0_1_output_back_and_c4_hom_is_exact(half3, tmp_pa
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_converge_writes_the_same_bytes_on_one_cpu_as_on_all(half3, tmp_path):
-    # from 256 vertices a size's repetitions run on one thread per CPU the
+    # from 600 vertices a size's repetitions run on one thread per CPU the
     # process may use; the child pinned to one CPU runs them serially
     argv = ["converge", "--input", half3, "--pattern", "C3", "--pattern", "C4",
-            "--sizes", "300,500", "--reps", "6", "--seed", "1"]
+            "--sizes", "300,600", "--reps", "6", "--seed", "1"]
     one, every = tmp_path / "one_cpu.csv", tmp_path / "all_cpus.csv"
     script = ("import os, sys\n"
               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
               "from tourlim import sample\n"
               "from tourlim.cli import main\n"
-              "assert sample._workers(500, 6) == 1\n"
+              "assert sample._workers(600, 6) == 1\n"
               "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(cli.__file__).parents[1])
     subprocess.run([sys.executable, "-c", script, *argv, "--output", str(one)],

@@ -421,6 +421,25 @@ class TestConversions:
         w = step_kernel_from_tournament(HALF2)
         assert w.blocks.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_step_kernel_from_tournament_peak_is_below_1_2_kernels(self, real):
+        # the float64 matrix it makes is handed to the kernel, not copied
+        # again: the traced peak was 2.08 kernels at n = 1000
+        b = _random_bool_tournament(1000, 3)
+        alpha = np.where(b, 0.75, 0.25) if real else b
+        np.fill_diagonal(alpha, 0)
+        g = GeneralizedTournament(alpha)
+        tracemalloc.start()
+        try:
+            w = step_kernel_from_tournament(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * w.blocks.nbytes
+        want = alpha.astype(float)
+        np.fill_diagonal(want, 0.5)
+        assert np.array_equal(w.blocks, want) and not w.blocks.flags.writeable
+
     def test_scores_transitive(self):
         s = scores_of_tournament(T3)
         assert s.kind == "integer"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,54 @@ def test_random_step_kernel_bits_match_pair_scatter_oracle():
         blocks = random_step_kernel(n, seed=seed, rep=rep).blocks
         assert np.array_equal(blocks, oracles.random_kernel_by_pair_scatter(n, seed, rep))
         assert not np.any(np.signbit(blocks))
+
+
+class TestByteDraw:
+    """Each arc is decided by a random byte against hi = min(floor(256 p),
+    255) and, on a tie, a uniform against lo = 256 p - hi."""
+
+    def test_split_is_exact(self):
+        rng = np.random.default_rng(29)
+        special = [0.0, 1.0, 2.0**-9, 2.0**-10, 1 - 2.0**-53, 5e-324, 0.5]
+        # uniform doubles, and doubles of every binary exponent down to the
+        # subnormals
+        values = np.concatenate([special, rng.random(5000),
+                                 np.ldexp(rng.random(5000), -rng.integers(0, 1075, 5000))])
+        n = 143  # 10153 pairs above the diagonal
+        upper = np.full(n * (n - 1) // 2, 0.5)
+        upper[:len(values)] = values
+        blocks = np.full((n, n), 0.5)
+        iu = np.triu_indices(n, 1)
+        blocks[iu] = upper
+        blocks[(iu[1], iu[0])] = 1.0 - upper
+        w = StepKernel(blocks)
+        assert np.array_equal(w.blocks, blocks)
+        hi, lo = w._split
+        assert hi.dtype == np.uint8 and lo.dtype == np.float64
+        assert 0.0 <= lo.min() and lo.max() <= 1.0
+        for p, h, l in zip(blocks.ravel().tolist(), hi.ravel().tolist(), lo.ravel().tolist()):
+            assert Fraction(h) / 256 + Fraction(l) / 256 == Fraction(p), p
+            if p >= 2.0**-9:
+                # so the tie's 53-bit uniform settles it exactly
+                assert (l * 2.0**53).is_integer(), p
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    def test_samples_do_not_depend_on_the_draw_block(self, monkeypatch, block):
+        kernels = [transitive_kernel(4), random_step_kernel(7, seed=5)]
+        sigma = np.arange(6)[::-1]
+        base = random_step_kernel(6, seed=6).blocks
+        symmetric = StepKernel((base + base[np.ix_(sigma, sigma)].T) / 2)
+        sizes = (37, 40, 102)  # odd, a multiple of 8, and 6 modulo 8
+        draws = [
+            lambda n: [sample_tournament(w, SampleConfig(n, seed=3), rep=1).alpha
+                       for w in kernels],
+            lambda n: [sample_self_converse(symmetric, sigma, SampleConfig(n, seed=4)).alpha],
+        ]
+        want = [draw(n) for draw in draws for n in sizes]
+        monkeypatch.setattr(sample, "_DRAW_BLOCK", block)
+        got = [draw(n) for draw in draws for n in sizes]
+        for g, h in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, h))
 
 
 class TestSampleMemoryGuard:
