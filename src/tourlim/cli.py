@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import mmap
@@ -39,13 +40,11 @@ class UsageError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        text = _read_text(path)
+        data = _read_json(path)
     except OSError as exc:
         raise UsageError(f"cannot read input file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"malformed input in {path}: not UTF-8 text ({exc})") from exc
-    try:
-        data = json.loads(text, cls=_MatrixDecoder)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -53,21 +52,24 @@ def _load_json(path: str) -> dict:
     return data
 
 
-# the smallest regular file that _read_text maps: below it a map and its
-# page faults cost more than the bytes copy they save (tens of us on a
-# 1 KB file, break-even near 16 KB, 0.7 ms saved on 1.25 MB)
+# the smallest regular file that _read_json maps.  Map against read() for
+# compact 0/1 tournaments, heap trimmed, medians of 400 alternating calls
+# on a 2-vCPU Xeon: 1 KB 1.14x, 16 KB 1.05x, 32 KB 1.03x, 50 KB 1.02x,
+# 64 KB 1.00x, 128 KB 0.97x, 256 KB 0.89x the time of read()
 _MAP_FROM = 1 << 16
 
 
-def _read_text(path: str) -> str:
-    """``Path(path).read_text(encoding="utf-8")``, errors included, with the
-    text held once: a regular file of at least ``_MAP_FROM`` bytes is
-    decoded straight from a read-only map of it, closed before this
-    returns, rather than from a bytes copy.  Other files (smaller ones,
-    FIFOs, devices) and files that cannot be mapped are read."""
+def _read_json(path: str):
+    """``json.loads(Path(path).read_text(encoding="utf-8"))``, errors
+    included, except that a value of the top-level object that
+    ``_number_matrix`` reads, a 0/1 matrix, is its bool array.
+
+    The file's bytes are decoded where they lie: a regular file of at
+    least ``_MAP_FROM`` bytes from a read-only map of it, closed before
+    this returns, and other files (smaller ones, FIFOs, devices) and files
+    that cannot be mapped from the bytes that ``read()`` returns."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
-        text = None
         if stat.S_ISREG(st.st_mode) and st.st_size >= _MAP_FROM:
             try:
                 m = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -75,39 +77,108 @@ def _read_text(path: str) -> str:
                 pass  # e.g. a file system without mmap
             else:
                 with m:
-                    text = str(m, "utf-8")
-        if text is None:
-            text = f.read().decode("utf-8")
-    # the universal newlines of text mode
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+                    return _loads(m)
+        return _loads(f.read())
 
 
-class _MatrixDecoder(json.JSONDecoder):
-    """json's decoder, except that a value of the top-level object that
-    ``_number_matrix`` reads, a 0/1 matrix, comes back as its bool array.
-    json's own object scanner walks that object; every other value, and
-    everything inside them, is json's own, errors included."""
+def _loads(buf):
+    """The document in the bytes ``buf`` as ``_read_json`` gives it.
 
-    def __init__(self):
-        super().__init__()
-        scan = self.scan_once
+    When ``_skeleton`` takes a matrix, json parses only the skeleton, the
+    text with each taken matrix replaced by ``@``.  Any other document is
+    parsed by json from its whole text, as ``read_text`` gives it: one in
+    which no matrix is taken, one in which a taken matrix is not a value
+    of the top-level object, and one whose skeleton json rejects, so that
+    its values and errors are json's own.  On the benchmark's compact
+    500-vertex tournament (1.25 MB) this took 0.93 instead of 1.78 ms for
+    the whole text, heap trimmed, on a 2-vCPU Xeon.
+    """
+    skeleton = _skeleton(buf)
+    data = None if skeleton is None else _parse_skeleton(*skeleton)
+    if data is not None:
+        return data
+    text = str(buf, "utf-8")
+    if "\r" in text:
+        # the universal newlines of text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
 
-        def value(s, i):
-            return _number_matrix(s, i) or scan(s, i)
 
-        def document(s, i):
-            if s.startswith("{", i):
-                return JSONObject((s, i + 1), self.strict, value, None, None, {})
-            return scan(s, i)
+def _parse_skeleton(text: str, places: list, matrices: list):
+    """json's value of the skeleton ``text``, each ``@`` at ``places``
+    standing for its matrix, or None.
 
-        self.scan_once = document
+    json's own scanner rejects ``@`` as a value, so each must be consumed
+    by the top-level object's scanner, at its own place.  None when json
+    rejects the text, or when an ``@`` lies in a string, deeper down or
+    outside an object, where that scanner does not consume it."""
+    decoder = json.JSONDecoder()
+    scan, taken = decoder.scan_once, 0
+
+    def value(s, i):
+        nonlocal taken
+        if taken < len(places) and i == places[taken]:
+            taken += 1
+            return matrices[taken - 1], i + 1
+        return scan(s, i)
+
+    def document(s, i):
+        if s.startswith("{", i):
+            return JSONObject((s, i + 1), decoder.strict, value, None, None, {})
+        return scan(s, i)
+
+    decoder.scan_once = document
+    try:
+        data = decoder.decode(text)
+    except json.JSONDecodeError:
+        return None
+    return data if taken == len(places) else None
 
 
-_FIRST_ROW = re.compile(r"\[[ \t\n\r]*(\[([^\]]*)\])(?:([ \t\n\r]*,[ \t\n\r]*)\[)?")
+_MATRIX_OPEN = re.compile(rb":[ \t\n\r]*(\[[ \t\n\r]*\[)")
+"""The opening of an array of arrays after a colon, as every value of an
+object is: arrays nested in arrays are left to json unread."""
+
+
+def _skeleton(buf):
+    """``(text, places, matrices)`` for the bytes ``buf`` when
+    ``_number_matrix`` takes at least one matrix in them: the UTF-8 text
+    with each taken matrix replaced by ``@``, the index of each ``@`` in
+    it and each matrix's bool array, in order.  None when it takes none, or
+    when a piece of text between them is not UTF-8.
+
+    Every numpy view of ``buf`` is gone when this returns, so that a map
+    of it can be closed."""
+    data = np.frombuffer(buf, np.uint8)
+    pieces, matrices, done, i = [], [], 0, 0
+    while (opening := _MATRIX_OPEN.search(data, i)) is not None:
+        i = opening.start(1)
+        got = _number_matrix(data, i)
+        if got is None:
+            i += 1
+            continue
+        pieces.append(data[done:i])
+        matrices.append(got[0])
+        done = i = got[1]
+    if not matrices:
+        return None
+    pieces.append(data[done:])
+    try:
+        # a piece ends before "[" and starts after "]", so it cuts no
+        # character in two
+        pieces = [str(p, "utf-8") for p in pieces]
+    except UnicodeDecodeError:
+        return None
+    places = itertools.accumulate((len(p) + 1 for p in pieces[1:-1]), initial=len(pieces[0]))
+    return "@".join(pieces), list(places), matrices
+
+
+_FIRST_ROW = re.compile(rb"\[[ \t\n\r]*(\[([^\[\]]*)\])(?:([ \t\n\r]*,[ \t\n\r]*)\[)?")
 """The opening of a matrix: its first row (group 1), that row's text inside
 the brackets (group 2) and, when a second row follows, the separator
-between the two (group 3)."""
-_MATRIX_END = re.compile(r"[ \t\n\r]*\]")
+between the two (group 3).  A row holds no "[", so that the openings of
+nested arrays fail at once and no row is read twice."""
+_MATRIX_END = re.compile(rb"[ \t\n\r]*\]")
 _NUMBER = rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?"
 _NUMBERS = re.compile(_NUMBER + rb"(?:," + _NUMBER + rb")*")
 """Comma-separated JSON numbers: json.scanner.NUMBER_RE without its groups,
@@ -116,93 +187,122 @@ _IN_GAP = np.zeros(256, bool)
 _IN_GAP[list(b"[], \t\n\r")] = True
 """Per byte, whether it may stand between two numbers of a row."""
 _BLOCK_BYTES = 1 << 16
-"""About how many bytes of matrix text ``_number_matrix`` reads at a time."""
-_INVALID = 255
-"""The code of a cell that is neither word of ``_number_matrix``, whose
-words have the codes 0 and 1."""
+"""About how many bytes of matrix text ``_number_matrix`` checks at a time."""
 _MIN_CELLS = 512
 """The fewest cells ``_number_matrix`` reads; json reads smaller matrices.
-The reader's fixed cost, about 25 numpy calls, came to 40-120 us on
-matrices of up to 16 x 16 cells, where json took 2-70 us; the two met at
-about 24 x 24 cells."""
+The reader's fixed cost came to about 60 us on compact matrices of 4 x 4
+to 32 x 32 cells, where json took 4-90 us; the two met at about 26 x 26
+cells, so that up to about 700 cells the reader costs up to 20 us more
+than json."""
 
 
-def _number_matrix(text: str, i: int):
-    """``(a, end)`` when ``text[i:end]`` is a JSON array of n >= 1 arrays of
-    m >= 1 numbers each, n m >= _MIN_CELLS of them, laid out alike, whose
-    cells are all words of its first and last row: at most two words, of
-    one width, that json reads as +0.0 or 1.0 and that differ in at most
-    one byte position.  ``a`` is then the n x m bool array of those values.
-    None for any other value, which json then reads.
+def _number_matrix(data: np.ndarray, i: int):
+    """``(a, end)`` when the bytes ``data[i:end]`` of the uint8 array
+    ``data`` are a JSON array of n >= 1 arrays of m >= 1 numbers each,
+    n m >= _MIN_CELLS of them, laid out alike, whose cells are all words of
+    its first and last row: at most two words, of one width, that json
+    reads as +0.0 or 1.0 and that differ in at most one byte position.
+    ``a`` is then the n x m bool array of those values.  None for any other
+    value, which json then reads.
 
     Laid out alike means that the rows start at one stride, the cells of a
     row at another, and every byte equals the first row's byte, or the
     first separator's, except at the byte position of each cell at which
-    the words differ.  That byte is read through a strided view and looked
-    up in a byte table made from the words; a cell that is neither word
-    reads as ``_INVALID`` and declines the matrix.
+    the words differ, where it is one of the two words' bytes.  The rows
+    are checked a block of about ``_BLOCK_BYTES`` at a time, each with its
+    separator but the last: one ``np.bitwise_or`` sets, at that position
+    of each cell, the bits by which the two bytes differ, and one
+    ``np.array_equal`` compares the block with a template block made so
+    from the first row; the first block that differs declines the matrix,
+    so a declined one costs at most a block beyond its first and last
+    rows.  Words that json reads as +0.0 and 1.0 differ in
+    the one bit of "0" and "1", which one strided ``np.subtract`` then
+    reads into the result; two words of one value fill it with that value.
     """
-    head = _FIRST_ROW.match(text, i)
+    head = _FIRST_ROW.match(data, i)
     if head is None or (first := _row_words(head[2])) is None:
         return None
-    start, rowlen, sep = head.start(1), len(head[1]), head[3] or ""
+    start, rowlen, sep = head.start(1), len(head[1]), head[3] or b""
     stride = rowlen + len(sep)
-    # the rows are the "[" at that stride
-    opens = text[start::stride] if sep else "["
-    n = len(opens) - len(opens.lstrip("["))
+    # the rows are the "[" at that stride, looked for in doubling windows
+    # so that a small array costs little in a long text
+    n, window = 1, 8
+    while sep:
+        opens = data[start + n * stride:start + (n + window) * stride:stride].tobytes()
+        found = len(opens) - len(opens.lstrip(b"["))
+        n, window = n + found, 2 * window
+        if found < window // 2:
+            break
     if n * first[0] < _MIN_CELLS:
         return None
     last = start + (n - 1) * stride
-    tail = _MATRIX_END.match(text, last + rowlen)
-    if tail is None or (final := _row_words(text[last + 1:last + rowlen - 1])) is None:
-        return None
-    if any(text[start + rowlen + j:last:stride] != c * (n - 1) for j, c in enumerate(sep)):
+    tail = _MATRIX_END.match(data, last + rowlen)
+    if tail is None or (final := _row_words(data[last + 1:last + rowlen - 1].tobytes())) is None:
         return None
     words = sorted(first[1] | final[1])
     m, width = first[0], len(words[0])
     if (final[0] != m or len(words) > 2 or any(len(w) != width for w in words)
-            or not _NUMBERS.fullmatch(",".join(words).encode("ascii", "replace"))):
+            or not _NUMBERS.fullmatch(b",".join(words))):
         return None
     # json reads the integer spelling -0 as the int 0, so as +0.0
-    values = [0.0 if w == "-0" else float(w) for w in words]
+    values = [0.0 if w == b"-0" else float(w) for w in words]
     if not all(v == 1.0 or v == 0.0 and math.copysign(1.0, v) > 0 for v in values):
         return None
     varying = [j for j in range(width) if words[0][j] != words[-1][j]] or [0]
-    row = np.frombuffer(head[1].encode(), np.uint8)
-    gap = _IN_GAP[row]
-    # a cell starts where a gap byte is followed by a word byte
-    cell_starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1
-    periods = cell_starts[1:] - cell_starts[:-1]
-    period = periods[0] if m > 1 else width
-    if len(varying) > 1 or (periods != period).any():
+    starts = _cell_starts(head[1], m, width)
+    if len(varying) > 1 or starts is None:
         return None
     at = varying[0]
-    codes = np.full(256, _INVALID, np.uint8)
-    codes[[ord(w[at]) for w in words]] = values
-    varies = np.zeros(rowlen, bool)
-    varies[cell_starts + at] = True
-    out = np.empty((n, m), bool)
+    chars = (words[0][at], words[-1][at])
+    read_bits = values[0] != values[-1]
+    if read_bits and (values[0], chars) != (0.0, (ord("0"), ord("1"))):
+        return None  # only "0" and "1" spell 0.0 and 1.0 at one position
+    flips = chars[0] ^ chars[1]
+    cells = slice(starts.start + at, starts.stop + at, starts.step)
+    mask = np.zeros(stride, np.uint8)
+    mask[cells] = flips
+    template = np.frombuffer(head[1] + sep, np.uint8) | mask
     step = max(1, _BLOCK_BYTES // stride)
-    for r in range(0, n, step):
-        k, begin = min(step, n - r), start + r * stride
-        block = text[begin:begin + (k - 1) * stride + rowlen].encode("ascii", "replace")
-        rows = np.ndarray((k, rowlen), np.uint8, block, 0, (stride, 1))
-        if not ((rows == row) | varies).all():
+    expected = np.tile(template, (min(step, n - 1) or 1, 1))
+    checked = np.empty_like(expected)
+    out = np.empty((n, m), bool)
+    if not read_bits:
+        out.fill(values[0])
+    # the rows before the last with their separators, then the last row
+    blocks = ((r, min(step, n - 1 - r), stride) for r in range(0, n - 1, step))
+    for r, k, w in itertools.chain(blocks, [(n - 1, 1, rowlen)]):
+        begin = start + r * stride
+        rows = data[begin:begin + k * w].reshape(k, w)
+        np.bitwise_or(rows, mask[:w], out=checked[:k, :w])
+        if not np.array_equal(checked[:k, :w], expected[:k, :w]):
             return None
-        cells = np.ndarray((k, m), np.uint8, block, cell_starts[0] + at, (stride, period))
-        got = out[r:r + k].view(np.uint8)
-        np.take(codes, cells, out=got, mode="clip")
-        if got.max() == _INVALID:
+        if read_bits:
+            np.subtract(rows[:, cells], ord("0"), out=out[r:r + k].view(np.uint8))
+        elif flips & (flips - 1) and not np.isin(rows[:, cells], chars).all():
+            # the bitwise_or admits more bytes than the two
             return None
     return out, tail.end()
 
 
-def _row_words(row: str):
+def _cell_starts(row: bytes, m: int, width: int):
+    """The slice of a row's text, brackets included, at which its m cells
+    start, when they start at one period; else None."""
+    gap = _IN_GAP[np.frombuffer(row, np.uint8)]
+    # a cell starts where a gap byte is followed by a word byte
+    starts = np.flatnonzero(gap[:-1] > gap[1:]) + 1
+    periods = starts[1:] - starts[:-1]
+    period = int(periods[0]) if m > 1 else width
+    if (periods != period).any():
+        return None
+    return slice(int(starts[0]), int(starts[-1]) + 1, period)
+
+
+def _row_words(row: bytes):
     """``(m, words)`` for the text inside a row's brackets when it holds m
     words of one width, at most two distinct ones: the set ``words``.  Else
     None."""
-    words = row.split(",")
-    distinct = {w.strip(" \t\n\r") for w in set(words)}
+    words = row.split(b",")
+    distinct = {w.strip(b" \t\n\r") for w in set(words)}
     if len(distinct) > 2 or len({len(w) for w in distinct}) != 1:
         return None
     return len(words), distinct

@@ -253,20 +253,41 @@ def symmetrize_self_converse(
     report = check_eplett(scores, tol)
     if not report.valid:
         raise ValidationError("scores do not satisfy the Eplett pairing", report)
-    n = g.n
     order = np.argsort(np.asarray(scores.values, dtype=float), kind="stable")
-    # a tournament's bools convert exactly in the arithmetic below
-    a = g._entries[np.ix_(order, order)]
-    v = (a + 1.0 - a[::-1, ::-1]) / 2.0
-    del a
-    # the orbit {(i, j), (rho(j), rho(i))} of upper pairs takes v at its
-    # lexicographically first pair, the one with i + j <= n - 1
+    return GeneralizedTournament._handed(_symmetrized(g._entries, order))
+
+
+def _symmetrized(e: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The self-converse average of a = e[order][:, order], made in place
+    in the result a block of _MIRROR_ROWS rows at a time; a tournament's
+    bools convert exactly in the arithmetic.
+
+    v = (a + 1 - a[::-1, ::-1]) / 2, and the orbit {(i, j), (rho(j),
+    rho(i))} of upper pairs takes v at its lexicographically first pair,
+    the one with i + j <= n - 1: the result holds that value at (i, j),
+    1 minus it at (j, i) and 0 on the diagonal.  v is made only in the
+    rows i < n / 2 that hold a first pair; then, from the first row on,
+    each other upper pair is copied from its orbit's first pair, which no
+    block writes again, and each lower pair is 1 minus the upper pair
+    above it, which is final once its row is done.
+    """
+    n = len(order)
+    out = np.empty((n, n))
+    rev = order[::-1]
+    for i in range(0, n // 2, _MIRROR_ROWS):
+        rows = out[i:min(i + _MIRROR_ROWS, n // 2)]
+        np.add(e[np.ix_(order[i:i + len(rows)], order)], 1.0, out=rows)
+        np.subtract(rows, e[np.ix_(rev[i:i + len(rows)], rev)], out=rows)
+        np.divide(rows, 2.0, out=rows)
     k = np.arange(n)
-    v = np.where(k[:, None] + k <= n - 1, v, v[::-1, ::-1].T)
-    out = np.triu(v, 1)
-    del v
-    np.subtract(1.0, out.T, out=out, where=np.tri(n, k=-1, dtype=bool))
-    return GeneralizedTournament._handed(out)
+    for i in range(0, n, _MIRROR_ROWS):
+        j = min(i + _MIRROR_ROWS, n)
+        rows, r = out[i:j], k[i:j, None]
+        # out[r, c] = out[rho(c), rho(r)] where r + c > n - 1
+        np.copyto(rows, out[::-1, n - j:n - i][:, ::-1].T, where=k > np.maximum(r, n - 1 - r))
+        np.subtract(1.0, out[:, i:j].T, out=rows, where=k < r)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def realize_self_converse(

@@ -592,7 +592,13 @@ def reader_takes(rows, alike) -> bool:
 
 
 def load_text(text: str) -> dict:
-    return json.loads(text, cls=cli._MatrixDecoder)
+    return cli._loads(text.encode())
+
+
+def read_text_loads(text: str):
+    """``json.loads`` of ``text`` as ``Path.read_text`` gives it back from
+    its UTF-8 bytes: with universal newlines."""
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # a 24 x 24 0/1 matrix: 576 cells, above the reader's floor
@@ -627,6 +633,39 @@ def decode_or_error(loads, text):
         return loads(text)
     except json.JSONDecodeError as exc:
         return str(exc)
+
+
+def assert_loads_as_read_text(path: Path, arrays=None):
+    """``cli._load_json(path)`` gives what ``json.loads`` gives for
+    ``path.read_text(encoding="utf-8")``: the same object, where a bool
+    array stands for json's list of the same float64 values, or the
+    message of the same error.  ``arrays``, when given, is the set of the
+    fields that must come back as arrays."""
+    try:
+        want = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        want = f"malformed input in {path}: not UTF-8 text ({exc})"
+    except json.JSONDecodeError as exc:
+        want = f"malformed JSON in {path}: {exc}"
+    try:
+        got = cli._load_json(str(path))
+    except cli.UsageError as exc:
+        got = str(exc)
+    if not isinstance(want, (str, dict)):
+        want = f"malformed JSON in {path}: expected an object"
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for k, v in got.items():
+        if isinstance(v, np.ndarray):
+            assert v.dtype == bool
+            expected = np.asarray(want[k], dtype=float)
+            assert np.array_equal(v.astype(float).view(np.uint64), expected.view(np.uint64))
+        else:
+            assert v == want[k]
+    if arrays is not None:
+        assert {k for k, v in got.items() if isinstance(v, np.ndarray)} == arrays
 
 
 class TestMatrixReader:
@@ -679,7 +718,7 @@ class TestMatrixReader:
     @example('{"c": [[1, 0], 1[, 1]]}')
     @example('{"c": [[1, 0],2[, 1]]}')
     def test_any_text_decodes_as_json_does(self, text):
-        got, want = decode_or_error(load_text, text), decode_or_error(json.loads, text)
+        got, want = decode_or_error(load_text, text), decode_or_error(read_text_loads, text)
         if not isinstance(got, dict):
             assert got == want
             return
@@ -732,19 +771,20 @@ class TestMatrixReader:
     def test_declined_inputs_take_json_path(self, tmp_path, capsys, monkeypatch, value):
         # declined for what they hold, not for their size
         monkeypatch.setattr(cli, "_MIN_CELLS", 1)
-        text = '{"n": 2, "alpha": ' + value + "}"
-        assert cli._number_matrix(text, text.index(value)) is None
+        text = ('{"n": 2, "alpha": ' + value + "}").encode()
+        data = np.frombuffer(text, np.uint8)
+        assert cli._number_matrix(data, text.index(value.encode())) is None
         path = tmp_path / "in.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         argv = ["density", "--input", str(path), "--pattern", "C3"]
         got = main(argv), capsys.readouterr()
-        monkeypatch.setattr(cli, "_MatrixDecoder", json.JSONDecoder)
+        monkeypatch.setattr(cli, "_number_matrix", lambda data, i: None)
         assert (main(argv), capsys.readouterr()) == got
 
     def test_declined_matrix_costs_what_json_costs(self):
         """0/1 first and last rows with reals between them: the reader must
         decline after reading about one block of text beyond those rows,
-        not the whole matrix.  Counted as the characters it slices from the
+        not the whole matrix.  Counted as the bytes it slices from the
         text, which no load on the machine changes."""
         rng = np.random.default_rng(4)
         a = rng.random((500, 500))
@@ -753,27 +793,30 @@ class TestMatrixReader:
         text = '{"n": 500, "alpha": [' + text + "]}"
         sliced = []
 
-        class Counted(str):
+        class Counted(np.ndarray):
             def __getitem__(self, key):
                 got = super().__getitem__(key)
-                sliced.append(len(got))
+                if self.ndim == 1:
+                    sliced.append(got.size)
                 return got
 
         i = text.index("[[")
-        assert cli._number_matrix(Counted(text), i) is None
+        data = np.frombuffer(text.encode(), np.uint8).view(Counted)
+        assert cli._number_matrix(data, i) is None
         row = text.index("]", i) - i
-        # the last row, one character per row for where the rows start and
-        # for each of the separator's two characters, and one block of rows
+        # the last row, one byte per row for where the rows start and for
+        # each of the separator's two bytes, and one block of rows: the
+        # separators are read with their block, and the row starts in
+        # doubling windows, at most about two bytes per row
         assert sum(sliced) <= row + 3 * len(a) + cli._BLOCK_BYTES + row
         assert load_text(text)["alpha"] == json.loads(text)["alpha"]
 
-    @pytest.mark.parametrize("n,indent,limit_mib", [(500, None, 2.4), (900, 2, 17.1)])
-    def test_peak_of_a_0_1_tournament(self, tmp_path, n, indent, limit_mib):
+    @pytest.mark.parametrize("n,indent", [(500, None), (900, 2)])
+    def test_peak_of_a_0_1_tournament(self, tmp_path, n, indent):
         """The tracemalloc peak of ``_load_json`` on a compact 500-vertex and
         an indented 900-vertex 0/1 tournament (the benchmark's and the CLI's
-        layouts) stays at what reading the file's text takes, about twice
-        its length: the bool result and the reader's blocks of rows fit
-        in what the text read leaves free."""
+        layouts) is the bool result and a few blocks of rows: the mapped
+        text is read in place, never copied."""
         u = np.triu(np.random.default_rng(n).random((n, n)) < 0.5, 1)
         payload = {"n": n, "alpha": u + np.tril(1.0 - u.T, -1)}
         path = tmp_path / "t.json"
@@ -788,7 +831,7 @@ class TestMatrixReader:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, payload["alpha"])
-        assert peak <= limit_mib * 2**20
+        assert peak <= got.nbytes + 4 * cli._BLOCK_BYTES
 
     @pytest.mark.parametrize("words, dtype", [
         (("0", "1"), bool), (("0.0", "1.0"), bool), (("0e0", "1E0"), float),
@@ -810,6 +853,18 @@ class TestMatrixReader:
         expected = oracles.json_matrix(text, "alpha")
         assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
                               expected.view(np.uint64))
+
+    @pytest.mark.parametrize("middle, taken", [("0e2", True), ("0e3", False), ("0e0", False)])
+    def test_words_of_one_value_may_differ_in_several_bits(self, middle, taken):
+        """The bytes "1" and "2" of 0e1 and 0e2, both +0.0, differ in two
+        bits, which let "0" and "3" pass the layout check too: a cell 0e0
+        or 0e3 is neither word, and declines the matrix."""
+        rows = above_floor([["0e1", "0e2"] * 12, ["0e2", "0e1"] * 12])
+        rows = [rows[0], [middle] * 24, *rows[1:]]
+        text, rows, alike = matrix_document(rows, " ", "")
+        got = load_text(text)["alpha"]
+        assert isinstance(got, np.ndarray) == taken == reader_takes(rows, alike)
+        assert np.array_equal(np.asarray(got, dtype=float), np.zeros((len(rows), 24)))
 
     def test_bool_decoded_tournament_is_known_as_one(self, tmp_path, monkeypatch):
         """A 0/1 tournament read as bools is a tournament from its
@@ -893,8 +948,7 @@ class TestInputText:
         for newline in (b"\n", b"\r\n", b"\r"):
             path = tmp_path / "copy.json"
             path.write_bytes(text.replace(b"\n", newline))
-            assert cli._read_text(str(path)) == path.read_text(encoding="utf-8")
-            assert cli._load_json(str(path))["alpha"].dtype == bool
+            assert_loads_as_read_text(path, {"alpha"})
             for argv in (["density", "--pattern", "C3", "--mode", "inj"], ["degree-dist"]):
                 assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
                 outputs.setdefault(argv[0], []).append(capsysbinary.readouterr().out)
@@ -969,10 +1023,86 @@ class TestInputText:
 
         want = cli._load_json(str(mapped))
         monkeypatch.setattr(mmap, "mmap", refuse)
-        assert cli._read_text(str(mapped)) == mapped.read_text(encoding="utf-8")
+        assert_loads_as_read_text(mapped, {"alpha"})
         assert len(refused) == 1
         got = cli._load_json(str(mapped))
         assert got["n"] == want["n"] and np.array_equal(got["alpha"], want["alpha"])
+
+
+# the 576-cell 0/1 matrix _WIDE spelled 1.0 and 0.0, and 1 and 0
+_WIDE_TEXT = json.dumps(_WIDE.tolist())
+_WIDE_INTS = json.dumps(_WIDE.astype(int).tolist())
+
+
+class TestSkeleton:
+    """A document in which the reader takes a matrix decodes as
+    ``json.loads(Path.read_text())`` does, mapped or read: when the
+    matrix's text is not a value of the top-level object, when the text
+    around it is not UTF-8 or not JSON, and whatever its newlines."""
+
+    @pytest.fixture(params=["mapped", "read"])
+    def map_from(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "_MAP_FROM", 0 if request.param == "mapped" else 1 << 62)
+
+    @pytest.mark.parametrize("doc, arrays", [
+        # the matrix's text inside a string, after a colon or not
+        ('{"note": "' + _WIDE_TEXT + '"}', set()),
+        ('{"n": 24, "note": "' + _WIDE_TEXT + '", "alpha": ' + _WIDE_TEXT + "}", {"alpha"}),
+        ('{"n": 24, "note": "n: ' + _WIDE_TEXT + '", "alpha": ' + _WIDE_TEXT + "}", set()),
+        ('{"alpha": ' + _WIDE_TEXT + ', "note": "n:' + _WIDE_INTS + '"}', set()),
+        # one level below the top
+        ('{"x": {"alpha": ' + _WIDE_TEXT + "}}", set()),
+        ('{"x": [' + _WIDE_TEXT + "]}", set()),
+        ('{"alpha": ' + _WIDE_TEXT + ', "x": {"beta": ' + _WIDE_INTS + "}}", set()),
+        ("[" + _WIDE_TEXT + "]", None),
+        (_WIDE_TEXT, None),
+        # two matrices, and one declined matrix between them
+        ('{"a": ' + _WIDE_TEXT + ', "b": ' + _WIDE_INTS + "}", {"a", "b"}),
+        ('{"a": ' + _WIDE_INTS + ', "c": [[0.5, 1], [0, 0.5]], "b": ' + _WIDE_TEXT + "}",
+         {"a", "b"}),
+        ('{"a": ' + _WIDE_TEXT + ', "a": ' + _WIDE_INTS + "}", {"a"}),
+        # the placeholder's byte in the document
+        ('{"s": "@", "alpha": ' + _WIDE_TEXT + ', "t": "@"}', {"alpha"}),
+        ('{"s": @, "alpha": ' + _WIDE_TEXT + "}", None),
+        ('{"alpha": ' + _WIDE_TEXT + ', "s": @}', None),
+        # non-ASCII text before and after the matrix
+        ('{"\u00e9": "\u20ac", "alpha": ' + _WIDE_TEXT + ', "z": "\U0001f600 \u00fc"}',
+         {"alpha"}),
+        # JSON errors before and after it, and a CR in a string after it
+        ('{"n": , "alpha": ' + _WIDE_TEXT + "}", None),
+        ('{"alpha": ' + _WIDE_TEXT + ', "n": }', None),
+        ('{"alpha": ' + _WIDE_TEXT + ', "n": 1} x', None),
+        ('{"alpha": ' + _WIDE_TEXT + ',\r\n "s": "a\rb"}', None),
+    ])
+    def test_decodes_as_read_text(self, tmp_path, map_from, doc, arrays):
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc.encode())
+        assert_loads_as_read_text(path, arrays)
+
+    @pytest.mark.parametrize("doc", [
+        b'{"n": "\xe9", "alpha": ' + _WIDE_TEXT.encode() + b"}",
+        b'{"n": "\xe2\x82", "alpha": ' + _WIDE_TEXT.encode() + b"}",
+        b'{"alpha": ' + _WIDE_TEXT.encode() + b', "n": "\xff"}',
+        b'{"alpha": ' + _WIDE_TEXT.encode() + b', "n": "\xf0\x9f\x98"}',
+        b'{"alpha": ' + _WIDE_TEXT.encode() + b', "a": ' + _WIDE_INTS.encode() + b"}\x80",
+    ])
+    def test_invalid_utf8_before_and_after_the_matrix(self, tmp_path, map_from, doc):
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc)
+        assert_loads_as_read_text(path)
+        with pytest.raises(cli.UsageError, match="not UTF-8 text"):
+            cli._load_json(str(path))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
+    @pytest.mark.parametrize("layout", ["compact", "indented"])
+    def test_crlf_and_lone_cr_layouts(self, tmp_path, map_from, newline, layout):
+        if layout == "compact":
+            doc = '{"n": 24,\n"alpha": ' + _WIDE_TEXT + ',\n"s": "x"\n}\n'
+        else:
+            doc = _json_text({"alpha": _WIDE, "n": 24, "s": "x"})
+        path = tmp_path / "doc.json"
+        path.write_bytes(doc.replace("\n", newline).encode())
+        assert_loads_as_read_text(path, {"alpha"})
 
 
 class TestMatrixOutputsMatchSchema:

@@ -476,10 +476,10 @@ class TestSelfConverse:
             tracemalloc.stop()
         assert peak <= 2.2 * g.alpha.nbytes
 
-    def test_symmetrize_peak_is_below_2_3_results(self):
-        # at most two n x n float64 matrices are alive at once: the
-        # lower triangle is mirrored into the result in place, and the
-        # result is handed over uncopied
+    def test_symmetrize_peak_is_below_1_3_results(self):
+        # the result is the one n x n matrix: it is made in place a block
+        # of rows at a time, from blocks of the input, and handed over
+        # uncopied
         n = 1001
         g = realize_scores(ScoreSequence(np.full(n, n // 2), "integer"))
         tracemalloc.start()
@@ -488,7 +488,7 @@ class TestSelfConverse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * out.alpha.nbytes
+        assert peak <= 1.3 * out.alpha.nbytes
 
     def test_converse_is_rho_relabelling(self):
         from tourlim import converse
